@@ -17,7 +17,6 @@ not converge where the experiment requires it.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import math
@@ -63,39 +62,32 @@ EXIT_SOLVER = 3
 EXIT_FIT = 4
 
 
-def _fmt(value: float) -> str:
-    """Shortest decimal that round-trips to the exact double."""
-    return repr(float(value))
-
-
 def _atomic_write(path: Path, text: str) -> None:
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text)
     os.replace(tmp, path)
 
 
-def _csv_text(header: list[str], columns: list[np.ndarray]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    for row in zip(*columns):
-        writer.writerow([_fmt(v) for v in row])
-    return buffer.getvalue()
-
-
 def _sweep_csv(sweep: SweepResult) -> str:
+    """CSV text of a sweep: a header row naming the columns, then one row
+    per grid point with axis1 varying slowest (axis1, [axis2,] value).
+
+    Every float is written with repr, the shortest decimal that round-trips
+    to the exact double; names and floats never need quoting.  Each axis
+    value is formatted once, not once per row it appears in.
+    """
+    names = [sweep.axis1_name, sweep.observable.value]
     if sweep.axis2 is None:
-        return _csv_text(
-            [sweep.axis1_name, sweep.observable.value],
-            [sweep.axis1, sweep.values],
-        )
-    n1, n2 = len(sweep.axis1), len(sweep.axis2)
-    col1 = np.repeat(sweep.axis1, n2)
-    col2 = np.tile(sweep.axis2, n1)
-    return _csv_text(
-        [sweep.axis1_name, sweep.axis2_name, sweep.observable.value],
-        [col1, col2, sweep.values.reshape(n1 * n2)],
-    )
+        values, tails = sweep.values[:, np.newaxis], [","]
+    else:
+        names.insert(1, sweep.axis2_name)
+        values, tails = sweep.values, [f",{y!r}," for y in sweep.axis2.tolist()]
+    buffer = io.StringIO()
+    buffer.write(",".join(names) + "\n")
+    for x, row in zip(sweep.axis1.tolist(), values.tolist()):
+        head = repr(x)
+        buffer.write("".join([head + tail + repr(v) + "\n" for tail, v in zip(tails, row)]))
+    return buffer.getvalue()
 
 
 #: Human-readable axis labels for the plot manifest.

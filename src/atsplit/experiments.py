@@ -23,23 +23,14 @@ from typing import Sequence
 import numpy as np
 
 from .analysis import LorentzianModel, dark_state_fidelity
-from .errors import NonPhysicalResult, SingularLiouvillian
-from .model import (
-    TWO_PI,
-    DecoherenceRates,
-    ThreeLevelModel,
-    collapse_operators,
-    ket_bra,
-)
+from .model import DecoherenceRates, ThreeLevelModel, ket_bra
 from .solver import (
     ReadoutMode,
-    _dissipator_superop,
     evolve,
     max_cyclic_frequency,
     readout_signal,
+    steady_states,
 )
-
-_I3 = np.eye(3)
 
 #: Fraction of the evolve step bound used by pulsed experiments.
 _PULSE_STEP_FRACTION = 0.25
@@ -138,84 +129,6 @@ class SweepResult:
             )
 
 
-# ---------------------------------------------------------------------------
-# Batched steady-state evaluation
-# ---------------------------------------------------------------------------
-
-def _steady_batch(
-    delta_p: np.ndarray,
-    delta_c: np.ndarray,
-    omega_p: np.ndarray,
-    omega_c: np.ndarray,
-    rates: DecoherenceRates,
-) -> np.ndarray:
-    """Steady states for a batch of drive settings sharing one rate set.
-
-    Performs exactly the per-point algorithm of ``solver.steady_state``
-    (trace-row replacement, direct solve, symmetrize, renormalize,
-    invariant checks) over a stack of Liouvillians, which keeps each
-    point bit-identical to a standalone solve while amortizing the
-    Python overhead.
-    """
-    delta_p, delta_c, omega_p, omega_c = (
-        np.atleast_1d(a)
-        for a in np.broadcast_arrays(
-            np.asarray(delta_p, float),
-            np.asarray(delta_c, float),
-            np.asarray(omega_p, float),
-            np.asarray(omega_c, float),
-        )
-    )
-    n = delta_p.size
-
-    h = np.zeros((n, 3, 3), dtype=complex)
-    h[:, 1, 1] = -TWO_PI * delta_p
-    h[:, 2, 2] = -TWO_PI * (delta_p + delta_c)
-    h[:, 1, 0] = h[:, 0, 1] = TWO_PI * omega_p / 2.0
-    h[:, 2, 1] = h[:, 1, 2] = TWO_PI * omega_c / 2.0
-
-    kron_ih = np.einsum("ij,nkl->nikjl", _I3, h).reshape(n, 9, 9)
-    kron_hti = np.einsum("nij,kl->nikjl", h.transpose(0, 2, 1), _I3).reshape(n, 9, 9)
-    dissipator = sum(_dissipator_superop(op) for op in collapse_operators(rates))
-    lsup = -1j * (kron_ih - kron_hti) + dissipator
-
-    constrained = lsup.copy()
-    constrained[:, 0, :] = 0.0
-    constrained[:, 0, (0, 4, 8)] = 1.0
-
-    conds = np.linalg.cond(constrained)
-    if not np.all(np.isfinite(conds)) or conds.max() > 1e12:
-        k = int(np.argmax(np.where(np.isfinite(conds), conds, np.inf)))
-        raise SingularLiouvillian(
-            f"steady state not unique at grid point {k} "
-            f"(delta_p={delta_p[k]}, delta_c={delta_c[k]})"
-        )
-
-    rhs = np.zeros((n, 9), dtype=complex)
-    rhs[:, 0] = 1.0
-    vec = np.linalg.solve(constrained, rhs[..., None])[..., 0]
-
-    rho = vec.reshape(n, 3, 3).transpose(0, 2, 1)  # undo column stacking
-    rho = 0.5 * (rho + rho.conj().transpose(0, 2, 1))
-    rho = rho / np.trace(rho, axis1=1, axis2=2).real[:, None, None]
-
-    residuals = np.linalg.norm(
-        np.einsum("nab,nb->na", lsup, rho.transpose(0, 2, 1).reshape(n, 9)), axis=1
-    )
-    if residuals.max() > 1e-10:
-        k = int(np.argmax(residuals))
-        raise SingularLiouvillian(
-            f"steady-state residual {residuals[k]:.3e} at grid point {k}"
-        )
-    evals = np.linalg.eigvalsh(rho)
-    if evals.min() < -1e-10:
-        k = int(np.argmin(evals[:, 0]))
-        raise NonPhysicalResult(
-            f"steady state at grid point {k} has eigenvalue {evals[k, 0]:.3e}"
-        )
-    return rho
-
-
 def _pa_sum(rho_stack: np.ndarray) -> np.ndarray:
     values = rho_stack[:, 1, 1].real + rho_stack[:, 2, 2].real
     return np.maximum(values, 0.0)
@@ -239,7 +152,7 @@ def probe_spectroscopy(
     if base.drive.omega_c != 0.0:
         raise ValueError("probe spectroscopy requires omega_c = 0")
     dp = dp_grid.points
-    rho = _steady_batch(dp, base.drive.delta_c, base.drive.omega_p, 0.0, base.rates)
+    rho = steady_states(dp, base.drive.delta_c, base.drive.omega_p, 0.0, base.rates)
     values = _pa_sum(rho)
     if background is not None:
         values = values + background(dp)
@@ -319,7 +232,7 @@ def _map_columns(args) -> np.ndarray:
     dp, dc_block, omega_p, omega_c, rates = args
     grid_dp = np.repeat(dp, dc_block.size)
     grid_dc = np.tile(dc_block, dp.size)
-    rho = _steady_batch(grid_dp, grid_dc, omega_p, omega_c, rates)
+    rho = steady_states(grid_dp, grid_dc, omega_p, omega_c, rates)
     return _pa_sum(rho).reshape(dp.size, dc_block.size)
 
 
@@ -397,7 +310,7 @@ def at_slice(
             raise ValueError(f"coupler amplitudes must be > 0, got {omega_c}")
         grid = dp_grid if dp_grid is not None else default_slice_grid(omega_c)
         dp = grid.points
-        rho = _steady_batch(dp, 0.0, base.drive.omega_p, omega_c, base.rates)
+        rho = steady_states(dp, 0.0, base.drive.omega_p, omega_c, base.rates)
         values = _pa_sum(rho)
         if background is not None:
             values = values + background(dp, omega_c)
@@ -426,7 +339,7 @@ def fidelity_vs_coupler(
     omega_c = np.asarray(list(omega_c_list), dtype=float)
     if np.any(omega_c < 0.0) or (base.drive.omega_p == 0.0 and np.any(omega_c == 0.0)):
         raise ValueError("need omega_p^2 + omega_c^2 > 0 at every point")
-    rho = _steady_batch(0.0, 0.0, base.drive.omega_p, omega_c, base.rates)
+    rho = steady_states(0.0, 0.0, base.drive.omega_p, omega_c, base.rates)
     values = np.empty(omega_c.size)
     for k in range(omega_c.size):
         theta = np.arctan2(base.drive.omega_p, omega_c[k])
@@ -468,7 +381,7 @@ def eit_regime_scan(
             phi_2=base.rates.phi_2,
         )
         omega_c = ratios * base.drive.omega_p
-        rho = _steady_batch(0.0, 0.0, base.drive.omega_p, omega_c, rates)
+        rho = steady_states(0.0, 0.0, base.drive.omega_p, omega_c, rates)
         values = np.empty(ratios.size)
         for k in range(ratios.size):
             theta = np.arctan2(base.drive.omega_p, omega_c[k])

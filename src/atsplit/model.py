@@ -14,7 +14,7 @@ Unit conventions (used consistently everywhere):
 * internal operator math is angular: Hamiltonians in rad/us, collapse
   operators in 1/sqrt(us).
 
-Conversions happen exactly once, inside ``build_hamiltonian`` and
+Conversions happen exactly once, inside ``hamiltonian_stack`` and
 ``collapse_operators``.
 """
 
@@ -217,13 +217,18 @@ def build_hamiltonian(drive: DriveParams) -> np.ndarray:
     couples 0-1 and the coupler couples 1-2 with matrix elements
     Omega/2.  Hermitian by construction (real drive amplitudes).
     """
-    h = np.zeros((3, 3), dtype=complex)
-    h[1, 1] = -TWO_PI * drive.delta_p
-    h[2, 2] = -TWO_PI * (drive.delta_p + drive.delta_c)
-    h[1, 0] = TWO_PI * drive.omega_p / 2.0
-    h[0, 1] = np.conj(h[1, 0])
-    h[2, 1] = TWO_PI * drive.omega_c / 2.0
-    h[1, 2] = np.conj(h[2, 1])
+    drive_arrays = np.atleast_1d(drive.delta_p, drive.delta_c, drive.omega_p, drive.omega_c)
+    return hamiltonian_stack(*drive_arrays)[0]
+
+
+def hamiltonian_stack(delta_p, delta_c, omega_p, omega_c) -> np.ndarray:
+    """``build_hamiltonian`` for each point of equal-length 1-D arrays of
+    the ``DriveParams`` fields; returns an (n, 3, 3) stack."""
+    h = np.zeros((len(delta_p), 3, 3), dtype=complex)
+    h[:, 1, 1] = -TWO_PI * delta_p
+    h[:, 2, 2] = -TWO_PI * (delta_p + delta_c)
+    h[:, 1, 0] = h[:, 0, 1] = TWO_PI * omega_p / 2.0
+    h[:, 2, 1] = h[:, 1, 2] = TWO_PI * omega_c / 2.0
     return h
 
 

@@ -18,10 +18,12 @@ import numpy as np
 from .errors import NonPhysicalResult, SingularLiouvillian, StepTooLarge
 from .model import (
     TWO_PI,
+    DecoherenceRates,
     ThreeLevelModel,
     build_hamiltonian,
     check_density_matrix,
     collapse_operators,
+    hamiltonian_stack,
 )
 
 _I3 = np.eye(3, dtype=complex)
@@ -37,6 +39,13 @@ _COND_LIMIT = 1e12
 
 #: Residual ceiling for an accepted steady-state solution.
 _RESIDUAL_LIMIT = 1e-10
+
+#: Eigenvalue floor of an accepted steady state (absorbs roundoff).
+_EIG_FLOOR = -1e-10
+
+#: Grid points per batch of the steady-state kernel.  Its work arrays take
+#: about 6 KB per point, so chunking bounds them for any grid size.
+_CHUNK = 1024
 
 #: Allowed trace drift over a full time evolution.
 _TRACE_DRIFT_LIMIT = 1e-9
@@ -80,62 +89,134 @@ class Trajectory:
         return self.states[:, index, index].real.copy()
 
 
-def _dissipator_superop(op: np.ndarray) -> np.ndarray:
-    """Column-stacked superoperator of one Lindblad channel."""
-    op_dag_op = op.conj().T @ op
-    return (
-        np.kron(op.conj(), op)
-        - 0.5 * np.kron(_I3, op_dag_op)
-        - 0.5 * np.kron(op_dag_op.T, _I3)
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of 3x3 matrices, broadcast over leading stack axes."""
+    product = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return product.reshape(product.shape[:-4] + (9, 9))
+
+
+def _dissipator(rates: DecoherenceRates) -> np.ndarray:
+    """Column-stacked superoperator of all five Lindblad channels, summed."""
+    ops = np.array(collapse_operators(rates))
+    op_dag_op = ops.conj().transpose(0, 2, 1) @ ops
+    channels = (
+        _kron(ops.conj(), ops)
+        - 0.5 * _kron(_I3, op_dag_op)
+        - 0.5 * _kron(op_dag_op.transpose(0, 2, 1), _I3)
     )
+    return sum(channels)
+
+
+def _kron_gathers() -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices that gather I kron H and H^T kron I from H.ravel() with a
+    zero appended at index 9, using kron(A, B)[3p + q, 3r + s] = A[p, r] B[q, s]."""
+    p, q, r, s = np.unravel_index(np.arange(81), (3, 3, 3, 3))
+    return np.where(p == r, 3 * q + s, 9), np.where(q == s, 3 * r + p, 9)
+
+
+_I_KRON_H, _HT_KRON_I = _kron_gathers()
+
+
+def _liouvillians(h: np.ndarray, dissipator: np.ndarray) -> np.ndarray:
+    """Stack of 9x9 generators for an (n, 3, 3) stack of Hamiltonians."""
+    n = len(h)
+    padded = np.zeros((n, 10), dtype=complex)
+    padded[:, :9] = h.reshape(n, 9)
+    commutator = padded[:, _I_KRON_H] - padded[:, _HT_KRON_I]
+    return (-1j * commutator).reshape(n, 9, 9) + dissipator
 
 
 def build_liouvillian(model: ThreeLevelModel) -> np.ndarray:
     """9x9 generator L with vec(d rho/dt) = L . vec(rho), in rad/us."""
-    h = build_hamiltonian(model.drive)
-    sup = -1j * (np.kron(_I3, h) - np.kron(h.T, _I3))
-    for op in collapse_operators(model.rates):
-        sup = sup + _dissipator_superop(op)
-    return sup
+    h = build_hamiltonian(model.drive)[np.newaxis]
+    return _liouvillians(h, _dissipator(model.rates))[0]
 
 
 def steady_state(model: ThreeLevelModel) -> np.ndarray:
-    """Unique steady state of the master equation as a density matrix.
+    """Unique steady state of the master equation: ``steady_states`` for one point."""
+    drive = model.drive
+    return steady_states(
+        drive.delta_p, drive.delta_c, drive.omega_p, drive.omega_c, model.rates
+    )[0]
 
-    One row of the Liouvillian is replaced by the trace constraint and
-    the resulting 9x9 linear system solved directly; the 9x9 problem is
-    tiny, so a dense solve is exact to machine precision and needs no
-    eigensolver tolerance tuning.  The output is symmetrized and
-    renormalized to scrub roundoff before the invariant checks.
 
-    Raises SingularLiouvillian when the constrained system is rank
-    deficient (steady state not unique, e.g. no dissipation at all) and
-    NonPhysicalResult when the result violates the positivity floor.
+def steady_states(delta_p, delta_c, omega_p, omega_c, rates: DecoherenceRates) -> np.ndarray:
+    """Steady states for a batch of drive settings sharing one rate set.
+
+    Drive arguments are 1-D arrays or scalars of the ``DriveParams`` fields,
+    broadcast together; returns an (n, 3, 3) stack of density matrices.
+    Points are solved ``_CHUNK`` at a time, each independently, so a value
+    never depends on the batch it was solved in.  One row of each
+    Liouvillian is replaced by the trace constraint and the 9x9 system
+    inverted directly, which is exact to machine precision; the solution
+    is symmetrized, renormalized and its residual and eigenvalues checked.
+
+    Raises SingularLiouvillian when a constrained system is rank deficient
+    (steady state not unique, e.g. no dissipation at all) or its residual
+    exceeds the limit, and NonPhysicalResult when a state violates the
+    positivity floor; both name the grid point.
     """
-    lsup = build_liouvillian(model)
+    drive_arrays = [np.asarray(a, dtype=float) for a in (delta_p, delta_c, omega_p, omega_c)]
+    drives = np.broadcast_arrays(*np.atleast_1d(*drive_arrays))
+    dissipator = _dissipator(rates)
+    rho = np.empty((drives[0].size, 3, 3), dtype=complex)
+    for start in range(0, len(rho), _CHUNK):
+        chunk = [d[start:start + _CHUNK] for d in drives]
+        lsup = _liouvillians(hamiltonian_stack(*chunk), dissipator)
+        rho[start:start + _CHUNK] = _solve_chunk(lsup, chunk, start)
+    return rho
+
+
+def _norm1(a: np.ndarray) -> np.ndarray:
+    """Matrix 1-norm (largest absolute column sum) of each matrix in a stack."""
+    return np.abs(a).sum(axis=-2).max(axis=-1)
+
+
+def _solve_chunk(lsup: np.ndarray, drives: list[np.ndarray], offset: int) -> np.ndarray:
+    """Checked steady states of one chunk (see ``steady_states``); ``drives``
+    and ``offset`` name the failing grid point in errors."""
+
+    def at(k: int) -> str:
+        return f"at grid point {offset + k} (delta_p={drives[0][k]}, delta_c={drives[1][k]})"
+
+    n = len(lsup)
     constrained = lsup.copy()
-    constrained[0, :] = 0.0
-    constrained[0, list(_DIAG_IDX)] = 1.0
-    rhs = np.zeros(9, dtype=complex)
-    rhs[0] = 1.0
+    constrained[:, 0, :] = 0.0
+    constrained[:, 0, _DIAG_IDX] = 1.0
 
-    cond = np.linalg.cond(constrained)
-    if not np.isfinite(cond) or cond > _COND_LIMIT:
+    try:
+        inverse = np.linalg.inv(constrained)
+    except np.linalg.LinAlgError:  # an exactly zero pivot, where slogdet's sign is 0
+        k = int(np.argmin(np.abs(np.linalg.slogdet(constrained)[0])))
+        raise SingularLiouvillian(f"steady state not unique {at(k)}: singular") from None
+    # For 9x9 matrices kappa_2 <= 9 kappa_1, so this gate rejects every
+    # system whose 2-norm condition number exceeds _COND_LIMIT.
+    kappa = _norm1(constrained) * _norm1(inverse)
+    rejected = ~(kappa <= _COND_LIMIT / 9.0)  # NaN counts as rejected
+    if rejected.any():
+        k = int(np.argmax(rejected))
         raise SingularLiouvillian(
-            f"steady state not unique: condition estimate {cond:.3e}"
+            f"steady state not unique {at(k)}: 1-norm condition {kappa[k]:.3e}"
         )
-    vec = np.linalg.solve(constrained, rhs)
 
-    rho = unvectorize(vec)
-    rho = 0.5 * (rho + rho.conj().T)
-    rho = rho / rho.trace().real
+    # Column 0 of the inverse solves for right-hand side e_0; undo column stacking.
+    rho = inverse[:, :, 0].reshape(n, 3, 3).transpose(0, 2, 1)
+    rho = 0.5 * (rho + rho.conj().transpose(0, 2, 1))
+    rho = rho / np.trace(rho, axis1=1, axis2=2).real[:, None, None]
 
-    residual = float(np.linalg.norm(lsup @ vectorize(rho)))
-    if residual > _RESIDUAL_LIMIT:
+    residuals = np.linalg.norm(
+        np.einsum("nab,nb->na", lsup, rho.transpose(0, 2, 1).reshape(n, 9)), axis=1
+    )
+    if residuals.max() > _RESIDUAL_LIMIT:
+        k = int(np.argmax(residuals))
         raise SingularLiouvillian(
-            f"steady-state residual {residual:.3e} exceeds {_RESIDUAL_LIMIT}"
+            f"steady-state residual {residuals[k]:.3e} {at(k)} exceeds {_RESIDUAL_LIMIT}"
         )
-    return check_density_matrix(rho)
+    evals = np.linalg.eigvalsh(rho)
+    if evals.min() < _EIG_FLOOR:
+        k = int(np.argmin(evals[:, 0]))
+        raise NonPhysicalResult(f"steady state {at(k)} has eigenvalue {evals[k, 0]:.3e}")
+    return rho
 
 
 def max_cyclic_frequency(model: ThreeLevelModel) -> float:

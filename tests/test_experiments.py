@@ -2,6 +2,8 @@
 consistency between independent evaluation paths, and the published
 qualitative features."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -225,6 +227,20 @@ class TestAtMap:
     def test_requires_both_drives(self, paper_rates):
         with pytest.raises(ValueError, match="amplitudes"):
             at_map(model_with(paper_rates, omega_p=0.1), Grid1D(-1, 1, 11), Grid1D(-1, 1, 11))
+
+    def test_serial_memory_is_bounded(self, paper_rates):
+        """The steady-state kernel works in fixed chunks, so a 301x301 map
+        needs its 13 MB of returned density matrices plus a few MB of work
+        arrays; one unchunked batch would peak near 530 MB."""
+        grid = default_map_grid(2.82)
+        grid = Grid1D(grid.start, grid.stop, 301)
+        tracemalloc.start()
+        try:
+            at_map(model_with(paper_rates, omega_p=OMEGA_P, omega_c=2.82), grid, grid, jobs=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
 
 class TestAtSlice:

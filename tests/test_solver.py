@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from atsplit import solver
 from atsplit.errors import NonPhysicalResult, SingularLiouvillian, StepTooLarge
 from atsplit.model import (
     TWO_PI,
@@ -23,6 +24,7 @@ from atsplit.solver import (
     max_cyclic_frequency,
     readout_signal,
     steady_state,
+    steady_states,
     unvectorize,
     vectorize,
 )
@@ -167,6 +169,63 @@ class TestSteadyState:
                 pa_plus = readout_signal(plus, ReadoutMode.PA_SUM)
                 pa_minus = readout_signal(minus, ReadoutMode.PA_SUM)
                 assert pa_plus == pytest.approx(pa_minus, abs=1e-10)
+
+
+def constrained_system(model: ThreeLevelModel) -> np.ndarray:
+    """The trace-constrained 9x9 matrix the steady-state kernel inverts."""
+    matrix = build_liouvillian(model).copy()
+    matrix[0, :] = 0.0
+    matrix[0, list(TRACE_ROWS)] = 1.0
+    return matrix
+
+
+class TestConditionGate:
+    """The kernel gates on the 1-norm condition number; the SVD-based
+    2-norm condition number is the reference it must be at least as strict
+    as: every system with kappa_2 > 1e12 is rejected."""
+
+    def test_random_models_and_vanishing_rates(self):
+        rng = np.random.default_rng(4)
+        models = [random_model(rng) for _ in range(200)]
+        for base in models[:20]:
+            for scale in [*np.logspace(-4, -16, 25), 0.0]:
+                rates = DecoherenceRates(*(scale * r for r in base.rates.as_tuple()))
+                models.append(ThreeLevelModel(base.drive, rates))
+        rejected = 0
+        for model in models:
+            kappa_2 = np.linalg.cond(constrained_system(model))
+            if not kappa_2 <= 1e12:
+                rejected += 1
+                with pytest.raises(SingularLiouvillian):
+                    steady_state(model)
+        assert rejected >= 20 * 15  # the family crosses the limit near 1e-9
+
+
+class TestChunking:
+    def test_chunked_batch_matches_single_points_bitwise(self, paper_rates, monkeypatch):
+        monkeypatch.setattr(solver, "_CHUNK", 7)
+        rng = np.random.default_rng(8)
+        dp, dc = rng.uniform(-5, 5, 40), rng.uniform(-5, 5, 40)
+        wp, wc = rng.uniform(0.05, 3, 40), rng.uniform(0, 6, 40)
+        batch = steady_states(dp, dc, wp, wc, paper_rates)
+        singles = np.array([
+            steady_state(ThreeLevelModel(DriveParams(*point), paper_rates))
+            for point in zip(dp, dc, wp, wc)
+        ])
+        assert batch.shape == (40, 3, 3)
+        assert batch.tobytes() == singles.tobytes()
+
+    @pytest.mark.parametrize("k, amplitude", [(23, 0.0), (30, 1e-9)])
+    def test_error_in_later_chunk_names_global_index(self, monkeypatch, k, amplitude):
+        """Dephasing alone leaves the populations of an undriven point
+        undetermined: exactly singular without drive, ill conditioned with a
+        vanishing one."""
+        monkeypatch.setattr(solver, "_CHUNK", 7)
+        rates = DecoherenceRates(gamma_10=0.0, gamma_21=0.0, phi_1=0.02, phi_2=0.05)
+        wp, wc = np.full(40, 0.5), np.full(40, 1.5)
+        wp[k] = wc[k] = amplitude
+        with pytest.raises(SingularLiouvillian, match=f"grid point {k} "):
+            steady_states(np.linspace(-1.0, 1.0, 40), 0.3, wp, wc, rates)
 
 
 class TestEvolve:
