@@ -295,6 +295,59 @@ class TestExitCodeMapping:
             cli._require_converged(Unconverged(), "test")
 
 
+_RABI = ["experiment=rabi", "drive.omega_c_mhz=0.0", "drive.delta_p_mhz=0.0"]
+_EIT = ["experiment=eit_scan", "drive.omega_c_mhz=0.0", "drive.delta_p_mhz=0.0"]
+
+#: (--set overrides on BASE_CONFIG, the dotted key or block the error must name)
+INVALID_CONFIGS = [
+    pytest.param(["drive.omega_x_mhz=1.0"], "drive.omega_x_mhz", id="unknown-key"),
+    pytest.param(["rates=null"], "rates", id="missing-block"),
+    pytest.param(["rates.t1_us=null"], "rates.t1_us", id="missing-key"),
+    pytest.param(["drive.omega_p_mhz=fast"], "drive.omega_p_mhz", id="wrong-type"),
+    pytest.param(["drive.delta_p_mhz={start: -1.0, stop: 1.0, count: 2.5}"],
+                 "drive.delta_p_mhz.count", id="grid-count-not-integer"),
+    pytest.param(["output.formats=[pdf]"], "output.formats", id="output-formats"),
+    pytest.param(["output.directory=[a, b]"], "output.directory", id="output-directory"),
+    pytest.param(["schema=2"], "schema", id="schema-version"),
+    pytest.param(["experiment=probe_spec"], "drive.omega_c_mhz", id="needs-probe_spec"),
+    pytest.param(["experiment=coupler_spec"], "drive.omega_p_mhz", id="needs-coupler_spec"),
+    pytest.param(_RABI, "pulse.durations_us", id="needs-rabi"),
+    pytest.param(["experiment=at_map"], "drive.delta_c_mhz", id="needs-at_map"),
+    pytest.param(["drive.omega_c_mhz=[2.82, 0.0]"], "drive.omega_c_mhz", id="needs-at_slice"),
+    pytest.param(["experiment=fidelity_scan"], "drive.delta_p_mhz", id="needs-fidelity_scan"),
+    pytest.param(_EIT + ["drive.omega_p_mhz=0.0"], "drive.omega_p_mhz", id="needs-eit_scan"),
+    # Each of these once passed validation and then crashed or misbehaved.
+    pytest.param(["drive.omega_p_mhz=.nan"], "drive.omega_p_mhz", id="nan-omega_p"),
+    pytest.param(["rates.t1_us=.inf"], "rates.t1_us", id="inf-t1"),
+    pytest.param(["rates.ratio_21=.nan"], "rates.ratio_21", id="nan-ratio_21"),
+    pytest.param(["rates.gamma_21=.inf"], "rates.gamma_21", id="inf-gamma_21"),
+    pytest.param(["drive.delta_p_mhz={start: -1.0, stop: .inf, count: 11}"],
+                 "drive.delta_p_mhz.stop", id="inf-grid-stop"),
+    pytest.param(["drive.omega_c_mhz=[.nan]"], "drive.omega_c_mhz", id="nan-coupler"),
+    pytest.param(_RABI + ["pulse.durations_us={start: -1.0, stop: 1.0, count: 11}"],
+                 "pulse.durations_us.start", id="negative-durations"),
+    pytest.param(_EIT + ["eit.ratio_grid={start: -1.0, stop: 1.0, count: 11}"],
+                 "eit.ratio_grid.start", id="negative-ratio-grid"),
+    pytest.param(["drive.omega_c_mhz=[1.0, 1.0000001]"], "drive.omega_c_mhz",
+                 id="couplers-equal-under-g"),
+    pytest.param(["schema=true"], "schema", id="schema-true"),
+]
+
+
+class TestInvalidConfigs:
+    @pytest.mark.parametrize("overrides, key", INVALID_CONFIGS)
+    def test_exits_2_naming_the_key(self, config_file, tmp_path, capsys, overrides, key):
+        out = tmp_path / "out"
+        args = ["run", str(config_file), "--out", str(out), "--jobs", "1"]
+        for item in overrides:
+            args += ["--set", item]
+        assert run_cli(*args) == 2
+        err = capsys.readouterr().err
+        assert f"'{key}'" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
 class TestConfigLoading:
     def test_overrides_reject_bad_syntax(self, config_file):
         with pytest.raises(ConfigError, match="key=value"):
