@@ -29,7 +29,7 @@ import numpy as np
 import yaml
 
 from . import config as config_mod
-from .analysis import LorentzianModel, fit_peaks, separation_metrics
+from .analysis import fit_peaks, separation_metrics
 from .config import ExperimentConfig
 from .errors import (
     ConfigError,
@@ -163,15 +163,7 @@ def _base_model(cfg: ExperimentConfig, omega_c: float, delta_p=0.0, delta_c=0.0)
 
 def _run_probe_spec(cfg: ExperimentConfig, jobs: int):
     grid = cfg.delta_p if isinstance(cfg.delta_p, Grid1D) else Grid1D(-1.0, 1.0, 401)
-    background = None
-    if cfg.background is not None:
-        background = LorentzianModel(
-            center=cfg.background.center,
-            fwhm=cfg.background.fwhm,
-            amplitude=cfg.background.amplitude,
-            offset=cfg.background.offset,
-        )
-    sweep = probe_spectroscopy(_base_model(cfg, 0.0), grid, background)
+    sweep = probe_spectroscopy(_base_model(cfg, 0.0), grid, cfg.background)
     fit = _require_converged(
         fit_peaks(np.column_stack([sweep.axis1, sweep.values]), 1), "probe line"
     )

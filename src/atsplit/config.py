@@ -1,20 +1,26 @@
 """Declarative experiment configuration: schema, loading, resolution.
 
 A config is a single YAML file with nested blocks and a mandatory
-``schema`` version field.  Validation is strict: unknown keys are
-rejected with their full dotted path, and every physics invariant of the
-domain types is re-checked while resolving (so a non-physical T2*, for
-example, fails at load time rather than mid-solve).
+``schema`` version field.  Every key is declared once, in ``_SCHEMA``,
+with the parser that checks it and its default.  Validation is strict:
+unknown keys are rejected with their full dotted path, every number must
+be finite, and every physics invariant of the domain types is re-checked
+while resolving (so a non-physical T2*, for example, fails at load time
+rather than mid-solve).
 """
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import sys
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
 import yaml
 
+from .analysis import LorentzianModel
 from .errors import ConfigError, NonPhysicalCoherence
 from .experiments import Grid1D
 from .model import (
@@ -28,40 +34,29 @@ from .model import (
 
 SCHEMA_VERSION = 1
 
-EXPERIMENTS = (
-    "probe_spec",
-    "coupler_spec",
-    "rabi",
-    "at_map",
-    "at_slice",
-    "fidelity_scan",
-    "eit_scan",
-)
-
-#: Allowed keys per block; None values mark nested blocks handled separately.
-_TOP_KEYS = {"schema", "experiment", "device", "rates", "drive", "pulse",
-             "background", "eit", "output"}
-_BLOCK_KEYS = {
-    "device": {"omega01_ghz", "omega12_ghz"},
-    "rates": {"t1_us", "t2_star_us", "ratio_21", "gamma_10", "gamma_21",
-              "gamma_20", "phi_1", "phi_2"},
-    "drive": {"omega_p_mhz", "omega_c_mhz", "delta_p_mhz", "delta_c_mhz"},
-    "pulse": {"duration_us", "durations_us"},
-    "background": {"center_mhz", "fwhm_mhz", "amplitude", "offset"},
-    "eit": {"n_max", "ratio_grid"},
-    "output": {"directory", "formats"},
+#: Drive rules per experiment for omega_p_mhz, omega_c_mhz, delta_p_mhz and
+#: delta_c_mhz, checked in that order (None: any value is allowed).
+_DRIVE_RULES = {
+    "probe_spec": (None, "0", "a grid or auto", "0"),
+    "coupler_spec": ("0", "one value > 0", "0", "a grid or auto"),
+    "rabi": ("> 0", "0", "0", "0"),
+    "at_map": ("> 0", "one value > 0", "a grid or auto", "a grid or auto"),
+    "at_slice": ("> 0", "> 0", "a grid or auto", "0"),
+    "fidelity_scan": ("> 0", "> 0", "0", "0"),
+    "eit_scan": ("> 0", None, "0", "0"),
 }
-_GRID_KEYS = {"start", "stop", "count"}
+_DRIVE_KEYS = ("omega_p_mhz", "omega_c_mhz", "delta_p_mhz", "delta_c_mhz")
 
+#: Each rule tests the tuple of a drive key's values (several only for
+#: coupler amplitudes); None stands for ``auto``.
+_RULES = {
+    "0": lambda vs: all(v is None or v == 0.0 for v in vs),
+    "> 0": lambda vs: all(v > 0.0 for v in vs),
+    "one value > 0": lambda vs: len(vs) == 1 and vs[0] > 0.0,
+    "a grid or auto": lambda vs: vs[0] is None or isinstance(vs[0], Grid1D),
+}
 
-@dataclass(frozen=True)
-class BackgroundConfig:
-    """Raw fluctuator-background parameters from the config file."""
-
-    center: float
-    fwhm: float
-    amplitude: float
-    offset: float
+EXPERIMENTS = tuple(_DRIVE_RULES)
 
 
 @dataclass(frozen=True)
@@ -77,7 +72,7 @@ class ExperimentConfig:
     delta_c: float | Grid1D | None
     pulse_duration: float | None
     durations: Grid1D | None
-    background: BackgroundConfig | None
+    background: LorentzianModel | None
     eit_n_max: int
     eit_ratio_grid: Grid1D
     out_dir: str
@@ -118,7 +113,7 @@ def load_raw(path: Path) -> dict:
 
 def apply_overrides(raw: dict, overrides: list[str]) -> dict:
     """Apply ``--set dotted.key=value`` overrides to the raw config dict."""
-    out = _deep_copy(raw)
+    out = copy.deepcopy(raw)
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not of the form key=value")
@@ -139,215 +134,214 @@ def apply_overrides(raw: dict, overrides: list[str]) -> dict:
     return out
 
 
-def _deep_copy(node):
-    if isinstance(node, dict):
-        return {k: _deep_copy(v) for k, v in node.items()}
-    if isinstance(node, list):
-        return [_deep_copy(v) for v in node]
-    return node
-
-
 # ---------------------------------------------------------------------------
-# Validation helpers (every error names the offending key)
+# Parsers: each takes a raw value (never None) and its dotted key, and
+# returns the parsed value or raises a ConfigError naming the key.
 # ---------------------------------------------------------------------------
 
-def _require_block(raw: dict, name: str) -> dict:
-    if name not in raw:
-        raise ConfigError(f"missing required block '{name}'")
-    block = raw[name]
-    if not isinstance(block, dict):
-        raise ConfigError(f"block '{name}' must be a mapping")
-    return block
+_REQUIRED = object()  # default of a key that has none
 
 
-def _check_keys(block: dict, allowed: set[str], prefix: str) -> None:
-    for key in block:
-        if key not in allowed:
-            raise ConfigError(f"unknown key '{prefix}.{key}'" if prefix else f"unknown key '{key}'")
+def _number(bound: str = ""):
+    """Parser for a finite number, optionally ``">= 0"`` or ``"> 0"``."""
 
-
-def _number(block: dict, key: str, prefix: str, required: bool = True,
-            default: float | None = None) -> float | None:
-    if key not in block or block[key] is None:
-        if required:
-            raise ConfigError(f"missing required key '{prefix}.{key}'")
-        return default
-    value = block[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"key '{prefix}.{key}' must be a number, got {value!r}")
-    return float(value)
-
-
-def _grid(node, path: str) -> Grid1D:
-    if not isinstance(node, dict):
-        raise ConfigError(f"key '{path}' must be a mapping with start/stop/count")
-    _check_keys(node, _GRID_KEYS, path)
-    start = _number(node, "start", path)
-    stop = _number(node, "stop", path)
-    if "count" not in node:
-        raise ConfigError(f"missing required key '{path}.count'")
-    count = node["count"]
-    if isinstance(count, bool) or not isinstance(count, int):
-        raise ConfigError(f"key '{path}.count' must be an integer, got {count!r}")
-    try:
-        return Grid1D(start, stop, count)
-    except ValueError as exc:
-        raise ConfigError(f"key '{path}': {exc}") from exc
-
-
-def _scalar_or_grid(block: dict, key: str, prefix: str):
-    """A detuning entry: a number, a start/stop/count mapping, 'auto', or absent."""
-    if key not in block or block[key] is None or block[key] == "auto":
-        return None
-    value = block[key]
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+    def parse(value, key: str) -> float:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"key '{key}' must be a number, got {value!r}")
+        if not abs(value) <= sys.float_info.max:  # nan, +-inf, or an int beyond float range
+            raise ConfigError(f"key '{key}' must be finite, got {value!r}")
+        if (bound == ">= 0" and value < 0) or (bound == "> 0" and value <= 0):
+            raise ConfigError(f"key '{key}' must be {bound}, got {value!r}")
         return float(value)
-    if isinstance(value, dict):
-        return _grid(value, f"{prefix}.{key}")
-    raise ConfigError(
-        f"key '{prefix}.{key}' must be a number, a start/stop/count mapping, or 'auto'"
-    )
+
+    return parse
 
 
-def _resolve_rates(block: dict) -> DecoherenceRates:
-    _check_keys(block, _BLOCK_KEYS["rates"], "rates")
-    t1 = _number(block, "t1_us", "rates")
-    t2 = _number(block, "t2_star_us", "rates")
-    ratio = _number(block, "ratio_21", "rates", required=False, default=TRANSMON_RATIO_21)
-    try:
-        rates = rates_from_coherence_times(t1, t2, ratio_21=ratio)
-    except (NonPhysicalCoherence, ValueError) as exc:
-        raise ConfigError(f"block 'rates': {exc}") from exc
-    overrides = {}
-    for key in ("gamma_10", "gamma_21", "gamma_20", "phi_1", "phi_2"):
-        value = _number(block, key, "rates", required=False)
-        if value is not None:
-            overrides[key] = value
-    if overrides:
-        merged = {
-            "gamma_10": rates.gamma_10,
-            "gamma_21": rates.gamma_21,
-            "gamma_20": rates.gamma_20,
-            "phi_1": rates.phi_1,
-            "phi_2": rates.phi_2,
-        }
-        merged.update(overrides)
+def _count(value, key: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ConfigError(f"key '{key}' must be a non-negative integer, got {value!r}")
+    return value
+
+
+def _grid(start_bound: str = ""):
+    """Parser for a start/stop/count grid, optionally with ``start >= 0``."""
+
+    def parse(value, key: str) -> Grid1D:
+        if not isinstance(value, dict):
+            raise ConfigError(f"key '{key}' must be a mapping with start/stop/count")
+        rows = {f"{key}.start": (_number(start_bound), _REQUIRED),
+                f"{key}.stop": (_number(), _REQUIRED),
+                f"{key}.count": (_count, _REQUIRED)}
+        fields = _walk(value, rows, key)
         try:
-            rates = DecoherenceRates(**merged)
+            return Grid1D(*(fields[name] for name in rows))
         except ValueError as exc:
-            raise ConfigError(f"block 'rates': {exc}") from exc
-    return rates
+            raise ConfigError(f"key '{key}': {exc}") from exc
+
+    return parse
+
+
+def _detuning(value, key: str) -> float | Grid1D | None:
+    """Parser for a detuning: a number, a grid, or ``auto`` (None)."""
+    if value == "auto":
+        return None
+    if isinstance(value, dict):
+        return _grid()(value, key)
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return _number()(value, key)
+    raise ConfigError(f"key '{key}' must be a number, a start/stop/count mapping, or 'auto'")
+
+
+def _couplers(value, key: str) -> tuple[float, ...]:
+    """Parser for coupler amplitudes: one number >= 0 or a non-empty list of
+    them, distinct under ``%g`` because each names an ``at_slice`` file."""
+    items = value if isinstance(value, list) else [value]
+    if not items:
+        raise ConfigError(f"key '{key}' must be a number or a non-empty list of numbers")
+    values = tuple(_number(">= 0")(item, key) for item in items)
+    if len({f"{v:g}" for v in values}) < len(values):
+        raise ConfigError(f"key '{key}' values must differ under %g, got {value!r}")
+    return values
+
+
+def _string(value, key: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"key '{key}' must be a string")
+    return value
+
+
+def _formats(value, key: str) -> tuple[str, ...]:
+    if not isinstance(value, list) or not all(f in ("csv", "summary") for f in value):
+        raise ConfigError(f"key '{key}' entries must be 'csv' or 'summary'")
+    return tuple(value)
+
+
+def _experiment(value, key: str) -> str:
+    if value not in EXPERIMENTS:
+        raise ConfigError(
+            f"key '{key}': must be one of {', '.join(EXPERIMENTS)}, got {value!r}"
+        )
+    return value
+
+
+def _schema_version(value, key: str) -> int:
+    if type(value) is not int or value != SCHEMA_VERSION:
+        raise ConfigError(f"key '{key}': unsupported version {value!r}, expected {SCHEMA_VERSION}")
+    return value
+
+
+def _block(value, key: str) -> dict:
+    """Marks a nested block; its keys are the rows below it."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"block '{key}' must be a mapping")
+    return value
+
+
+#: Every config key: dotted key -> (parser, default or _REQUIRED).  A key
+#: inside an optional block is only required when the block is present.
+_SCHEMA = {
+    "schema": (_schema_version, _REQUIRED),
+    "experiment": (_experiment, _REQUIRED),
+    "device": (_block, _REQUIRED),
+    "device.omega01_ghz": (_number(), _REQUIRED),
+    "device.omega12_ghz": (_number(), _REQUIRED),
+    "rates": (_block, _REQUIRED),
+    "rates.t1_us": (_number("> 0"), _REQUIRED),
+    "rates.t2_star_us": (_number("> 0"), _REQUIRED),
+    "rates.ratio_21": (_number(">= 0"), TRANSMON_RATIO_21),
+    "rates.gamma_10": (_number(">= 0"), None),  # explicit rate overrides
+    "rates.gamma_21": (_number(">= 0"), None),
+    "rates.gamma_20": (_number(">= 0"), None),
+    "rates.phi_1": (_number(">= 0"), None),
+    "rates.phi_2": (_number(">= 0"), None),
+    "drive": (_block, _REQUIRED),
+    "drive.omega_p_mhz": (_number(">= 0"), _REQUIRED),
+    "drive.omega_c_mhz": (_couplers, (0.0,)),
+    "drive.delta_p_mhz": (_detuning, None),
+    "drive.delta_c_mhz": (_detuning, None),
+    "pulse": (_block, None),
+    "pulse.duration_us": (_number(">= 0"), None),
+    "pulse.durations_us": (_grid(">= 0"), None),
+    "background": (_block, None),
+    "background.center_mhz": (_number(), 0.0),
+    "background.fwhm_mhz": (_number("> 0"), _REQUIRED),
+    "background.amplitude": (_number(">= 0"), _REQUIRED),
+    "background.offset": (_number(), 0.0),
+    "eit": (_block, None),
+    "eit.n_max": (_count, 9),
+    "eit.ratio_grid": (_grid(">= 0"), Grid1D(0.25, 60.25, 81)),
+    "output": (_block, None),
+    "output.directory": (_string, "results"),
+    "output.formats": (_formats, ("csv", "summary")),
+}
+
+
+def _walk(node: dict, schema: dict, path: str = "") -> dict:
+    """Check the mapping found at dotted ``path`` against the ``schema`` rows
+    directly below it, then descend into its blocks.
+
+    Returns {dotted key: parsed value} for every key present; a null value
+    counts as absent.  Unknown keys are reported first, then missing
+    required blocks and keys, then each value's own checks.
+    """
+    rows = {}
+    for name in schema:
+        parent, _, leaf = name.rpartition(".")
+        if parent == path:
+            rows[leaf] = name
+    for key in node:
+        if key not in rows:
+            raise ConfigError(f"unknown key '{path}.{key}'" if path else f"unknown key '{key}'")
+    for key, name in rows.items():
+        parse, default = schema[name]
+        if node.get(key) is None and default is _REQUIRED:
+            raise ConfigError(f"missing required {'block' if parse is _block else 'key'} '{name}'")
+    values = {}
+    for key, name in rows.items():
+        if node.get(key) is not None:
+            parse = schema[name][0]
+            values[name] = parse(node[key], name)
+            if parse is _block:
+                values.update(_walk(node[key], schema, name))
+    return values
 
 
 def resolve(raw: dict) -> ExperimentConfig:
     """Validate a raw config dict and build the resolved configuration."""
     if not isinstance(raw, dict):
         raise ConfigError("config must be a mapping")
-    _check_keys(raw, _TOP_KEYS, "")
+    values = _walk(raw, _SCHEMA)
 
-    if "schema" not in raw:
-        raise ConfigError("missing required key 'schema'")
-    if raw["schema"] != SCHEMA_VERSION:
-        raise ConfigError(
-            f"key 'schema': unsupported version {raw['schema']!r}, expected {SCHEMA_VERSION}"
-        )
+    def get(name):
+        return values.get(name, _SCHEMA[name][1])
 
-    experiment = raw.get("experiment")
-    if experiment not in EXPERIMENTS:
-        raise ConfigError(
-            f"key 'experiment': must be one of {', '.join(EXPERIMENTS)}, got {experiment!r}"
-        )
-
-    device_block = _require_block(raw, "device")
-    _check_keys(device_block, _BLOCK_KEYS["device"], "device")
     try:
-        device = DeviceSpec(
-            omega01=_number(device_block, "omega01_ghz", "device"),
-            omega12=_number(device_block, "omega12_ghz", "device"),
-        )
+        device = DeviceSpec(get("device.omega01_ghz"), get("device.omega12_ghz"))
     except ValueError as exc:
         raise ConfigError(f"block 'device': {exc}") from exc
-
-    rates = _resolve_rates(_require_block(raw, "rates"))
-
-    drive_block = _require_block(raw, "drive")
-    _check_keys(drive_block, _BLOCK_KEYS["drive"], "drive")
-    omega_p = _number(drive_block, "omega_p_mhz", "drive")
-
-    omega_c_raw = drive_block.get("omega_c_mhz", 0.0)
-    if omega_c_raw is None:
-        omega_c_raw = 0.0
-    if isinstance(omega_c_raw, (int, float)) and not isinstance(omega_c_raw, bool):
-        omega_c_values = (float(omega_c_raw),)
-    elif isinstance(omega_c_raw, list) and omega_c_raw and all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in omega_c_raw
-    ):
-        omega_c_values = tuple(float(v) for v in omega_c_raw)
-    else:
-        raise ConfigError("key 'drive.omega_c_mhz' must be a number or a non-empty list of numbers")
-    if any(v < 0.0 for v in omega_c_values) or omega_p < 0.0:
-        raise ConfigError("key 'drive': Rabi amplitudes must be >= 0")
-
-    delta_p = _scalar_or_grid(drive_block, "delta_p_mhz", "drive")
-    delta_c = _scalar_or_grid(drive_block, "delta_c_mhz", "drive")
-
-    pulse_duration = None
-    durations = None
-    if "pulse" in raw:
-        pulse_block = _require_block(raw, "pulse")
-        _check_keys(pulse_block, _BLOCK_KEYS["pulse"], "pulse")
-        pulse_duration = _number(pulse_block, "duration_us", "pulse", required=False)
-        if pulse_duration is not None and pulse_duration < 0.0:
-            raise ConfigError("key 'pulse.duration_us' must be >= 0")
-        if "durations_us" in pulse_block and pulse_block["durations_us"] is not None:
-            durations = _grid(pulse_block["durations_us"], "pulse.durations_us")
+    try:
+        rates = rates_from_coherence_times(
+            get("rates.t1_us"), get("rates.t2_star_us"), ratio_21=get("rates.ratio_21")
+        )
+    except NonPhysicalCoherence as exc:
+        raise ConfigError(f"block 'rates': {exc}") from exc
+    explicit = {f"rates.{f.name}": f.name for f in dataclasses.fields(rates)}
+    overrides = {explicit[k]: v for k, v in values.items() if k in explicit}
+    rates = dataclasses.replace(rates, **overrides)
 
     background = None
-    if "background" in raw and raw["background"] is not None:
-        bg = _require_block(raw, "background")
-        _check_keys(bg, _BLOCK_KEYS["background"], "background")
-        background = BackgroundConfig(
-            center=_number(bg, "center_mhz", "background", required=False, default=0.0),
-            fwhm=_number(bg, "fwhm_mhz", "background"),
-            amplitude=_number(bg, "amplitude", "background"),
-            offset=_number(bg, "offset", "background", required=False, default=0.0),
-        )
-        if background.fwhm <= 0.0:
-            raise ConfigError("key 'background.fwhm_mhz' must be > 0")
-        if background.amplitude < 0.0:
-            raise ConfigError("key 'background.amplitude' must be >= 0")
+    if "background" in values:
+        fields = ("center_mhz", "fwhm_mhz", "amplitude", "offset")
+        background = LorentzianModel(*(get(f"background.{k}") for k in fields))
 
-    eit_n_max = 9
-    eit_ratio_grid = Grid1D(0.25, 60.25, 81)
-    if "eit" in raw and raw["eit"] is not None:
-        eit_block = _require_block(raw, "eit")
-        _check_keys(eit_block, _BLOCK_KEYS["eit"], "eit")
-        if "n_max" in eit_block and eit_block["n_max"] is not None:
-            n_max = eit_block["n_max"]
-            if isinstance(n_max, bool) or not isinstance(n_max, int) or n_max < 0:
-                raise ConfigError(f"key 'eit.n_max' must be a non-negative integer, got {n_max!r}")
-            eit_n_max = n_max
-        if "ratio_grid" in eit_block and eit_block["ratio_grid"] is not None:
-            eit_ratio_grid = _grid(eit_block["ratio_grid"], "eit.ratio_grid")
-
-    out_dir = "results"
-    formats = ("csv", "summary")
-    if "output" in raw and raw["output"] is not None:
-        out_block = _require_block(raw, "output")
-        _check_keys(out_block, _BLOCK_KEYS["output"], "output")
-        if "directory" in out_block and out_block["directory"] is not None:
-            if not isinstance(out_block["directory"], str):
-                raise ConfigError("key 'output.directory' must be a string")
-            out_dir = out_block["directory"]
-        if "formats" in out_block and out_block["formats"] is not None:
-            fmts = out_block["formats"]
-            if not isinstance(fmts, list) or not all(f in ("csv", "summary") for f in fmts):
-                raise ConfigError("key 'output.formats' entries must be 'csv' or 'summary'")
-            formats = tuple(fmts)
-
-    _check_experiment_requirements(
-        experiment, omega_p, omega_c_values, delta_p, delta_c, pulse_duration, durations
-    )
+    experiment = get("experiment")
+    drive = [get(f"drive.{key}") for key in _DRIVE_KEYS]
+    omega_p, omega_c_values, delta_p, delta_c = drive
+    for key, rule, value in zip(_DRIVE_KEYS, _DRIVE_RULES[experiment], drive):
+        if rule and not _RULES[rule](value if isinstance(value, tuple) else (value,)):
+            raise ConfigError(f"key 'drive.{key}' must be {rule} for {experiment}")
+    if experiment == "rabi" and get("pulse.durations_us") is None:
+        raise ConfigError("missing required key 'pulse.durations_us' for rabi")
 
     def worst_detuning(value):
         # For grids, warn against the endpoint farthest from resonance.
@@ -357,12 +351,7 @@ def resolve(raw: dict) -> ExperimentConfig:
 
     warnings = []
     for omega_c in omega_c_values:
-        probe = DriveParams(
-            delta_p=worst_detuning(delta_p),
-            delta_c=worst_detuning(delta_c),
-            omega_p=omega_p,
-            omega_c=omega_c,
-        )
+        probe = DriveParams(worst_detuning(delta_p), worst_detuning(delta_c), omega_p, omega_c)
         warnings.extend(validate_three_level(probe, device))
 
     return ExperimentConfig(
@@ -373,72 +362,15 @@ def resolve(raw: dict) -> ExperimentConfig:
         omega_c_values=omega_c_values,
         delta_p=delta_p,
         delta_c=delta_c,
-        pulse_duration=pulse_duration,
-        durations=durations,
+        pulse_duration=get("pulse.duration_us"),
+        durations=get("pulse.durations_us"),
         background=background,
-        eit_n_max=eit_n_max,
-        eit_ratio_grid=eit_ratio_grid,
-        out_dir=out_dir,
-        formats=formats,
+        eit_n_max=get("eit.n_max"),
+        eit_ratio_grid=get("eit.ratio_grid"),
+        out_dir=get("output.directory"),
+        formats=get("output.formats"),
         warnings=tuple(dict.fromkeys(warnings)),
     )
-
-
-def _check_experiment_requirements(
-    experiment, omega_p, omega_c_values, delta_p, delta_c, pulse_duration, durations
-):
-    def scalar_zero(value, key):
-        if value is None:
-            return
-        if isinstance(value, Grid1D) or value != 0.0:
-            raise ConfigError(f"key 'drive.{key}': {experiment} requires a scalar 0")
-
-    if experiment == "probe_spec":
-        if any(v != 0.0 for v in omega_c_values):
-            raise ConfigError("key 'drive.omega_c_mhz': probe_spec requires omega_c = 0")
-        if delta_p is not None and not isinstance(delta_p, Grid1D):
-            raise ConfigError("key 'drive.delta_p_mhz': probe_spec needs a grid (or 'auto')")
-        scalar_zero(delta_c, "delta_c_mhz")
-    elif experiment == "coupler_spec":
-        if omega_p != 0.0:
-            raise ConfigError("key 'drive.omega_p_mhz': coupler_spec requires omega_p = 0")
-        if len(omega_c_values) != 1 or omega_c_values[0] <= 0.0:
-            raise ConfigError("key 'drive.omega_c_mhz': coupler_spec needs one positive value")
-        if delta_c is not None and not isinstance(delta_c, Grid1D):
-            raise ConfigError("key 'drive.delta_c_mhz': coupler_spec needs a grid (or 'auto')")
-        scalar_zero(delta_p, "delta_p_mhz")
-    elif experiment == "rabi":
-        if any(v != 0.0 for v in omega_c_values):
-            raise ConfigError("key 'drive.omega_c_mhz': rabi requires omega_c = 0")
-        if omega_p <= 0.0:
-            raise ConfigError("key 'drive.omega_p_mhz': rabi requires omega_p > 0")
-        scalar_zero(delta_p, "delta_p_mhz")
-        scalar_zero(delta_c, "delta_c_mhz")
-        if durations is None:
-            raise ConfigError("missing required key 'pulse.durations_us' for rabi")
-    elif experiment == "at_map":
-        if omega_p <= 0.0:
-            raise ConfigError("key 'drive.omega_p_mhz': at_map requires omega_p > 0")
-        if len(omega_c_values) != 1 or omega_c_values[0] <= 0.0:
-            raise ConfigError("key 'drive.omega_c_mhz': at_map needs one positive value")
-        for key, value in (("delta_p_mhz", delta_p), ("delta_c_mhz", delta_c)):
-            if value is not None and not isinstance(value, Grid1D):
-                raise ConfigError(f"key 'drive.{key}': at_map needs a grid (or 'auto')")
-    elif experiment == "at_slice":
-        if omega_p <= 0.0:
-            raise ConfigError("key 'drive.omega_p_mhz': at_slice requires omega_p > 0")
-        if any(v <= 0.0 for v in omega_c_values):
-            raise ConfigError("key 'drive.omega_c_mhz': at_slice values must be > 0")
-        scalar_zero(delta_c, "delta_c_mhz")
-        if delta_p is not None and not isinstance(delta_p, Grid1D):
-            raise ConfigError("key 'drive.delta_p_mhz': at_slice needs a grid (or 'auto')")
-    elif experiment in ("fidelity_scan", "eit_scan"):
-        if omega_p <= 0.0:
-            raise ConfigError(f"key 'drive.omega_p_mhz': {experiment} requires omega_p > 0")
-        scalar_zero(delta_p, "delta_p_mhz")
-        scalar_zero(delta_c, "delta_c_mhz")
-        if experiment == "fidelity_scan" and any(v <= 0.0 for v in omega_c_values):
-            raise ConfigError("key 'drive.omega_c_mhz': fidelity_scan values must be > 0")
 
 
 def load(path: Path, overrides: list[str] | None = None) -> ExperimentConfig:

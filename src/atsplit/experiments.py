@@ -15,6 +15,7 @@ swaps.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -247,23 +248,21 @@ def at_map(
     At weak coupling the map shows the bare probe line crossed by the
     two-photon sideband along delta_p + delta_c = 0; at strong coupling
     the lines anticross into the fully separated doublet.  ``jobs``
-    distributes column blocks over processes; values are assembled by
-    index, so the output is identical for any jobs value.
+    distributes column blocks over at most ``jobs`` processes, never more
+    than there are columns or cores; values are assembled by index, so
+    the output is identical for any jobs value.
     """
     if base.drive.omega_p <= 0.0 or base.drive.omega_c <= 0.0:
         raise ValueError("at_map requires both drive amplitudes > 0")
     dp, dc = dp_grid.points, dc_grid.points
-    jobs = max(1, int(jobs))
+    drive = (base.drive.omega_p, base.drive.omega_c, base.rates)
+    jobs = max(1, min(int(jobs), dc.size, os.cpu_count() or 1))
 
     if jobs == 1:
-        blocks = [_map_columns((dp, dc, base.drive.omega_p, base.drive.omega_c, base.rates))]
+        blocks = [_map_columns((dp, dc, *drive))]
     else:
         spans = np.array_split(np.arange(dc.size), min(jobs * 4, dc.size))
-        tasks = [
-            (dp, dc[span], base.drive.omega_p, base.drive.omega_c, base.rates)
-            for span in spans
-            if span.size
-        ]
+        tasks = [(dp, dc[span], *drive) for span in spans]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             blocks = list(pool.map(_map_columns, tasks))
 

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from atsplit import experiments
 from atsplit.analysis import LorentzianModel, fit_peaks
 from atsplit.experiments import (
     DoubletBackground,
@@ -223,6 +224,34 @@ class TestAtMap:
         grid = Grid1D(-2.0, 2.0, 41)
         parallel = at_map(base, grid, grid, jobs=2)
         assert np.array_equal(parallel.values, small_map.values)
+
+    @pytest.mark.parametrize("cores, columns, workers", [(64, 3, 3), (2, 7, 2), (None, 7, 1)])
+    def test_worker_count_is_capped(self, paper_rates, monkeypatch, cores, columns, workers):
+        """jobs=10_000 gets no more workers than columns or cores.  The pool
+        is replaced by a stand-in that records its size and maps serially,
+        so the test starts no process."""
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: cores)
+        base = model_with(paper_rates, omega_p=OMEGA_P, omega_c=0.707)
+        dp, dc = Grid1D(-2.0, 2.0, 5), Grid1D(-2.0, 2.0, columns)
+        capped = at_map(base, dp, dc, jobs=10_000)
+        assert sizes == ([workers] if workers > 1 else [])
+        assert np.array_equal(capped.values, at_map(base, dp, dc, jobs=1).values)
 
     def test_requires_both_drives(self, paper_rates):
         with pytest.raises(ValueError, match="amplitudes"):
