@@ -24,7 +24,6 @@ from .errors import (
     StepTooLarge,
 )
 from .experiments import (
-    DoubletBackground,
     Grid1D,
     Observable,
     SweepResult,
@@ -37,6 +36,7 @@ from .experiments import (
     fidelity_vs_coupler,
     probe_spectroscopy,
     rabi_trace,
+    readout_signal,
 )
 from .model import (
     DecoherenceRates,
@@ -55,12 +55,10 @@ from .model import (
     validate_three_level,
 )
 from .solver import (
-    ReadoutMode,
     Trajectory,
     build_liouvillian,
     evolve,
     max_cyclic_frequency,
-    readout_signal,
     steady_state,
     unvectorize,
     vectorize,

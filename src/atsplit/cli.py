@@ -40,7 +40,6 @@ from .errors import (
     StepTooLarge,
 )
 from .experiments import (
-    DoubletBackground,
     Grid1D,
     SweepResult,
     at_map,
@@ -224,15 +223,8 @@ def _run_at_map(cfg: ExperimentConfig, jobs: int):
 
 def _run_at_slice(cfg: ExperimentConfig, jobs: int):
     grid = cfg.delta_p if isinstance(cfg.delta_p, Grid1D) else None
-    background = None
-    if cfg.background is not None:
-        background = DoubletBackground(
-            fwhm=cfg.background.fwhm,
-            amplitude=cfg.background.amplitude,
-            offset=cfg.background.offset,
-        )
     base = _base_model(cfg, cfg.omega_c_values[0])
-    sweeps = at_slice(base, grid, cfg.omega_c_values, background)
+    sweeps = at_slice(base, grid, cfg.omega_c_values, cfg.background)
     width_guess = _broadened_fwhm_mhz(cfg)
     outputs, slices = [], []
     for omega_c, sweep in zip(cfg.omega_c_values, sweeps):

@@ -15,23 +15,19 @@ swaps.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Sequence
 
 import numpy as np
 
 from .analysis import LorentzianModel, dark_state_fidelity
+from .errors import NonPhysicalResult
 from .model import DecoherenceRates, ThreeLevelModel, ket_bra
-from .solver import (
-    ReadoutMode,
-    evolve,
-    max_cyclic_frequency,
-    readout_signal,
-    steady_states,
-)
+from .solver import evolve, max_cyclic_frequency, steady_states
 
 #: Fraction of the evolve step bound used by pulsed experiments.
 _PULSE_STEP_FRACTION = 0.25
@@ -46,12 +42,41 @@ class Observable(Enum):
     POPULATION1 = "population1"  # rho11
 
 
-_UNIT_RANGE_LOW = {
-    Observable.PA_SUM: -1e-10,
-    Observable.PB_SECOND: -1e-10,
-    Observable.POPULATION1: -1e-10,
-    Observable.FIDELITY: 0.0,
+#: Diagonal levels whose populations each linear readout sums.
+_READOUT_LEVELS = {
+    Observable.PA_SUM: [1, 2],
+    Observable.PB_SECOND: [2],
+    Observable.POPULATION1: [1],
 }
+
+#: Roundoff a raw readout may show outside [0, 1].
+_READOUT_SLACK = 1e-10
+
+
+def readout_signal(rho: np.ndarray, observable: Observable) -> float | np.ndarray:
+    """Calibrated readout of one 3x3 state (a float) or an (n, 3, 3) stack.
+
+    The value is the summed population of the observable's levels: PA_SUM
+    is rho11 + rho22 (the cavity power that does not distinguish |1> from
+    |2>), PB_SECOND rho22 alone, POPULATION1 rho11.  The probability scale
+    is taken as already calibrated, so these are exact linear maps of a
+    state the solver has checked.  A raw value more than 1e-10 outside
+    [0, 1] raises NonPhysicalResult; tiny negative roundoff is clamped to
+    zero.
+    """
+    levels = _READOUT_LEVELS.get(observable) if isinstance(observable, Observable) else None
+    if levels is None:
+        raise ValueError(f"no linear readout mode for {observable!r}")
+    rho = np.asarray(rho)
+    values = rho[..., levels, levels].real.sum(axis=-1)
+    low, high = float(values.min()), float(values.max())
+    if not (low >= -_READOUT_SLACK and high <= 1.0 + _READOUT_SLACK):  # NaN fails too
+        raise NonPhysicalResult(
+            f"{observable.value} readout [{low:.6g}, {high:.6g}] leaves "
+            f"[-{_READOUT_SLACK}, 1+{_READOUT_SLACK}]"
+        )
+    values = np.maximum(values, 0.0)
+    return float(values) if rho.ndim == 2 else values
 
 
 @dataclass(frozen=True)
@@ -71,33 +96,6 @@ class Grid1D:
     @property
     def points(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.count)
-
-
-@dataclass(frozen=True)
-class DoubletBackground:
-    """Fluctuator background for doublet slices: one Lorentzian under each
-    peak, centered at +-omega_c/2, sharing a width and amplitude.
-
-    This is a phenomenological signal-level term, never part of the
-    quantum model; its parameters come from the user (typically from a
-    background fit to measured data).
-    """
-
-    fwhm: float
-    amplitude: float
-    offset: float = 0.0
-
-    def __post_init__(self):
-        if self.fwhm <= 0.0:
-            raise ValueError(f"fwhm must be positive, got {self.fwhm}")
-        if self.amplitude < 0.0:
-            raise ValueError(f"amplitude must be >= 0, got {self.amplitude}")
-
-    def __call__(self, x: np.ndarray, omega_c: float) -> np.ndarray:
-        half_sq = (self.fwhm / 2.0) ** 2
-        left = half_sq / ((x + omega_c / 2.0) ** 2 + half_sq)
-        right = half_sq / ((x - omega_c / 2.0) ** 2 + half_sq)
-        return self.offset + self.amplitude * (left + right)
 
 
 @dataclass(frozen=True)
@@ -121,18 +119,6 @@ class SweepResult:
             raise ValueError(
                 f"values shape {self.values.shape} does not match grid shape {expected}"
             )
-        low = _UNIT_RANGE_LOW[self.observable]
-        vmin, vmax = float(self.values.min()), float(self.values.max())
-        if vmin < low or vmax > 1.0 + 1e-10:
-            raise ValueError(
-                f"{self.observable.value} values [{vmin:.6g}, {vmax:.6g}] leave "
-                f"the allowed range [{low}, 1+1e-10]"
-            )
-
-
-def _pa_sum(rho_stack: np.ndarray) -> np.ndarray:
-    values = rho_stack[:, 1, 1].real + rho_stack[:, 2, 2].real
-    return np.maximum(values, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +140,7 @@ def probe_spectroscopy(
         raise ValueError("probe spectroscopy requires omega_c = 0")
     dp = dp_grid.points
     rho = steady_states(dp, base.drive.delta_c, base.drive.omega_p, 0.0, base.rates)
-    values = _pa_sum(rho)
+    values = readout_signal(rho, Observable.PA_SUM)
     if background is not None:
         values = values + background(dp)
     return SweepResult(
@@ -179,15 +165,14 @@ def coupler_spectroscopy(
         raise ValueError(f"pulse_duration must be >= 0, got {pulse_duration}")
     dc = dc_grid.points
     one = ket_bra(1, 1)
-    values = np.empty(dc.size)
+    states = np.empty((dc.size, 3, 3), dtype=complex)
     for k, detuning in enumerate(dc):
         model = base.with_drive(delta_p=0.0, delta_c=float(detuning), omega_p=0.0)
         dt = _pulse_step(model)
-        traj = evolve(model, one, pulse_duration, dt, record_every=10**9)
-        values[k] = readout_signal(traj.final_state(), ReadoutMode.PB_SECOND)
+        states[k] = evolve(model, one, pulse_duration, dt, record_every=10**9).final_state()
     return SweepResult(
         axis1=dc,
-        values=values,
+        values=readout_signal(states, Observable.PB_SECOND),
         observable=Observable.PB_SECOND,
         axis1_name="delta_c_mhz",
     )
@@ -198,7 +183,9 @@ def rabi_trace(base: ThreeLevelModel, durations: Grid1D) -> SweepResult:
 
     Starts from the ground state with the probe on resonance and the
     coupler off; this is the trace used to calibrate the probability
-    scale of the readout.
+    scale of the readout.  One evolution reaches the first duration, a
+    second records every later one, stepping an integer number of times
+    per grid spacing.
     """
     if base.drive.omega_c != 0.0:
         raise ValueError("rabi trace requires omega_c = 0")
@@ -207,15 +194,20 @@ def rabi_trace(base: ThreeLevelModel, durations: Grid1D) -> SweepResult:
     times = durations.points
     if times[0] < 0.0:
         raise ValueError("durations must be >= 0")
-    ground = ket_bra(0, 0)
     dt = _pulse_step(base)
-    values = np.empty(times.size)
-    for k, t in enumerate(times):
-        traj = evolve(base, ground, float(t), dt, record_every=10**9)
-        values[k] = max(0.0, traj.final_state()[1, 1].real)
+    first = evolve(base, ket_bra(0, 0), float(times[0]), dt, record_every=10**9)
+    span = float(times[-1] - times[0])
+    per_spacing = math.ceil(span / (times.size - 1) / dt)
+    n_steps = per_spacing * (times.size - 1)
+    # evolve takes ceil(span / step) steps of span / that count; asking for
+    # a step of span / (n_steps - 1/2) makes the count n_steps exactly, so
+    # every recorded state lands on a grid point despite roundoff.
+    traj = evolve(
+        base, first.final_state(), span, span / (n_steps - 0.5), record_every=per_spacing
+    )
     return SweepResult(
         axis1=times,
-        values=values,
+        values=readout_signal(traj.states, Observable.POPULATION1),
         observable=Observable.POPULATION1,
         axis1_name="duration_us",
     )
@@ -234,7 +226,7 @@ def _map_columns(args) -> np.ndarray:
     grid_dp = np.repeat(dp, dc_block.size)
     grid_dc = np.tile(dc_block, dp.size)
     rho = steady_states(grid_dp, grid_dc, omega_p, omega_c, rates)
-    return _pa_sum(rho).reshape(dp.size, dc_block.size)
+    return readout_signal(rho, Observable.PA_SUM).reshape(dp.size, dc_block.size)
 
 
 def at_map(
@@ -293,13 +285,14 @@ def at_slice(
     base: ThreeLevelModel,
     dp_grid: Grid1D | None,
     omega_c_list: Sequence[float],
-    background: DoubletBackground | None = None,
+    background: LorentzianModel | None = None,
 ) -> list[SweepResult]:
     """Doublet slices at zero coupler detuning, one sweep per coupler power.
 
     With ``dp_grid=None`` each slice uses ``default_slice_grid`` for its
-    coupler strength.  The optional fluctuator background adds a small
-    Lorentzian under each doublet peak.
+    coupler strength.  The optional fluctuator background adds one copy of
+    its Lorentzian under each doublet peak, centered at
+    ``background.center +- omega_c/2``, and its offset once.
     """
     if base.drive.delta_c != 0.0:
         raise ValueError("at_slice requires delta_c = 0")
@@ -310,9 +303,13 @@ def at_slice(
         grid = dp_grid if dp_grid is not None else default_slice_grid(omega_c)
         dp = grid.points
         rho = steady_states(dp, 0.0, base.drive.omega_p, omega_c, base.rates)
-        values = _pa_sum(rho)
+        values = readout_signal(rho, Observable.PA_SUM)
         if background is not None:
-            values = values + background(dp, omega_c)
+            left, right = (
+                replace(background, center=background.center + side * omega_c / 2.0, offset=0.0)
+                for side in (-1.0, 1.0)
+            )
+            values = values + (background.offset + left(dp) + right(dp))
         results.append(
             SweepResult(
                 axis1=dp,
@@ -338,16 +335,21 @@ def fidelity_vs_coupler(
     omega_c = np.asarray(list(omega_c_list), dtype=float)
     if np.any(omega_c < 0.0) or (base.drive.omega_p == 0.0 and np.any(omega_c == 0.0)):
         raise ValueError("need omega_p^2 + omega_c^2 > 0 at every point")
-    rho = steady_states(0.0, 0.0, base.drive.omega_p, omega_c, base.rates)
+    return _fidelity_sweep(base.drive.omega_p, omega_c, base.rates, omega_c, "omega_c_mhz")
+
+
+def _fidelity_sweep(
+    omega_p: float, omega_c: np.ndarray, rates: DecoherenceRates, axis: np.ndarray, axis_name: str
+) -> SweepResult:
+    """Resonant steady-state dark-state fidelity at each coupler amplitude;
+    the mixing angle follows each point's drive ratio."""
+    rho = steady_states(0.0, 0.0, omega_p, omega_c, rates)
     values = np.empty(omega_c.size)
     for k in range(omega_c.size):
-        theta = np.arctan2(base.drive.omega_p, omega_c[k])
+        theta = np.arctan2(omega_p, omega_c[k])
         values[k] = dark_state_fidelity(rho[k], theta).fidelity
     return SweepResult(
-        axis1=omega_c,
-        values=values,
-        observable=Observable.FIDELITY,
-        axis1_name="omega_c_mhz",
+        axis1=axis, values=values, observable=Observable.FIDELITY, axis1_name=axis_name
     )
 
 
@@ -370,27 +372,14 @@ def eit_regime_scan(
     ratios = ratio_grid.points
     if np.any(ratios < 0.0):
         raise ValueError("drive ratios must be >= 0")
-    results = []
-    for n in range(n_max + 1):
-        rates = DecoherenceRates(
-            gamma_10=base.rates.gamma_10,
-            gamma_21=base.rates.gamma_21 / 2.0**n,
-            gamma_20=base.rates.gamma_20,
-            phi_1=base.rates.phi_1,
-            phi_2=base.rates.phi_2,
+    omega_p = base.drive.omega_p
+    return [
+        _fidelity_sweep(
+            omega_p,
+            ratios * omega_p,
+            replace(base.rates, gamma_21=base.rates.gamma_21 / 2.0**n),
+            ratios,
+            "omega_c_over_omega_p",
         )
-        omega_c = ratios * base.drive.omega_p
-        rho = steady_states(0.0, 0.0, base.drive.omega_p, omega_c, rates)
-        values = np.empty(ratios.size)
-        for k in range(ratios.size):
-            theta = np.arctan2(base.drive.omega_p, omega_c[k])
-            values[k] = dark_state_fidelity(rho[k], theta).fidelity
-        results.append(
-            SweepResult(
-                axis1=ratios,
-                values=values,
-                observable=Observable.FIDELITY,
-                axis1_name="omega_c_over_omega_p",
-            )
-        )
-    return results
+        for n in range(n_max + 1)
+    ]

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -59,13 +58,6 @@ def vectorize(rho: np.ndarray) -> np.ndarray:
 def unvectorize(v: np.ndarray) -> np.ndarray:
     """Inverse of ``vectorize``."""
     return np.asarray(v, dtype=complex).reshape((3, 3), order="F")
-
-
-class ReadoutMode(Enum):
-    """Which linear map of the density matrix the readout reports."""
-
-    PA_SUM = "pa_sum"        # rho11 + rho22
-    PB_SECOND = "pb_second"  # rho22 only
 
 
 @dataclass(frozen=True)
@@ -349,20 +341,3 @@ def evolve(
 
     return Trajectory(times=np.array(times), states=np.array(states))
 
-
-def readout_signal(rho: np.ndarray, mode: ReadoutMode) -> float:
-    """Calibrated readout of a density matrix.
-
-    PA_SUM returns rho11 + rho22 (the cavity power that does not
-    distinguish |1> from |2>), PB_SECOND returns rho22 alone.  The
-    probability scale is taken as already calibrated, so these are exact
-    linear maps; tiny negative roundoff is clamped to zero.
-    """
-    rho = check_density_matrix(rho, trace_tol=_TRACE_DRIFT_LIMIT)
-    if mode is ReadoutMode.PA_SUM:
-        value = rho[1, 1].real + rho[2, 2].real
-    elif mode is ReadoutMode.PB_SECOND:
-        value = rho[2, 2].real
-    else:
-        raise ValueError(f"unknown readout mode {mode!r}")
-    return max(0.0, float(value))

@@ -15,7 +15,7 @@ from atsplit.analysis import (
     separation_metrics,
 )
 from atsplit.errors import DegenerateData
-from atsplit.experiments import DoubletBackground, Grid1D, at_slice
+from atsplit.experiments import Grid1D, at_slice
 from atsplit.model import DriveParams, build_hamiltonian, ket_bra
 
 from conftest import FIG3_COUPLERS
@@ -207,7 +207,7 @@ class TestPeakSeparation:
     def test_fluctuator_background_keeps_both_peaks(self, paper_model):
         """A background Lorentzian under each peak moves the maxima only
         slightly; it must not merge them or hide one."""
-        background = DoubletBackground(fwhm=0.3, amplitude=0.04)
+        background = LorentzianModel(center=0.0, fwhm=0.3, amplitude=0.04)
         clean, shifted = (
             at_slice(paper_model, None, [1.41], bg)[0] for bg in (None, background)
         )

@@ -11,6 +11,8 @@ import yaml
 from atsplit import cli
 from atsplit.config import bundled_config_path, load, resolve_config_path
 from atsplit.errors import ConfigError, NoConvergence, SingularLiouvillian
+from atsplit.experiments import Observable, readout_signal
+from atsplit.solver import steady_states
 
 BASE_CONFIG = """\
 schema: 1
@@ -352,6 +354,47 @@ class TestInvalidConfigs:
         assert f"'{key}'" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+
+_BACKGROUND = ["background.fwhm_mhz=0.3", "background.amplitude=0.02"]
+_PROBE_SPEC = ["experiment=probe_spec", "drive.omega_c_mhz=0.0",
+               "drive.delta_p_mhz={start: -1.0, stop: 1.0, count: 101}"]
+
+#: (--set overrides on BASE_CONFIG, the CSV to check, the background peaks'
+#: shifts from background.center_mhz in MHz).  The signal-level background
+#: may take the values outside [0, 1]; the first two rows once crashed.
+BACKGROUND_RUNS = [
+    pytest.param(_PROBE_SPEC + ["background.fwhm_mhz=0.2", "background.amplitude=2.0"],
+                 "probe_spec.csv", (0.0,), id="probe_spec-amplitude-2"),
+    pytest.param(_BACKGROUND + ["background.offset=-0.5"],
+                 "at_slice_omega_c_2.82.csv", (-1.41, 1.41), id="at_slice-negative-offset"),
+    pytest.param(_BACKGROUND + ["background.center_mhz=0.4"],
+                 "at_slice_omega_c_2.82.csv", (-1.41, 1.41), id="at_slice-shifted-center"),
+]
+
+
+class TestBackgroundRuns:
+    @pytest.mark.parametrize("overrides, csv_name, shifts", BACKGROUND_RUNS)
+    def test_csv_is_readout_plus_background(
+        self, config_file, tmp_path, capsys, overrides, csv_name, shifts
+    ):
+        out = tmp_path / "out"
+        args = ["run", str(config_file), "--out", str(out), "--jobs", "1"]
+        for item in overrides:
+            args += ["--set", item]
+        assert run_cli(*args) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        cfg = load(config_file, overrides)
+        x, values = np.loadtxt(out / csv_name, delimiter=",", skiprows=1).T
+        rho = steady_states(x, 0.0, cfg.omega_p, cfg.omega_c_values[0], cfg.rates)
+        bg = cfg.background
+        half_sq = (bg.fwhm / 2.0) ** 2
+        background = bg.offset + sum(
+            bg.amplitude * half_sq / ((x - bg.center - shift) ** 2 + half_sq)
+            for shift in shifts
+        )
+        expected = readout_signal(rho, Observable.PA_SUM) + background
+        np.testing.assert_allclose(values, expected, rtol=1e-13, atol=1e-15)
 
 
 class TestConfigLoading:

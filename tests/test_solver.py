@@ -8,6 +8,7 @@ import pytest
 
 from atsplit import solver
 from atsplit.errors import NonPhysicalResult, SingularLiouvillian, StepTooLarge
+from atsplit.experiments import Observable, readout_signal
 from atsplit.model import (
     TWO_PI,
     DecoherenceRates,
@@ -17,12 +18,10 @@ from atsplit.model import (
     ket_bra,
 )
 from atsplit.solver import (
-    ReadoutMode,
     Trajectory,
     build_liouvillian,
     evolve,
     max_cyclic_frequency,
-    readout_signal,
     steady_state,
     steady_states,
     unvectorize,
@@ -166,8 +165,8 @@ class TestSteadyState:
                 minus = steady_state(
                     ThreeLevelModel(DriveParams(-dp, 0.0, 0.186, omega_c), paper_rates)
                 )
-                pa_plus = readout_signal(plus, ReadoutMode.PA_SUM)
-                pa_minus = readout_signal(minus, ReadoutMode.PA_SUM)
+                pa_plus = readout_signal(plus, Observable.PA_SUM)
+                pa_minus = readout_signal(minus, Observable.PA_SUM)
                 assert pa_plus == pytest.approx(pa_minus, abs=1e-10)
 
 
@@ -305,28 +304,44 @@ class TestEvolve:
 
 class TestReadout:
     def test_ground_state_reads_zero(self):
-        assert readout_signal(ket_bra(0, 0), ReadoutMode.PA_SUM) == 0.0
-        assert readout_signal(ket_bra(0, 0), ReadoutMode.PB_SECOND) == 0.0
+        assert readout_signal(ket_bra(0, 0), Observable.PA_SUM) == 0.0
+        assert readout_signal(ket_bra(0, 0), Observable.PB_SECOND) == 0.0
 
     def test_first_excited_state(self):
-        assert readout_signal(ket_bra(1, 1), ReadoutMode.PA_SUM) == 1.0
-        assert readout_signal(ket_bra(1, 1), ReadoutMode.PB_SECOND) == 0.0
+        assert readout_signal(ket_bra(1, 1), Observable.PA_SUM) == 1.0
+        assert readout_signal(ket_bra(1, 1), Observable.PB_SECOND) == 0.0
 
     def test_second_excited_state(self):
-        assert readout_signal(ket_bra(2, 2), ReadoutMode.PA_SUM) == 1.0
-        assert readout_signal(ket_bra(2, 2), ReadoutMode.PB_SECOND) == 1.0
+        assert readout_signal(ket_bra(2, 2), Observable.PA_SUM) == 1.0
+        assert readout_signal(ket_bra(2, 2), Observable.PB_SECOND) == 1.0
 
     def test_roundoff_negatives_clamp_to_zero(self):
         rho = np.diag([1.0 + 2e-11, -4e-11, 2e-11])
-        assert readout_signal(rho, ReadoutMode.PA_SUM) == 0.0
+        assert readout_signal(rho, Observable.PA_SUM) == 0.0
 
     def test_rejects_invalid_state(self):
         with pytest.raises(NonPhysicalResult):
-            readout_signal(np.diag([2.0, -0.5, -0.5]), ReadoutMode.PA_SUM)
+            readout_signal(np.diag([2.0, -0.5, -0.5]), Observable.PA_SUM)
+
+    def test_rejects_value_above_one(self):
+        readout_signal(np.diag([-1e-10, 1.0 + 1e-10, 0.0]), Observable.POPULATION1)
+        with pytest.raises(NonPhysicalResult, match="readout"):
+            readout_signal(np.diag([-3e-10, 1.0 + 3e-10, 0.0]), Observable.POPULATION1)
 
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError, match="readout mode"):
             readout_signal(ket_bra(0, 0), "pa_sum")
+
+    def test_fidelity_is_not_a_linear_readout(self):
+        with pytest.raises(ValueError, match="readout mode"):
+            readout_signal(ket_bra(0, 0), Observable.FIDELITY)
+
+    def test_stack_reads_like_its_states(self, paper_rates):
+        rho = steady_states(np.linspace(-2.0, 2.0, 7), 0.3, 0.186, 1.41, paper_rates)
+        for observable in (Observable.PA_SUM, Observable.PB_SECOND, Observable.POPULATION1):
+            values = readout_signal(rho, observable)
+            assert values.shape == (7,)
+            assert values.tolist() == [readout_signal(r, observable) for r in rho]
 
 
 class TestEvolveArgumentValidation:
