@@ -58,7 +58,6 @@ class TestSweepResult:
             )
 
 
-
 class TestProbeSpectroscopy:
     def test_peak_centered_at_zero_detuning(self, paper_rates):
         sweep = probe_spectroscopy(
