@@ -46,10 +46,7 @@ from .model import (
     basis_ket,
     build_hamiltonian,
     check_density_matrix,
-    check_hamiltonian,
     collapse_operators,
-    detunings_from_frequencies,
-    frequencies_from_detunings,
     ket_bra,
     rates_from_coherence_times,
     validate_three_level,

@@ -102,8 +102,8 @@ class SeparationMetrics(NamedTuple):
 
 
 class DarkStateOverlap(NamedTuple):
-    overlap: float   # <D|rho|D>
-    fidelity: float  # sqrt(overlap)
+    overlap: float | np.ndarray   # <D|rho|D>
+    fidelity: float | np.ndarray  # sqrt(overlap)
 
 
 # ---------------------------------------------------------------------------
@@ -399,29 +399,39 @@ def dressed_eigenstates(omega_p: float, omega_c: float) -> DressedStates:
     )
 
 
-def dark_state_fidelity(rho: np.ndarray, theta: float) -> DarkStateOverlap:
+def dark_state_fidelity(rho: np.ndarray, theta: float | np.ndarray) -> DarkStateOverlap:
     """Dark-state occupation of a density matrix and its square root.
 
-    The overlap <D|rho|D> is computed twice, directly and through its
-    expansion in density-matrix elements,
+    Takes one 3x3 state and its mixing angle (returns floats) or an
+    (n, 3, 3) stack and one angle per state (returns arrays).  The overlap
+    <D|rho|D> is computed twice, directly and through its expansion in
+    density-matrix elements,
     (cos 2T/2)(rho00 - rho22) - (sin 2T/2)(rho20 + rho02) + (1 - rho11)/2,
-    and the two must agree to 1e-12; a disagreement means the input was
-    not a valid density matrix.  The reported fidelity is the square
-    root of the overlap.
+    and the two must agree to 1e-12 at every state; a disagreement means
+    the input was not a valid density matrix.  The reported fidelity is
+    the square root of the overlap.
     """
     rho = check_density_matrix(rho)
-    sin_t, cos_t = math.sin(theta), math.cos(theta)
-    dark = np.array([cos_t, 0.0, -sin_t], dtype=complex)
-    direct = float((dark.conj() @ rho @ dark).real)
-    expansion = float(
-        0.5 * math.cos(2.0 * theta) * (rho[0, 0].real - rho[2, 2].real)
-        - 0.5 * math.sin(2.0 * theta) * (rho[2, 0] + rho[0, 2]).real
-        + 0.5 * (1.0 - rho[1, 1].real)
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape != rho.shape[:-2]:
+        raise ValueError(f"need one angle per state, got {theta.shape} for {rho.shape}")
+    sin_t, cos_t = np.sin(theta), np.cos(theta)
+    dark = np.stack([cos_t, np.zeros_like(theta), -sin_t], axis=-1)
+    direct = (dark[..., None, :] @ rho @ dark[..., :, None])[..., 0, 0].real
+    expansion = (
+        0.5 * np.cos(2.0 * theta) * (rho[..., 0, 0].real - rho[..., 2, 2].real)
+        - 0.5 * np.sin(2.0 * theta) * (rho[..., 2, 0] + rho[..., 0, 2]).real
+        + 0.5 * (1.0 - rho[..., 1, 1].real)
     )
-    if abs(direct - expansion) > 1e-12:
+    disagree = ~(np.abs(direct - expansion) <= 1e-12)
+    if disagree.any():
+        k = int(np.argmax(disagree))
         raise NonPhysicalResult(
-            f"dark-state overlap computed two ways disagrees: "
-            f"{direct!r} vs {expansion!r}"
+            f"dark-state overlap computed two ways disagrees at state {k}: "
+            f"{float(direct.flat[k])!r} vs {float(expansion.flat[k])!r}"
         )
-    overlap = min(max(direct, 0.0), 1.0)
-    return DarkStateOverlap(overlap=overlap, fidelity=math.sqrt(overlap))
+    overlap = np.clip(direct, 0.0, 1.0)
+    if rho.ndim == 2:
+        overlap = float(overlap)
+        return DarkStateOverlap(overlap=overlap, fidelity=math.sqrt(overlap))
+    return DarkStateOverlap(overlap=overlap, fidelity=np.sqrt(overlap))

@@ -326,11 +326,6 @@ def _summary_document(cfg: ExperimentConfig, results: dict, files: list[str]) ->
             },
         },
         "three_level_warnings": list(cfg.warnings),
-        "invariant_checks": {
-            "density_matrix": "enforced on every solve",
-            "sweep_ranges": "enforced on every sweep",
-            "status": "pass",
-        },
         "results": results,
         "files": files,
     }

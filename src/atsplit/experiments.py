@@ -344,10 +344,7 @@ def _fidelity_sweep(
     """Resonant steady-state dark-state fidelity at each coupler amplitude;
     the mixing angle follows each point's drive ratio."""
     rho = steady_states(0.0, 0.0, omega_p, omega_c, rates)
-    values = np.empty(omega_c.size)
-    for k in range(omega_c.size):
-        theta = np.arctan2(omega_p, omega_c[k])
-        values[k] = dark_state_fidelity(rho[k], theta).fidelity
+    values = dark_state_fidelity(rho, np.arctan2(omega_p, omega_c)).fidelity
     return SweepResult(
         axis1=axis, values=values, observable=Observable.FIDELITY, axis1_name=axis_name
     )

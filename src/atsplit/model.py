@@ -52,46 +52,38 @@ def ket_bra(i: int, j: int) -> np.ndarray:
     return m
 
 
-def hermiticity_defect(m: np.ndarray) -> float:
-    """Largest absolute entry of m - m^dagger."""
-    return float(np.max(np.abs(m - m.conj().T)))
-
-
-def check_hamiltonian(h: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Validate a matrix tagged as a Hamiltonian (Hermitian within tol)."""
-    h = np.asarray(h, dtype=complex)
-    if h.shape != (3, 3):
-        raise ValueError(f"expected a 3x3 matrix, got shape {h.shape}")
-    defect = hermiticity_defect(h)
-    if defect > tol:
-        raise NonPhysicalResult(f"Hamiltonian not Hermitian: defect {defect:.3e}")
-    return h
-
-
 def check_density_matrix(
     rho: np.ndarray,
     herm_tol: float = 1e-12,
     trace_tol: float = 1e-12,
     eig_floor: float = -1e-10,
 ) -> np.ndarray:
-    """Validate a matrix tagged as a density matrix.
+    """Validate one 3x3 density matrix or an (n, 3, 3) stack of them.
 
     Requires Hermiticity within ``herm_tol``, trace within ``trace_tol``
     of one, and all eigenvalues above ``eig_floor`` (a small negative
-    floor absorbs roundoff on pure states).
+    floor absorbs roundoff on pure states).  Each comparison fails on NaN,
+    and the eigenvalues are computed only once the first two hold.  An
+    error on a stack names the index of the first failing state.
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (3, 3):
-        raise ValueError(f"expected a 3x3 matrix, got shape {rho.shape}")
-    defect = hermiticity_defect(rho)
-    if defect > herm_tol:
-        raise NonPhysicalResult(f"density matrix not Hermitian: defect {defect:.3e}")
-    tr = rho.trace()
-    if abs(tr - 1.0) > trace_tol:
-        raise NonPhysicalResult(f"density matrix trace {tr:.15g} != 1")
-    evals = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
-    if evals[0] < eig_floor:
-        raise NonPhysicalResult(f"density matrix has eigenvalue {evals[0]:.3e}")
+    if rho.ndim not in (2, 3) or rho.shape[-2:] != (3, 3):
+        raise ValueError(f"expected a 3x3 matrix or an (n, 3, 3) stack, got shape {rho.shape}")
+    stack = rho.reshape(-1, 3, 3)
+    adjoint = stack.conj().transpose(0, 2, 1)
+
+    def reject(failed: np.ndarray, values: np.ndarray, what: str) -> None:
+        if failed.any():
+            k = int(np.argmax(failed))
+            name = "density matrix" if rho.ndim == 2 else f"density matrix {k} of {len(stack)}"
+            raise NonPhysicalResult(f"{name} {what.format(values[k])}")
+
+    defect = np.abs(stack - adjoint).max(axis=(1, 2))
+    reject(~(defect <= herm_tol), defect, "not Hermitian: defect {:.3e}")
+    trace = np.trace(stack, axis1=1, axis2=2)
+    reject(~(np.abs(trace - 1.0) <= trace_tol), trace, "trace {:.15g} != 1")
+    lowest = np.linalg.eigvalsh(0.5 * (stack + adjoint))[:, 0]
+    reject(~(lowest >= eig_floor), lowest, "has eigenvalue {:.3e}")
     return rho
 
 
@@ -121,11 +113,6 @@ class DeviceSpec:
     def alpha(self) -> float:
         """Anharmonicity omega01 - omega12, cyclic MHz."""
         return (self.omega01 - self.omega12) * 1e3
-
-    @property
-    def omega02(self) -> float:
-        """Two-photon 0-2 transition frequency omega01 + omega12, GHz."""
-        return self.omega01 + self.omega12
 
 
 @dataclass(frozen=True)
@@ -283,22 +270,6 @@ def rates_from_coherence_times(
         phi_1=phi_1,
         phi_2=phi_1 if phi_2 is None else phi_2,
     )
-
-
-def detunings_from_frequencies(
-    device: DeviceSpec, f_probe: float, f_coupler: float
-) -> tuple[float, float]:
-    """Drive detunings in cyclic MHz from absolute drive frequencies in GHz."""
-    delta_p = (f_probe - device.omega01) * 1e3
-    delta_c = (f_coupler - device.omega12) * 1e3
-    return delta_p, delta_c
-
-
-def frequencies_from_detunings(
-    device: DeviceSpec, delta_p: float, delta_c: float
-) -> tuple[float, float]:
-    """Inverse of ``detunings_from_frequencies``; detunings in MHz, output GHz."""
-    return device.omega01 + delta_p * 1e-3, device.omega12 + delta_c * 1e-3
 
 
 def validate_three_level(drive: DriveParams, device: DeviceSpec) -> list[str]:

@@ -14,7 +14,7 @@ from atsplit.analysis import (
     peak_separation,
     separation_metrics,
 )
-from atsplit.errors import DegenerateData
+from atsplit.errors import DegenerateData, NonPhysicalResult
 from atsplit.experiments import Grid1D, at_slice
 from atsplit.model import DriveParams, build_hamiltonian, ket_bra
 
@@ -293,6 +293,27 @@ class TestDarkStateFidelity:
             assert result.overlap == pytest.approx(expansion, abs=1e-12)
             assert 0.0 <= result.overlap <= 1.0
             assert result.fidelity == pytest.approx(math.sqrt(max(expansion, 0.0)), abs=1e-12)
+
+    def test_stack_matches_single_states(self):
+        rng = np.random.default_rng(15)
+        rho = np.array([random_density_matrix(rng) for _ in range(200)])
+        theta = rng.uniform(0.0, math.pi / 2.0, 200)
+        stacked = dark_state_fidelity(rho, theta)
+        assert stacked.overlap.shape == stacked.fidelity.shape == (200,)
+        for k in range(200):
+            single = dark_state_fidelity(rho[k], theta[k])
+            assert type(single.overlap) is float and type(single.fidelity) is float
+            assert abs(stacked.overlap[k] - single.overlap) <= 1e-15
+            assert abs(stacked.fidelity[k] - single.fidelity) <= 1e-15
+
+    def test_needs_one_angle_per_state(self):
+        rho = np.array([ket_bra(0, 0), ket_bra(2, 2)])
+        with pytest.raises(ValueError, match="one angle per state"):
+            dark_state_fidelity(rho, 0.3)
+
+    def test_nan_state_rejected(self):
+        with pytest.raises(NonPhysicalResult):
+            dark_state_fidelity(np.diag([math.nan, 0.0, 0.0]), 0.3)
 
     def test_fidelity_monotone_in_overlap(self):
         rng = np.random.default_rng(14)

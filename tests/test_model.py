@@ -16,10 +16,7 @@ from atsplit.model import (
     basis_ket,
     build_hamiltonian,
     check_density_matrix,
-    check_hamiltonian,
     collapse_operators,
-    detunings_from_frequencies,
-    frequencies_from_detunings,
     ket_bra,
     rates_from_coherence_times,
     validate_three_level,
@@ -30,9 +27,6 @@ from atsplit.solver import evolve, max_cyclic_frequency
 class TestDeviceSpec:
     def test_alpha_is_derived(self, paper_device):
         assert paper_device.alpha == pytest.approx(177.476, abs=1e-9)
-
-    def test_omega02(self, paper_device):
-        assert paper_device.omega02 == pytest.approx(8.410694)
 
     def test_negative_anharmonicity_rejected(self):
         with pytest.raises(ValueError, match="anharmonicity"):
@@ -192,29 +186,6 @@ class TestRatesFromCoherenceTimes:
             assert 1.0 / (rates.gamma_10 / 2.0 + rates.phi_1) == pytest.approx(t2, rel=1e-12)
 
 
-class TestDetunings:
-    def test_on_resonance_probe(self, paper_device):
-        dp, _ = detunings_from_frequencies(paper_device, 4.294085, 4.1)
-        assert dp == 0.0
-
-    def test_on_resonance_coupler(self, paper_device):
-        _, dc = detunings_from_frequencies(paper_device, 4.3, 4.116609)
-        assert dc == 0.0
-
-    def test_unit_conversion(self, paper_device):
-        dp, _ = detunings_from_frequencies(paper_device, paper_device.omega01 + 0.001, 4.1)
-        assert dp == pytest.approx(1.0, abs=1e-9)
-
-    def test_round_trip(self, paper_device):
-        rng = np.random.default_rng(3)
-        for _ in range(200):
-            dp, dc = rng.uniform(-200, 200, 2)
-            fp, fc = frequencies_from_detunings(paper_device, dp, dc)
-            dp2, dc2 = detunings_from_frequencies(paper_device, fp, fc)
-            assert dp2 == pytest.approx(dp, abs=1e-12)
-            assert dc2 == pytest.approx(dc, abs=1e-12)
-
-
 class TestValidateThreeLevel:
     def test_published_coupler_is_quiet(self, paper_device):
         warnings = validate_three_level(DriveParams(omega_c=11.2), paper_device)
@@ -237,13 +208,6 @@ class TestValidateThreeLevel:
 
 
 class TestMatrixChecks:
-    def test_check_hamiltonian_accepts_hermitian(self):
-        check_hamiltonian(np.array([[1, 1j, 0], [-1j, 2, 0], [0, 0, 3.0]]))
-
-    def test_check_hamiltonian_rejects_nonhermitian(self):
-        with pytest.raises(NonPhysicalResult):
-            check_hamiltonian(np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0.0]]))
-
     def test_check_density_matrix_rejects_bad_trace(self):
         with pytest.raises(NonPhysicalResult, match="trace"):
             check_density_matrix(np.diag([0.5, 0.4, 0.2]))
@@ -254,6 +218,37 @@ class TestMatrixChecks:
 
     def test_check_density_matrix_allows_roundoff_floor(self):
         check_density_matrix(np.diag([1.0 + 5e-11, -5e-11, 0.0]))
+
+    @pytest.mark.parametrize(
+        "rho",
+        [np.diag([math.nan, 0.0, 0.0]), np.full((3, 3), math.nan)],
+        ids=["one_nan", "all_nan"],
+    )
+    def test_check_density_matrix_rejects_nan(self, rho):
+        with pytest.raises(NonPhysicalResult):
+            check_density_matrix(rho)
+
+    def test_check_density_matrix_accepts_a_stack(self):
+        stack = np.array([np.diag([1.0, 0.0, 0.0]), np.diag([0.2, 0.3, 0.5]), ket_bra(2, 2)])
+        assert check_density_matrix(stack).shape == (3, 3, 3)
+
+    @pytest.mark.parametrize(
+        "bad, reason",
+        [
+            (ket_bra(0, 1) + np.diag([0.5, 0.5, 0.0]), "not Hermitian"),
+            (np.diag([0.5, 0.4, 0.2]), "trace"),
+            (np.diag([1.1, -0.1, 0.0]), "eigenvalue"),
+        ],
+        ids=["hermiticity", "trace", "eigenvalue"],
+    )
+    def test_check_density_matrix_names_first_failing_state(self, bad, reason):
+        stack = np.array([ket_bra(0, 0), ket_bra(1, 1), bad, ket_bra(2, 2), bad])
+        with pytest.raises(NonPhysicalResult, match=f"density matrix 2 of 5 .*{reason}"):
+            check_density_matrix(stack)
+
+    def test_check_density_matrix_rejects_other_shapes(self):
+        with pytest.raises(ValueError, match="shape"):
+            check_density_matrix(np.zeros((2, 2, 3, 3)))
 
     def test_basis_helpers(self):
         assert np.array_equal(ket_bra(1, 2), np.outer(basis_ket(1), basis_ket(2).conj()))

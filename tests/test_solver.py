@@ -283,9 +283,31 @@ class TestEvolve:
     def test_expectation_tracks_population_decay(self, paper_rates):
         model = ThreeLevelModel(DriveParams(), paper_rates)
         traj = evolve(model, ket_bra(1, 1), 10.0, 0.5, record_every=5)
-        population = traj.expectation(1)
+        population = traj.states[:, 1, 1].real
         expected = np.exp(-paper_rates.gamma_10 * traj.times)
         np.testing.assert_allclose(population, expected, atol=1e-6)
+
+    def test_recorded_states_are_checked(self, paper_rates, monkeypatch):
+        model = ThreeLevelModel(DriveParams(omega_p=0.186), paper_rates)
+        monkeypatch.setattr(solver, "_TRACE_DRIFT_LIMIT", -1.0)
+        with pytest.raises(NonPhysicalResult, match="recorded density matrix 0 of 11 trace"):
+            evolve(model, ket_bra(0, 0), 1.0, 0.01, record_every=10)
+
+    def test_error_names_the_failing_state(self, paper_rates, monkeypatch):
+        """A recorded state pushed out of the physical set is named by its
+        index in the trajectory, not by the first state of the stack."""
+        unvectorize = solver.unvectorize
+        calls = []
+
+        def corrupt_fourth(v):
+            calls.append(v)
+            rho = unvectorize(v)
+            return rho * 1.5 if len(calls) == 4 else rho
+
+        monkeypatch.setattr(solver, "unvectorize", corrupt_fourth)
+        model = ThreeLevelModel(DriveParams(omega_p=0.186), paper_rates)
+        with pytest.raises(NonPhysicalResult, match="recorded density matrix 3 of 11 trace"):
+            evolve(model, ket_bra(0, 0), 1.0, 0.01, record_every=10)
 
     def test_trace_drift_stays_small_on_long_runs(self):
         rng = np.random.default_rng(6)
