@@ -151,13 +151,8 @@ def _require_converged(fit, what: str):
 # Experiment dispatch
 # ---------------------------------------------------------------------------
 
-def _base_model(cfg: ExperimentConfig, omega_c: float, delta_p=0.0, delta_c=0.0):
-    return ThreeLevelModel(
-        drive=DriveParams(
-            delta_p=delta_p, delta_c=delta_c, omega_p=cfg.omega_p, omega_c=omega_c
-        ),
-        rates=cfg.rates,
-    )
+def _base_model(cfg: ExperimentConfig, omega_c: float):
+    return ThreeLevelModel(DriveParams(omega_p=cfg.omega_p, omega_c=omega_c), cfg.rates)
 
 
 def _run_probe_spec(cfg: ExperimentConfig, jobs: int):
@@ -181,10 +176,7 @@ def _run_coupler_spec(cfg: ExperimentConfig, jobs: int):
     duration = cfg.pulse_duration
     if duration is None:
         duration = 1.0 / (2.0 * omega_c)  # ideal pi pulse
-    base = ThreeLevelModel(
-        drive=DriveParams(omega_p=0.0, omega_c=omega_c), rates=cfg.rates
-    )
-    sweep = coupler_spectroscopy(base, grid, duration)
+    sweep = coupler_spectroscopy(_base_model(cfg, omega_c), grid, duration)
     fit = _require_converged(
         fit_peaks(np.column_stack([sweep.axis1, sweep.values]), 1), "coupler line"
     )

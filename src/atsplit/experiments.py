@@ -27,7 +27,7 @@ import numpy as np
 from .analysis import LorentzianModel, dark_state_fidelity
 from .errors import NonPhysicalResult
 from .model import DecoherenceRates, ThreeLevelModel, ket_bra
-from .solver import evolve, max_cyclic_frequency, steady_states
+from .solver import evolve, final_states, max_cyclic_frequency, steady_states
 
 #: Fraction of the evolve step bound used by pulsed experiments.
 _PULSE_STEP_FRACTION = 0.25
@@ -161,15 +161,11 @@ def coupler_spectroscopy(
     """
     if base.drive.omega_p != 0.0:
         raise ValueError("coupler spectroscopy requires omega_p = 0 during the pulse")
-    if pulse_duration < 0.0:
+    if not pulse_duration >= 0.0:  # NaN fails too
         raise ValueError(f"pulse_duration must be >= 0, got {pulse_duration}")
     dc = dc_grid.points
-    one = ket_bra(1, 1)
-    states = np.empty((dc.size, 3, 3), dtype=complex)
-    for k, detuning in enumerate(dc):
-        model = base.with_drive(delta_p=0.0, delta_c=float(detuning), omega_p=0.0)
-        dt = _pulse_step(model)
-        states[k] = evolve(model, one, pulse_duration, dt, record_every=10**9).final_state()
+    models = [base.with_drive(delta_p=0.0, delta_c=d, omega_p=0.0) for d in dc.tolist()]
+    states = final_states(models, ket_bra(1, 1), pulse_duration, [_pulse_step(m) for m in models])
     return SweepResult(
         axis1=dc,
         values=readout_signal(states, Observable.PB_SECOND),

@@ -21,7 +21,7 @@ Conversions happen exactly once, inside ``hamiltonian_stack`` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -183,14 +183,7 @@ class ThreeLevelModel:
 
     def with_drive(self, **changes) -> "ThreeLevelModel":
         """Copy of the model with some drive fields replaced."""
-        fields = {
-            "delta_p": self.drive.delta_p,
-            "delta_c": self.drive.delta_c,
-            "omega_p": self.drive.omega_p,
-            "omega_c": self.drive.omega_c,
-        }
-        fields.update(changes)
-        return ThreeLevelModel(drive=DriveParams(**fields), rates=self.rates)
+        return replace(self, drive=replace(self.drive, **changes))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,9 @@ here once.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -19,7 +21,6 @@ from .model import (
     TWO_PI,
     DecoherenceRates,
     ThreeLevelModel,
-    build_hamiltonian,
     check_density_matrix,
     collapse_operators,
     hamiltonian_stack,
@@ -28,9 +29,9 @@ from .model import (
 _I3 = np.eye(3, dtype=complex)
 _I9 = np.eye(9, dtype=complex)
 
-#: vec indices of the diagonal elements rho00, rho11, rho22 under column
-#: stacking; the trace functional is the sum over these rows.
-_DIAG_IDX = (0, 4, 8)
+#: vec indices 0, 4, 8 of rho00, rho11, rho22 under column stacking (a slice, so
+#: indexing gives views that update in place); the trace functional sums these rows.
+_DIAG_IDX = slice(0, 9, 4)
 
 #: Condition-number threshold beyond which the trace-constrained system is
 #: treated as rank deficient (non-unique steady state).
@@ -116,16 +117,13 @@ def _liouvillians(h: np.ndarray, dissipator: np.ndarray) -> np.ndarray:
 
 def build_liouvillian(model: ThreeLevelModel) -> np.ndarray:
     """9x9 generator L with vec(d rho/dt) = L . vec(rho), in rad/us."""
-    h = build_hamiltonian(model.drive)[np.newaxis]
-    return _liouvillians(h, _dissipator(model.rates))[0]
+    return _generators([model])[0]
 
 
 def steady_state(model: ThreeLevelModel) -> np.ndarray:
     """Unique steady state of the master equation: ``steady_states`` for one point."""
-    drive = model.drive
-    return steady_states(
-        drive.delta_p, drive.delta_c, drive.omega_p, drive.omega_c, model.rates
-    )[0]
+    d = model.drive
+    return steady_states(d.delta_p, d.delta_c, d.omega_p, d.omega_c, model.rates)[0]
 
 
 def steady_states(delta_p, delta_c, omega_p, omega_c, rates: DecoherenceRates) -> np.ndarray:
@@ -224,44 +222,83 @@ def max_cyclic_frequency(model: ThreeLevelModel) -> float:
     )
 
 
-def _rk4_transfer_matrix(lsup: np.ndarray, dt: float) -> np.ndarray:
-    """One-step map of classic RK4 for the linear system d v/dt = L v.
+def _rk4_transfer_matrix(lsup: np.ndarray, dt: np.ndarray) -> np.ndarray:
+    """One-step classic RK4 maps for d v/dt = L v, one step dt[k] per generator.
 
     For a time-independent generator the four RK4 stages collapse to the
     degree-4 Taylor polynomial of exp(dt L); applying its matrix powers
     reproduces fixed-step RK4 exactly while allowing cheap long jumps.
     """
-    a = dt * lsup
+    a = dt[:, None, None] * lsup
     a2 = a @ a
     return _restore_trace_rows(_I9 + a + a2 / 2.0 + (a2 @ a) / 6.0 + (a2 @ a2) / 24.0)
 
 
 def _restore_trace_rows(transfer: np.ndarray) -> np.ndarray:
-    """Project a transfer matrix back onto the trace-preserving subspace.
+    """Project a stack of transfer matrices onto the trace-preserving subspace.
 
     The exact RK4 map preserves the trace identically (the trace
     functional annihilates the generator), so any defect in the summed
     diagonal rows is pure floating-point drift; removing it keeps the
     trace stable over tens of millions of steps.
     """
-    rows = list(_DIAG_IDX)
-    defect = transfer[rows, :].sum(axis=0)
-    defect[rows] -= 1.0
-    transfer[rows, :] -= defect / 3.0
+    defect = transfer[:, _DIAG_IDX, :].sum(axis=1)
+    defect[:, _DIAG_IDX] -= 1.0
+    transfer[:, _DIAG_IDX, :] -= defect[:, None, :] / 3.0
     return transfer
 
 
-def _transfer_power(transfer: np.ndarray, n: int) -> np.ndarray:
-    """Binary powering with the trace projection applied after each product."""
-    result = _I9.copy()
-    base = transfer
-    while n > 0:
-        if n & 1:
-            result = _restore_trace_rows(result @ base)
+def _transfer_power(transfer: np.ndarray, exponents: np.ndarray) -> np.ndarray:
+    """Binary powers transfer[k]**exponents[k] (a (1, 9, 9) transfer is shared),
+    with the trace projection after each product.  A point keeps a product
+    only where its own bit is set, so it gets the power it would get alone."""
+    n = np.array(exponents)
+    result, base = np.broadcast_to(_I9, (len(n), 9, 9)), transfer
+    while n.any():
+        result = np.where((n & 1)[:, None, None] == 1, _restore_trace_rows(result @ base), result)
         n >>= 1
-        if n:
+        if n.any():
             base = _restore_trace_rows(base @ base)
     return result
+
+
+def _step_counts(models, rho0, t_final: float, dt) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Checked rho0, step counts and actual steps.  Each maximum step dt[k] must
+    be positive, finite and at most 1/(50 * f_max) for model k (StepTooLarge
+    otherwise); each actual step divides the finite t_final >= 0 evenly."""
+    rho0 = check_density_matrix(rho0)
+    if not 0.0 <= t_final < math.inf:
+        raise ValueError(f"t_final must be finite and >= 0, got {t_final}")
+    dt = np.broadcast_to(np.asarray(dt, dtype=float), (len(models),))
+    f_max = np.array([max_cyclic_frequency(model) for model in models])
+    bound = np.divide(1.0, 50.0 * f_max, out=np.full(len(dt), math.inf), where=f_max > 0.0)
+    bad = ~((dt > 0.0) & (dt < math.inf) & (dt <= bound * (1.0 + 1e-12)))  # NaN is bad
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise StepTooLarge(
+            f"dt={dt[k]} us{f' at point {k}' if len(dt) > 1 else ''} must be positive, finite"
+            f" and at most 1/(50*f_max)={bound[k]:.6g} us for f_max={f_max[k]:.6g} MHz"
+        )
+    n_steps = np.maximum(1.0, np.ceil(t_final / dt - 1e-12))
+    if not np.all(n_steps <= 2.0**62):
+        raise ValueError(f"t_final={t_final} needs more than 2**62 steps of dt")
+    return rho0, n_steps.astype(np.int64), t_final / n_steps
+
+
+def _generators(models: Sequence[ThreeLevelModel]) -> np.ndarray:
+    """Stacked Liouvillians of models that share the rate set of the first."""
+    drives = [(m.drive.delta_p, m.drive.delta_c, m.drive.omega_p, m.drive.omega_c) for m in models]
+    return _liouvillians(hamiltonian_stack(*np.array(drives).T), _dissipator(models[0].rates))
+
+
+def _checked_states(states: np.ndarray, what: str) -> np.ndarray:
+    """Propagated states, re-symmetrized and checked in one call with the drift allowance."""
+    states = 0.5 * (states + states.conj().transpose(0, 2, 1))
+    try:
+        check_density_matrix(states, trace_tol=_TRACE_DRIFT_LIMIT)
+    except NonPhysicalResult as exc:
+        raise NonPhysicalResult(f"trajectory left the physical set: {what} {exc}") from exc
+    return states
 
 
 def evolve(
@@ -273,62 +310,43 @@ def evolve(
 ) -> Trajectory:
     """Fixed-step 4th-order propagation of the master equation.
 
-    ``dt`` is the maximum step; it must satisfy dt <= 1/(50 * f_max)
-    where f_max is the model's largest cyclic frequency scale (raises
-    StepTooLarge otherwise).  The actual step divides t_final evenly and
-    is never larger than ``dt``.  States are recorded every
-    ``record_every`` steps (plus the initial and final ones), each
-    re-symmetrized; the recorded stack is checked against the
-    density-matrix invariants in one call, with a 1e-9 trace-drift
-    allowance, and an error names the first failing state's index.
+    ``dt`` is the maximum step (StepTooLarge above 1/(50 * f_max), f_max the
+    model's largest cyclic frequency scale); the actual step divides t_final
+    evenly.  States are recorded every ``record_every`` steps plus the first
+    and last, re-symmetrized and checked in one call with a 1e-9 trace-drift
+    allowance; an error names the first failing state's index.
     """
-    rho0 = check_density_matrix(rho0)
-    if dt <= 0.0:
-        raise StepTooLarge(f"dt must be positive, got {dt}")
-    if t_final < 0.0:
-        raise ValueError(f"t_final must be >= 0, got {t_final}")
     if record_every < 1:
         raise ValueError(f"record_every must be >= 1, got {record_every}")
-
-    f_max = max_cyclic_frequency(model)
-    if f_max > 0.0:
-        bound = 1.0 / (50.0 * f_max)
-        if dt > bound * (1.0 + 1e-12):
-            raise StepTooLarge(
-                f"dt={dt} us exceeds 1/(50*f_max)={bound:.6g} us "
-                f"for f_max={f_max:.6g} MHz"
-            )
-
+    rho0, n_steps, dt_eff = _step_counts([model], rho0, t_final, dt)
     if t_final == 0.0:
         return Trajectory(times=np.array([0.0]), states=rho0[np.newaxis].copy())
 
-    n_steps = max(1, math.ceil(t_final / dt - 1e-12))
-    dt_eff = t_final / n_steps
+    # Jump between recorded points with one power per distinct segment length.
+    record_idx = np.append(np.arange(0, n_steps[0], min(record_every, n_steps[0])), n_steps)
+    lengths, segments = np.unique(np.diff(record_idx), return_inverse=True)
+    maps = _transfer_power(_rk4_transfer_matrix(build_liouvillian(model)[None], dt_eff), lengths)
+    vs = accumulate((maps[k] for k in segments), lambda v, m: m @ v, initial=vectorize(rho0))
+    states = _checked_states(np.array([unvectorize(v) for v in vs]), "recorded")
+    return Trajectory(times=record_idx * dt_eff[0], states=states)
 
-    lsup = build_liouvillian(model)
-    step = _rk4_transfer_matrix(lsup, dt_eff)
 
-    record_idx = list(range(0, n_steps + 1, record_every))
-    if record_idx[-1] != n_steps:
-        record_idx.append(n_steps)
+def final_states(models: Sequence[ThreeLevelModel], rho0, t_final: float, dt) -> np.ndarray:
+    """Final state of ``evolve(models[k], rho0, t_final, dt[k])`` for every k,
+    bit for bit when evolve records nothing between, as an (n, 3, 3) stack.
 
-    # Jump between recorded points with powers of the one-step map.
-    segment_maps: dict[int, np.ndarray] = {}
-    states = []
-    v = vectorize(rho0)
-    previous = 0
-    for idx in record_idx:
-        span = idx - previous
-        if span > 0:
-            if span not in segment_maps:
-                segment_maps[span] = _transfer_power(step, span)
-            v = segment_maps[span] @ v
-        previous = idx
-        states.append(unvectorize(v))
-    states = np.array(states)
-    states = 0.5 * (states + states.conj().transpose(0, 2, 1))
-    try:
-        check_density_matrix(states, trace_tol=_TRACE_DRIFT_LIMIT)
-    except NonPhysicalResult as exc:
-        raise NonPhysicalResult(f"trajectory left the physical set: recorded {exc}") from exc
-    return Trajectory(times=np.array(record_idx) * dt_eff, states=states)
+    The models share one rate set (ValueError otherwise).  Points go ``_CHUNK``
+    at a time, each with its own step and binary power, so memory stays
+    bounded; the final states are checked in one call."""
+    if len({model.rates for model in models}) > 1:
+        raise ValueError("models must share one rate set")
+    rho0, n_steps, dt_eff = _step_counts(models, rho0, t_final, dt)
+    if t_final == 0.0:
+        return np.repeat(rho0[np.newaxis], len(models), axis=0)
+    v = np.empty((len(models), 9, 1), dtype=complex)
+    for start in range(0, len(models), _CHUNK):
+        chunk = slice(start, start + _CHUNK)
+        step = _rk4_transfer_matrix(_generators(models[chunk]), dt_eff[chunk])
+        v[chunk] = _transfer_power(step, n_steps[chunk]) @ vectorize(rho0)[:, None]
+    # Undo column stacking: vec(rho)[i + 3j] = rho[i, j].
+    return _checked_states(v.reshape(-1, 3, 3).transpose(0, 2, 1), "final")

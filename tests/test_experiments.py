@@ -123,6 +123,27 @@ class TestCouplerSpectroscopy:
         sweep = coupler_spectroscopy(base, Grid1D(-2.0, 2.0, 51), 0.0)
         np.testing.assert_allclose(sweep.values, 0.0, atol=1e-14)
 
+    def test_one_stacked_solver_call(self, paper_rates, monkeypatch):
+        """The scan propagates every detuning in one call, never per point."""
+        calls = {"final_states": 0, "evolve": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(experiments, name, counted(name, getattr(experiments, name)))
+        coupler_spectroscopy(model_with(paper_rates, omega_c=2.0), Grid1D(-3.0, 3.0, 41), 0.25)
+        assert calls == {"final_states": 1, "evolve": 0}
+
+    @pytest.mark.parametrize("duration", [-0.1, float("nan")])
+    def test_invalid_duration_rejected(self, paper_rates, duration):
+        with pytest.raises(ValueError, match="pulse_duration"):
+            coupler_spectroscopy(model_with(paper_rates, omega_c=2.0), Grid1D(-1, 1, 5), duration)
+
     def test_requires_probe_off(self, paper_rates):
         with pytest.raises(ValueError, match="omega_p"):
             coupler_spectroscopy(

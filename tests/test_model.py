@@ -42,6 +42,21 @@ class TestDriveParams:
         DriveParams(delta_p=-5.0, delta_c=-3.0)
 
 
+class TestThreeLevelModel:
+    def test_with_drive_replaces_only_named_fields(self, paper_rates):
+        model = ThreeLevelModel(DriveParams(0.1, 0.2, 0.3, 0.4), paper_rates)
+        changed = model.with_drive(delta_c=-1.0, omega_p=0.0)
+        assert changed == ThreeLevelModel(DriveParams(0.1, -1.0, 0.0, 0.4), paper_rates)
+        assert model.drive.delta_c == 0.2
+
+    def test_with_drive_validates(self, paper_rates):
+        model = ThreeLevelModel(DriveParams(), paper_rates)
+        with pytest.raises(ValueError, match="Rabi amplitudes"):
+            model.with_drive(omega_c=-1.0)
+        with pytest.raises(TypeError):
+            model.with_drive(omega_x=1.0)
+
+
 class TestDecoherenceRates:
     def test_negative_rate_rejected(self):
         with pytest.raises(ValueError, match="gamma_21"):

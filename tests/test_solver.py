@@ -318,10 +318,113 @@ class TestEvolve:
             traj = evolve(model, random_density_matrix(rng), t_final, dt, record_every=10**9)
             assert abs(traj.final_state().trace() - 1.0) < 1e-9
 
+    @pytest.mark.parametrize(
+        "t_final, dt, error, match",
+        [
+            (1.0, math.nan, StepTooLarge, "dt"),
+            (1.0, math.inf, StepTooLarge, "dt"),
+            (1.0, -0.01, StepTooLarge, "dt"),
+            (math.nan, 0.01, ValueError, "t_final must be finite"),
+            (math.inf, 0.01, ValueError, "t_final must be finite"),
+            (-math.inf, 0.01, ValueError, "t_final must be finite"),
+        ],
+    )
+    def test_non_finite_arguments_rejected(self, paper_rates, t_final, dt, error, match):
+        model = ThreeLevelModel(DriveParams(omega_p=0.186), paper_rates)
+        with pytest.raises(error, match=match):
+            evolve(model, ket_bra(0, 0), t_final, dt)
+
     def test_trajectory_requires_increasing_times(self):
         states = np.zeros((2, 3, 3), dtype=complex)
         with pytest.raises(ValueError, match="strictly increasing"):
             Trajectory(times=np.array([1.0, 0.5]), states=states)
+
+
+def shared_rate_models(rng, n: int) -> list[ThreeLevelModel]:
+    """Random drives over one rate set; mixed |delta_c| spreads the steps."""
+    rates = DecoherenceRates(*rng.uniform(0.001, 0.1, 5))
+    return [
+        ThreeLevelModel(
+            DriveParams(
+                delta_p=rng.uniform(-1, 1),
+                delta_c=rng.choice([-1.0, 1.0]) * rng.uniform(0, 10) ** rng.uniform(0, 2),
+                omega_p=rng.uniform(0, 2),
+                omega_c=rng.uniform(0, 4),
+            ),
+            rates,
+        )
+        for _ in range(n)
+    ]
+
+
+def step_bounds(models) -> np.ndarray:
+    return np.array([1.0 / (50.0 * max_cyclic_frequency(m)) for m in models])
+
+
+class TestFinalStates:
+    @pytest.mark.parametrize("chunk", [None, 7])
+    @pytest.mark.parametrize("t_final", [0.0, 0.37, 2.5])
+    def test_matches_single_evolutions_bitwise(self, monkeypatch, chunk, t_final):
+        if chunk is not None:
+            monkeypatch.setattr(solver, "_CHUNK", chunk)
+        rng = np.random.default_rng(9)
+        models = shared_rate_models(rng, 20)
+        dt = step_bounds(models) * rng.uniform(0.2, 1.0, len(models))
+        rho0 = random_density_matrix(rng)
+        stacked = solver.final_states(models, rho0, t_final, dt)
+        singles = np.array([
+            evolve(m, rho0, t_final, step, record_every=10**9).final_state()
+            for m, step in zip(models, dt)
+        ])
+        assert stacked.shape == (20, 3, 3)
+        assert np.array_equal(stacked, singles)
+
+    def test_steps_and_counts_differ_between_points(self):
+        rng = np.random.default_rng(9)
+        models = shared_rate_models(rng, 20)
+        counts = np.ceil(0.37 / step_bounds(models))
+        assert len(set(counts.tolist())) > 10
+
+    @pytest.mark.parametrize("value", [2.0, math.nan, 0.0])
+    def test_bad_step_names_the_point(self, value):
+        rng = np.random.default_rng(10)
+        models = shared_rate_models(rng, 20)
+        dt = step_bounds(models)
+        dt[13] *= value
+        with pytest.raises(StepTooLarge, match=r"at point 13\b"):
+            solver.final_states(models, ket_bra(1, 1), 0.5, dt)
+
+    def test_step_count_beyond_int64_rejected(self):
+        """Per-point exponents are 64-bit, so a count that would wrap is refused."""
+        models = shared_rate_models(np.random.default_rng(14), 3)
+        with pytest.raises(ValueError, match="2\\*\\*62 steps"):
+            solver.final_states(models, ket_bra(1, 1), 1e300, step_bounds(models))
+
+    def test_rate_sets_must_match(self, paper_rates):
+        rng = np.random.default_rng(11)
+        models = shared_rate_models(rng, 5)
+        models.append(ThreeLevelModel(DriveParams(omega_c=1.0), paper_rates))
+        with pytest.raises(ValueError, match="rate set"):
+            solver.final_states(models, ket_bra(1, 1), 0.5, step_bounds(models))
+
+    def test_final_states_checked_in_one_call(self, monkeypatch):
+        calls = []
+        check = solver.check_density_matrix
+
+        def counting(rho, **kwargs):
+            calls.append(np.shape(rho))
+            return check(rho, **kwargs)
+
+        monkeypatch.setattr(solver, "check_density_matrix", counting)
+        models = shared_rate_models(np.random.default_rng(12), 30)
+        solver.final_states(models, ket_bra(1, 1), 0.5, step_bounds(models))
+        assert calls == [(3, 3), (30, 3, 3)]
+
+    def test_drifted_final_state_is_named(self, monkeypatch):
+        monkeypatch.setattr(solver, "_TRACE_DRIFT_LIMIT", -1.0)
+        models = shared_rate_models(np.random.default_rng(13), 4)
+        with pytest.raises(NonPhysicalResult, match="final density matrix 0 of 4 trace"):
+            solver.final_states(models, ket_bra(1, 1), 0.5, step_bounds(models))
 
 
 class TestReadout:
