@@ -11,7 +11,7 @@ exact in-memory double and two runs of the same config are byte
 identical.  Wall time goes to stdout only, never into the files.
 
 Exit codes: 0 success, 2 config/schema error, 3 solver error, 4 fit did
-not converge where the experiment requires it.
+not converge where the experiment requires it, or there was nothing to fit.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .analysis import fit_peaks, peak_separation, separation_metrics
 from .config import ExperimentConfig
 from .errors import (
     ConfigError,
+    DegenerateData,
     NoConvergence,
     NonPhysicalCoherence,
     NonPhysicalResult,
@@ -418,7 +419,7 @@ def main(argv: list[str] | None = None) -> int:
     except (SingularLiouvillian, NonPhysicalResult, StepTooLarge) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except NoConvergence as exc:
+    except (NoConvergence, DegenerateData) as exc:
         print(f"fit error: {exc}", file=sys.stderr)
         return EXIT_FIT
 

@@ -52,16 +52,17 @@ def ket_bra(i: int, j: int) -> np.ndarray:
     return m
 
 
-def check_density_matrix(
-    rho: np.ndarray,
-    herm_tol: float = 1e-12,
-    trace_tol: float = 1e-12,
-    eig_floor: float = -1e-10,
-) -> np.ndarray:
+#: Hermiticity tolerance and eigenvalue floor of a density matrix; the
+#: steady-state kernel gates on the same floor.
+_HERM_TOL = 1e-12
+EIG_FLOOR = -1e-10
+
+
+def check_density_matrix(rho: np.ndarray, trace_tol: float = 1e-12) -> np.ndarray:
     """Validate one 3x3 density matrix or an (n, 3, 3) stack of them.
 
-    Requires Hermiticity within ``herm_tol``, trace within ``trace_tol``
-    of one, and all eigenvalues above ``eig_floor`` (a small negative
+    Requires Hermiticity within ``_HERM_TOL``, trace within ``trace_tol``
+    of one, and all eigenvalues above ``EIG_FLOOR`` (a small negative
     floor absorbs roundoff on pure states).  Each comparison fails on NaN,
     and the eigenvalues are computed only once the first two hold.  An
     error on a stack names the index of the first failing state.
@@ -79,11 +80,11 @@ def check_density_matrix(
             raise NonPhysicalResult(f"{name} {what.format(values[k])}")
 
     defect = np.abs(stack - adjoint).max(axis=(1, 2))
-    reject(~(defect <= herm_tol), defect, "not Hermitian: defect {:.3e}")
+    reject(~(defect <= _HERM_TOL), defect, "not Hermitian: defect {:.3e}")
     trace = np.trace(stack, axis1=1, axis2=2)
     reject(~(np.abs(trace - 1.0) <= trace_tol), trace, "trace {:.15g} != 1")
     lowest = np.linalg.eigvalsh(0.5 * (stack + adjoint))[:, 0]
-    reject(~(lowest >= eig_floor), lowest, "has eigenvalue {:.3e}")
+    reject(~(lowest >= EIG_FLOOR), lowest, "has eigenvalue {:.3e}")
     return rho
 
 

@@ -1,10 +1,11 @@
-"""Vectorized Liouvillian, steady-state solve, and a fixed-step propagator.
+"""Real Lindblad generators, steady-state solve, and a fixed-step propagator.
 
-Density matrices are vectorized by column stacking: vec(rho)[i + 3j] =
-rho[i, j], so left multiplication A.rho maps to (I kron A) and right
-multiplication rho.B to (B^T kron I).  The two vectorization conventions
-transpose the dissipator terms, so this choice is load bearing and fixed
-here once.
+States are real coherence vectors c_k = tr(E_k rho) in the orthonormal
+Hermitian basis ``_BASIS`` (Alicki & Lendi, Quantum Dynamical Semigroups and
+Applications, LNP 286, 1987), so every state is Hermitian by construction.
+The master equation, defined once on 3x3 matrices, becomes a real 9x9
+generator whose row 0 is exactly zero, so c_0 = tr(rho)/sqrt(3) is conserved
+exactly.  ``build_liouvillian`` gives it under column stacking instead.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 
 from .errors import NonPhysicalResult, SingularLiouvillian, StepTooLarge
 from .model import (
+    EIG_FLOOR,
     TWO_PI,
     DecoherenceRates,
     ThreeLevelModel,
@@ -26,13 +28,6 @@ from .model import (
     hamiltonian_stack,
 )
 
-_I3 = np.eye(3, dtype=complex)
-_I9 = np.eye(9, dtype=complex)
-
-#: vec indices 0, 4, 8 of rho00, rho11, rho22 under column stacking (a slice, so
-#: indexing gives views that update in place); the trace functional sums these rows.
-_DIAG_IDX = slice(0, 9, 4)
-
 #: Condition-number threshold beyond which the trace-constrained system is
 #: treated as rank deficient (non-unique steady state).
 _COND_LIMIT = 1e12
@@ -40,11 +35,8 @@ _COND_LIMIT = 1e12
 #: Residual ceiling for an accepted steady-state solution.
 _RESIDUAL_LIMIT = 1e-10
 
-#: Eigenvalue floor of an accepted steady state (absorbs roundoff).
-_EIG_FLOOR = -1e-10
-
-#: Grid points per batch of the steady-state kernel.  Its work arrays take
-#: about 6 KB per point, so chunking bounds them for any grid size.
+#: Grid points per batch of the steady-state kernel, so its work arrays
+#: stay bounded for any grid size.
 _CHUNK = 1024
 
 #: Allowed trace drift over a full time evolution.
@@ -78,46 +70,79 @@ class Trajectory:
         return self.states[-1]
 
 
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron of 3x3 matrices, broadcast over leading stack axes."""
-    product = a[..., :, None, :, None] * b[..., None, :, None, :]
-    return product.reshape(product.shape[:-4] + (9, 9))
+def _gell_mann_basis() -> np.ndarray:
+    """E_0 = I/sqrt(3), then the eight Gell-Mann matrices divided by sqrt(2):
+    Hermitian, with tr(E_j E_k) = delta_jk."""
+    basis = np.zeros((9, 3, 3), dtype=complex)
+    for k, (i, j) in enumerate(((0, 1), (0, 2), (1, 2))):
+        basis[2 * k + 1, [i, j], [j, i]] = 1.0
+        basis[2 * k + 2, [i, j], [j, i]] = -1j, 1j
+    basis[7:] = np.diag([1.0, -1.0, 0.0]), np.diag([1.0, 1.0, -2.0]) / math.sqrt(3.0)
+    basis[1:] /= math.sqrt(2.0)
+    basis[0] = np.eye(3) / math.sqrt(3.0)
+    return basis
 
 
-def _dissipator(rates: DecoherenceRates) -> np.ndarray:
-    """Column-stacked superoperator of all five Lindblad channels, summed."""
-    ops = np.array(collapse_operators(rates))
-    op_dag_op = ops.conj().transpose(0, 2, 1) @ ops
-    channels = (
-        _kron(ops.conj(), ops)
-        - 0.5 * _kron(_I3, op_dag_op)
-        - 0.5 * _kron(op_dag_op.transpose(0, 2, 1), _I3)
-    )
-    return sum(channels)
+_BASIS = _gell_mann_basis()
+
+#: Unitary change of basis whose column k is vec(E_k) under column stacking.
+_VEC_BASIS = np.array([vectorize(e) for e in _BASIS]).T
 
 
-def _kron_gathers() -> tuple[np.ndarray, np.ndarray]:
-    """Flat indices that gather I kron H and H^T kron I from H.ravel() with a
-    zero appended at index 9, using kron(A, B)[3p + q, 3r + s] = A[p, r] B[q, s]."""
-    p, q, r, s = np.unravel_index(np.arange(81), (3, 3, 3, 3))
-    return np.where(p == r, 3 * q + s, 9), np.where(q == s, 3 * r + p, 9)
+def _master_equation(h: np.ndarray, ops: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Lindblad right-hand side -i[H, rho] + sum_C (C rho C^H - {C^H C, rho}/2),
+    broadcast over stacks: h and rho are (..., 3, 3), ops (..., n_ops, 3, 3)."""
+    ops_dag = ops.conj().swapaxes(-1, -2)
+    r = rho[..., None, :, :]
+    jumps = ops @ r @ ops_dag - 0.5 * (ops_dag @ ops @ r + r @ ops_dag @ ops)
+    return -1j * (h @ rho - rho @ h) + jumps.sum(axis=-3)
 
 
-_I_KRON_H, _HT_KRON_I = _kron_gathers()
+def _generator_table() -> np.ndarray:
+    """Flattened real generators R[j, k] = tr(E_j f(E_k)) at unit values of
+    the four drive fields, then of the five rates (the generator is linear
+    in each), with row 0 set to exactly zero: it holds only roundoff."""
+    h = np.concatenate([hamiltonian_stack(*np.eye(4)), np.zeros((5, 3, 3))])
+    unit_ops = [collapse_operators(DecoherenceRates(*unit)) for unit in np.eye(5)]
+    ops = np.concatenate([np.zeros((4, 5, 3, 3)), np.array(unit_ops)])
+    images = _master_equation(h[:, None], ops[:, None], _BASIS)  # f_g(E_k)
+    table = np.einsum("jab,gkba->gjk", _BASIS, images).real
+    table[:, 0, :] = 0.0
+    return table.reshape(9, 81)
 
 
-def _liouvillians(h: np.ndarray, dissipator: np.ndarray) -> np.ndarray:
-    """Stack of 9x9 generators for an (n, 3, 3) stack of Hamiltonians."""
-    n = len(h)
-    padded = np.zeros((n, 10), dtype=complex)
-    padded[:, :9] = h.reshape(n, 9)
-    commutator = padded[:, _I_KRON_H] - padded[:, _HT_KRON_I]
-    return (-1j * commutator).reshape(n, 9, 9) + dissipator
+_GENERATORS = _generator_table()
+
+
+def _generators(drives: np.ndarray, rates: DecoherenceRates) -> np.ndarray:
+    """Real 9x9 generators, one per row of an (n, 4) array of drive values
+    under one rate set.  The product is stacked, one vector per point, so a
+    generator never depends on the batch it was built in."""
+    params = np.empty((len(drives), 1, 9))
+    params[:, 0, :4] = drives
+    params[:, 0, 4:] = rates.as_tuple()
+    return (params @ _GENERATORS).reshape(-1, 9, 9)
+
+
+def _model_generators(models: Sequence[ThreeLevelModel]) -> np.ndarray:
+    """Real generators of models that share the rate set of the first."""
+    drives = [(m.drive.delta_p, m.drive.delta_c, m.drive.omega_p, m.drive.omega_c) for m in models]
+    return _generators(np.array(drives), models[0].rates)
+
+
+def _states(c: np.ndarray) -> np.ndarray:
+    """Density matrices sum_k c[n, k] E_k of an (n, 9) stack of coherence vectors."""
+    return (c[:, None, :] @ _BASIS.reshape(9, 9)).reshape(-1, 3, 3)
+
+
+def _coherence_vector(rho: np.ndarray) -> np.ndarray:
+    """Real coherence vector c_k = tr(E_k rho) of one Hermitian 3x3 matrix."""
+    return (_BASIS.conj().reshape(9, 9) @ rho.reshape(9)).real
 
 
 def build_liouvillian(model: ThreeLevelModel) -> np.ndarray:
     """9x9 generator L with vec(d rho/dt) = L . vec(rho), in rad/us."""
-    return _generators([model])[0]
+    return _VEC_BASIS @ _model_generators([model])[0] @ _VEC_BASIS.conj().T
 
 
 def steady_state(model: ThreeLevelModel) -> np.ndarray:
@@ -132,10 +157,9 @@ def steady_states(delta_p, delta_c, omega_p, omega_c, rates: DecoherenceRates) -
     Drive arguments are 1-D arrays or scalars of the ``DriveParams`` fields,
     broadcast together; returns an (n, 3, 3) stack of density matrices.
     Points are solved ``_CHUNK`` at a time, each independently, so a value
-    never depends on the batch it was solved in.  One row of each
-    Liouvillian is replaced by the trace constraint and the 9x9 system
-    inverted directly, which is exact to machine precision; the solution
-    is symmetrized, renormalized and its residual and eigenvalues checked.
+    never depends on the batch it was solved in.  Each real generator, its
+    zero row 0 replaced by c_0 = 1, is inverted directly (exact to machine
+    precision), and the solution's residual and eigenvalues are checked.
 
     Raises SingularLiouvillian when a constrained system is rank deficient
     (steady state not unique, e.g. no dissipation at all) or its residual
@@ -144,62 +168,54 @@ def steady_states(delta_p, delta_c, omega_p, omega_c, rates: DecoherenceRates) -
     """
     drive_arrays = [np.asarray(a, dtype=float) for a in (delta_p, delta_c, omega_p, omega_c)]
     drives = np.broadcast_arrays(*np.atleast_1d(*drive_arrays))
-    dissipator = _dissipator(rates)
     rho = np.empty((drives[0].size, 3, 3), dtype=complex)
     for start in range(0, len(rho), _CHUNK):
         chunk = [d[start:start + _CHUNK] for d in drives]
-        lsup = _liouvillians(hamiltonian_stack(*chunk), dissipator)
-        rho[start:start + _CHUNK] = _solve_chunk(lsup, chunk, start)
+        generators = _generators(np.column_stack(chunk), rates)
+        rho[start:start + _CHUNK] = _solve_chunk(generators, chunk, start)
     return rho
 
 
-def _norm1(a: np.ndarray) -> np.ndarray:
-    """Matrix 1-norm (largest absolute column sum) of each matrix in a stack."""
-    return np.abs(a).sum(axis=-2).max(axis=-1)
-
-
-def _solve_chunk(lsup: np.ndarray, drives: list[np.ndarray], offset: int) -> np.ndarray:
+def _solve_chunk(generators: np.ndarray, drives: list[np.ndarray], offset: int) -> np.ndarray:
     """Checked steady states of one chunk (see ``steady_states``); ``drives``
     and ``offset`` name the failing grid point in errors."""
 
     def at(k: int) -> str:
         return f"at grid point {offset + k} (delta_p={drives[0][k]}, delta_c={drives[1][k]})"
 
-    n = len(lsup)
-    constrained = lsup.copy()
-    constrained[:, 0, :] = 0.0
-    constrained[:, 0, _DIAG_IDX] = 1.0
+    constrained = generators.copy()
+    constrained[:, 0, 0] = 1.0
 
     try:
         inverse = np.linalg.inv(constrained)
     except np.linalg.LinAlgError:  # an exactly zero pivot, where slogdet's sign is 0
         k = int(np.argmin(np.abs(np.linalg.slogdet(constrained)[0])))
         raise SingularLiouvillian(f"steady state not unique {at(k)}: singular") from None
-    # For 9x9 matrices kappa_2 <= 9 kappa_1, so this gate rejects every
-    # system whose 2-norm condition number exceeds _COND_LIMIT.
-    kappa = _norm1(constrained) * _norm1(inverse)
-    rejected = ~(kappa <= _COND_LIMIT / 9.0)  # NaN counts as rejected
+    # With t the trace functional, the column-stacked system A (L with row 0
+    # replaced by t) is E (L + t t^T/3), E = I - e0 e0^T - t t^T/3 + (4/3) e0 t^T
+    # with kappa_2(E) = 3, and L + t t^T/3 is unitarily similar to this B.  So
+    # kappa_2(A) <= 3 kappa_2(B) <= 27 kappa_1(B), and no A with a 2-norm
+    # condition above _COND_LIMIT passes.
+    kappa = np.linalg.norm(constrained, 1, (1, 2)) * np.linalg.norm(inverse, 1, (1, 2))
+    rejected = ~(kappa <= _COND_LIMIT / 27.0)  # NaN counts as rejected
     if rejected.any():
         k = int(np.argmax(rejected))
         raise SingularLiouvillian(
             f"steady state not unique {at(k)}: 1-norm condition {kappa[k]:.3e}"
         )
 
-    # Column 0 of the inverse solves for right-hand side e_0; undo column stacking.
-    rho = inverse[:, :, 0].reshape(n, 3, 3).transpose(0, 2, 1)
-    rho = 0.5 * (rho + rho.conj().transpose(0, 2, 1))
-    rho = rho / np.trace(rho, axis1=1, axis2=2).real[:, None, None]
-
-    residuals = np.linalg.norm(
-        np.einsum("nab,nb->na", lsup, rho.transpose(0, 2, 1).reshape(n, 9)), axis=1
-    )
+    # Column 0 of the inverse solves for right-hand side e_0, so its c_0 is 1.
+    c = inverse[:, :, 0] / math.sqrt(3.0)
+    # The basis change is unitary: this equals ||L vec(rho)||.
+    residuals = np.linalg.norm(np.einsum("nab,nb->na", generators, c), axis=1)
     if residuals.max() > _RESIDUAL_LIMIT:
         k = int(np.argmax(residuals))
         raise SingularLiouvillian(
             f"steady-state residual {residuals[k]:.3e} {at(k)} exceeds {_RESIDUAL_LIMIT}"
         )
+    rho = _states(c)
     evals = np.linalg.eigvalsh(rho)
-    if evals.min() < _EIG_FLOOR:
+    if evals.min() < EIG_FLOOR:
         k = int(np.argmin(evals[:, 0]))
         raise NonPhysicalResult(f"steady state {at(k)} has eigenvalue {evals[k, 0]:.3e}")
     return rho
@@ -222,43 +238,31 @@ def max_cyclic_frequency(model: ThreeLevelModel) -> float:
     )
 
 
-def _rk4_transfer_matrix(lsup: np.ndarray, dt: np.ndarray) -> np.ndarray:
-    """One-step classic RK4 maps for d v/dt = L v, one step dt[k] per generator.
+def _rk4_transfer_matrix(generators: np.ndarray, dt: np.ndarray) -> np.ndarray:
+    """One-step classic RK4 maps for d c/dt = R c, one step dt[k] per generator.
 
     For a time-independent generator the four RK4 stages collapse to the
-    degree-4 Taylor polynomial of exp(dt L); applying its matrix powers
+    degree-4 Taylor polynomial of exp(dt R); applying its matrix powers
     reproduces fixed-step RK4 exactly while allowing cheap long jumps.
+    Row 0 of R is zero, so row 0 of every map and every power is exactly
+    e_0 and the trace is conserved without correction.
     """
-    a = dt[:, None, None] * lsup
+    a = dt[:, None, None] * generators
     a2 = a @ a
-    return _restore_trace_rows(_I9 + a + a2 / 2.0 + (a2 @ a) / 6.0 + (a2 @ a2) / 24.0)
-
-
-def _restore_trace_rows(transfer: np.ndarray) -> np.ndarray:
-    """Project a stack of transfer matrices onto the trace-preserving subspace.
-
-    The exact RK4 map preserves the trace identically (the trace
-    functional annihilates the generator), so any defect in the summed
-    diagonal rows is pure floating-point drift; removing it keeps the
-    trace stable over tens of millions of steps.
-    """
-    defect = transfer[:, _DIAG_IDX, :].sum(axis=1)
-    defect[:, _DIAG_IDX] -= 1.0
-    transfer[:, _DIAG_IDX, :] -= defect[:, None, :] / 3.0
-    return transfer
+    return np.eye(9) + a + a2 / 2.0 + (a2 @ a) / 6.0 + (a2 @ a2) / 24.0
 
 
 def _transfer_power(transfer: np.ndarray, exponents: np.ndarray) -> np.ndarray:
-    """Binary powers transfer[k]**exponents[k] (a (1, 9, 9) transfer is shared),
-    with the trace projection after each product.  A point keeps a product
-    only where its own bit is set, so it gets the power it would get alone."""
+    """Binary powers transfer[k]**exponents[k] (a (1, 9, 9) transfer is shared).
+    A point keeps a product only where its own bit is set, so it gets the
+    power it would get alone."""
     n = np.array(exponents)
-    result, base = np.broadcast_to(_I9, (len(n), 9, 9)), transfer
+    result, base = np.broadcast_to(np.eye(9), (len(n), 9, 9)), transfer
     while n.any():
-        result = np.where((n & 1)[:, None, None] == 1, _restore_trace_rows(result @ base), result)
+        result = np.where((n & 1)[:, None, None] == 1, result @ base, result)
         n >>= 1
         if n.any():
-            base = _restore_trace_rows(base @ base)
+            base = base @ base
     return result
 
 
@@ -285,15 +289,8 @@ def _step_counts(models, rho0, t_final: float, dt) -> tuple[np.ndarray, np.ndarr
     return rho0, n_steps.astype(np.int64), t_final / n_steps
 
 
-def _generators(models: Sequence[ThreeLevelModel]) -> np.ndarray:
-    """Stacked Liouvillians of models that share the rate set of the first."""
-    drives = [(m.drive.delta_p, m.drive.delta_c, m.drive.omega_p, m.drive.omega_c) for m in models]
-    return _liouvillians(hamiltonian_stack(*np.array(drives).T), _dissipator(models[0].rates))
-
-
 def _checked_states(states: np.ndarray, what: str) -> np.ndarray:
-    """Propagated states, re-symmetrized and checked in one call with the drift allowance."""
-    states = 0.5 * (states + states.conj().transpose(0, 2, 1))
+    """Propagated states, checked in one call with the drift allowance."""
     try:
         check_density_matrix(states, trace_tol=_TRACE_DRIFT_LIMIT)
     except NonPhysicalResult as exc:
@@ -313,8 +310,8 @@ def evolve(
     ``dt`` is the maximum step (StepTooLarge above 1/(50 * f_max), f_max the
     model's largest cyclic frequency scale); the actual step divides t_final
     evenly.  States are recorded every ``record_every`` steps plus the first
-    and last, re-symmetrized and checked in one call with a 1e-9 trace-drift
-    allowance; an error names the first failing state's index.
+    and last, and checked in one call with a 1e-9 trace-drift allowance;
+    an error names the first failing state's index.
     """
     if record_every < 1:
         raise ValueError(f"record_every must be >= 1, got {record_every}")
@@ -325,9 +322,10 @@ def evolve(
     # Jump between recorded points with one power per distinct segment length.
     record_idx = np.append(np.arange(0, n_steps[0], min(record_every, n_steps[0])), n_steps)
     lengths, segments = np.unique(np.diff(record_idx), return_inverse=True)
-    maps = _transfer_power(_rk4_transfer_matrix(build_liouvillian(model)[None], dt_eff), lengths)
-    vs = accumulate((maps[k] for k in segments), lambda v, m: m @ v, initial=vectorize(rho0))
-    states = _checked_states(np.array([unvectorize(v) for v in vs]), "recorded")
+    maps = _transfer_power(_rk4_transfer_matrix(_model_generators([model]), dt_eff), lengths)
+    c0 = _coherence_vector(rho0)
+    cs = list(accumulate((maps[k] for k in segments), lambda c, m: m @ c, initial=c0))
+    states = _checked_states(_states(np.array(cs)), "recorded")
     return Trajectory(times=record_idx * dt_eff[0], states=states)
 
 
@@ -343,10 +341,9 @@ def final_states(models: Sequence[ThreeLevelModel], rho0, t_final: float, dt) ->
     rho0, n_steps, dt_eff = _step_counts(models, rho0, t_final, dt)
     if t_final == 0.0:
         return np.repeat(rho0[np.newaxis], len(models), axis=0)
-    v = np.empty((len(models), 9, 1), dtype=complex)
+    c = np.empty((len(models), 9, 1))
     for start in range(0, len(models), _CHUNK):
         chunk = slice(start, start + _CHUNK)
-        step = _rk4_transfer_matrix(_generators(models[chunk]), dt_eff[chunk])
-        v[chunk] = _transfer_power(step, n_steps[chunk]) @ vectorize(rho0)[:, None]
-    # Undo column stacking: vec(rho)[i + 3j] = rho[i, j].
-    return _checked_states(v.reshape(-1, 3, 3).transpose(0, 2, 1), "final")
+        step = _rk4_transfer_matrix(_model_generators(models[chunk]), dt_eff[chunk])
+        c[chunk] = _transfer_power(step, n_steps[chunk]) @ _coherence_vector(rho0)[:, None]
+    return _checked_states(_states(c[:, :, 0]), "final")

@@ -295,6 +295,21 @@ class TestExitCodeMapping:
         assert run_cli("run", str(config_file)) == 4
         assert "fit error" in capsys.readouterr().err
 
+    def test_nothing_to_fit_exits_4(self, config_file, tmp_path, capsys):
+        """A pulse long enough to relax every detuning to the ground state
+        leaves a flat coupler line: a fit error, not a traceback."""
+        out = tmp_path / "out"
+        args = ["run", str(config_file), "--out", str(out), "--jobs", "1"]
+        for item in ["experiment=coupler_spec", "drive.omega_p_mhz=0.0",
+                     "drive.omega_c_mhz=0.2", "drive.delta_p_mhz=0.0",
+                     "drive.delta_c_mhz={start: -0.5, stop: 0.5, count: 21}",
+                     "pulse.duration_us=1.0e+12"]:
+            args += ["--set", item]
+        assert run_cli(*args) == 4
+        err = capsys.readouterr().err
+        assert any(line.startswith("fit error") for line in err.splitlines())
+        assert "Traceback" not in err
+
     def test_require_converged_raises(self):
         class Unconverged:
             converged = False

@@ -170,6 +170,43 @@ class TestSteadyState:
                 assert pa_plus == pytest.approx(pa_minus, abs=1e-10)
 
 
+class TestSpectrumOracle:
+    """The Liouvillian spectrum is a ground truth independent of the kernel."""
+
+    def test_steady_state_is_the_null_vector(self):
+        rng = np.random.default_rng(15)
+        for _ in range(50):
+            model = random_model(rng)
+            evals, evecs = np.linalg.eig(build_liouvillian(model))
+            null = unvectorize(evecs[:, np.argmin(np.abs(evals))])
+            np.testing.assert_allclose(steady_state(model), null / null.trace(), rtol=0, atol=1e-10)
+
+    def test_dressed_splitting_without_dissipation(self):
+        """With no rates and no detunings the largest Bohr frequency of the
+        dressed ladder is sqrt(omega_p^2 + omega_c^2)."""
+        rng = np.random.default_rng(16)
+        for _ in range(20):
+            omega_p, omega_c = rng.uniform(0.01, 20.0, 2)
+            model = ThreeLevelModel(
+                DriveParams(omega_p=omega_p, omega_c=omega_c), DecoherenceRates(0, 0, 0, 0, 0)
+            )
+            largest = np.abs(np.linalg.eigvals(build_liouvillian(model)).imag).max() / TWO_PI
+            assert largest == pytest.approx(math.hypot(omega_p, omega_c), rel=1e-9)
+
+
+class TestTraceRow:
+    """Row 0 stays exact, so the propagated trace needs no correction."""
+
+    def test_generator_and_long_power_keep_row_zero_exact(self):
+        rng = np.random.default_rng(17)
+        models = [random_model(rng) for _ in range(20)]
+        generators = np.array([solver._model_generators([m])[0] for m in models])
+        assert not generators[:, 0, :].any()
+        step = solver._rk4_transfer_matrix(generators, step_bounds(models))
+        power = solver._transfer_power(step, np.full(len(models), 10**12))
+        assert np.array_equal(power[:, 0, :], np.tile(np.eye(9)[0], (len(models), 1)))
+
+
 def constrained_system(model: ThreeLevelModel) -> np.ndarray:
     """The trace-constrained 9x9 matrix the steady-state kernel inverts."""
     matrix = build_liouvillian(model).copy()
@@ -198,6 +235,46 @@ class TestConditionGate:
                 with pytest.raises(SingularLiouvillian):
                     steady_state(model)
         assert rejected >= 20 * 15  # the family crosses the limit near 1e-9
+
+
+def coherence_system(model: ThreeLevelModel) -> np.ndarray:
+    """The real 9x9 matrix the steady-state kernel inverts and gates on."""
+    matrix = solver._model_generators([model])[0].copy()
+    matrix[0, 0] = 1.0
+    return matrix
+
+
+class TestGateProof:
+    """The chain behind the kernel's limit: A = E (L + t t^T/3) with
+    kappa_2(E) = 3, and L + t t^T/3 unitarily similar to the coherence
+    system B, so kappa_2(A) <= 3 kappa_2(B) <= 27 kappa_1(B)."""
+
+    t = np.isin(np.arange(9), TRACE_ROWS).astype(float)
+    e0 = np.eye(9)[0]
+    E = np.eye(9) - np.outer(e0, e0) - np.outer(t, t) / 3.0 + 4.0 / 3.0 * np.outer(e0, t)
+
+    def test_factor_has_condition_three(self):
+        assert np.linalg.cond(self.E) == pytest.approx(3.0, rel=1e-12)
+
+    def test_constrained_system_factors(self):
+        rng = np.random.default_rng(18)
+        for _ in range(100):
+            model = random_model(rng)
+            a = constrained_system(model)
+            factored = self.E @ (build_liouvillian(model) + np.outer(self.t, self.t) / 3.0)
+            assert np.abs(factored - a).max() <= 1e-12 * np.abs(a).max()
+
+    def test_bound_holds_on_the_gate_models(self):
+        rng = np.random.default_rng(4)
+        models = [random_model(rng) for _ in range(200)]
+        for base in models[:20]:
+            for scale in [*np.logspace(-4, -16, 25), 0.0]:
+                rates = DecoherenceRates(*(scale * r for r in base.rates.as_tuple()))
+                models.append(ThreeLevelModel(base.drive, rates))
+        for model in models:
+            with np.errstate(all="ignore"):
+                kappa_1 = np.linalg.cond(coherence_system(model), 1)
+            assert np.linalg.cond(constrained_system(model)) <= 27.0 * kappa_1
 
 
 class TestChunking:
@@ -296,15 +373,14 @@ class TestEvolve:
     def test_error_names_the_failing_state(self, paper_rates, monkeypatch):
         """A recorded state pushed out of the physical set is named by its
         index in the trajectory, not by the first state of the stack."""
-        unvectorize = solver.unvectorize
-        calls = []
+        states = solver._states
 
-        def corrupt_fourth(v):
-            calls.append(v)
-            rho = unvectorize(v)
-            return rho * 1.5 if len(calls) == 4 else rho
+        def corrupt_fourth(c):
+            rho = states(c)
+            rho[3] *= 1.5
+            return rho
 
-        monkeypatch.setattr(solver, "unvectorize", corrupt_fourth)
+        monkeypatch.setattr(solver, "_states", corrupt_fourth)
         model = ThreeLevelModel(DriveParams(omega_p=0.186), paper_rates)
         with pytest.raises(NonPhysicalResult, match="recorded density matrix 3 of 11 trace"):
             evolve(model, ket_bra(0, 0), 1.0, 0.01, record_every=10)
