@@ -239,30 +239,30 @@ def max_cyclic_frequency(model: ThreeLevelModel) -> float:
 
 
 def _rk4_transfer_matrix(generators: np.ndarray, dt: np.ndarray) -> np.ndarray:
-    """One-step classic RK4 maps for d c/dt = R c, one step dt[k] per generator.
-
-    For a time-independent generator the four RK4 stages collapse to the
-    degree-4 Taylor polynomial of exp(dt R); applying its matrix powers
-    reproduces fixed-step RK4 exactly while allowing cheap long jumps.
-    Row 0 of R is zero, so row 0 of every map and every power is exactly
-    e_0 and the trace is conserved without correction.
+    """One-step classic RK4 maps I + X[k] for d c/dt = R c, one step dt[k] per
+    generator, returned as X.  For a time-independent generator the RK4
+    stages collapse to the degree-4 Taylor polynomial of exp(dt R), whose
+    powers reproduce fixed-step RK4 exactly and allow cheap long jumps.
+    Without I, roundoff scales with X, not 1, so relaxed populations are not
+    left at ulp(1) / (dt * rate).  Row 0 of R, so of every X, is exactly
+    zero: the trace is conserved without correction.
     """
     a = dt[:, None, None] * generators
     a2 = a @ a
-    return np.eye(9) + a + a2 / 2.0 + (a2 @ a) / 6.0 + (a2 @ a2) / 24.0
+    return a + a2 / 2.0 + (a2 @ a) / 6.0 + (a2 @ a2) / 24.0
 
 
 def _transfer_power(transfer: np.ndarray, exponents: np.ndarray) -> np.ndarray:
-    """Binary powers transfer[k]**exponents[k] (a (1, 9, 9) transfer is shared).
-    A point keeps a product only where its own bit is set, so it gets the
-    power it would get alone."""
+    """Increments of binary powers (I + X[k])**exponents[k] - I, with
+    (I + Y)(I + X) = I + Y + X + YX (a (1, 9, 9) X is shared).  A point keeps
+    a product only where its own bit is set, so it gets its power alone."""
     n = np.array(exponents)
-    result, base = np.broadcast_to(np.eye(9), (len(n), 9, 9)), transfer
+    result, base = np.zeros((len(n), 9, 9)), transfer
     while n.any():
-        result = np.where((n & 1)[:, None, None] == 1, result @ base, result)
+        result = np.where((n & 1)[:, None, None] == 1, result + base + result @ base, result)
         n >>= 1
         if n.any():
-            base = base @ base
+            base = 2.0 * base + base @ base
     return result
 
 
@@ -324,7 +324,7 @@ def evolve(
     lengths, segments = np.unique(np.diff(record_idx), return_inverse=True)
     maps = _transfer_power(_rk4_transfer_matrix(_model_generators([model]), dt_eff), lengths)
     c0 = _coherence_vector(rho0)
-    cs = list(accumulate((maps[k] for k in segments), lambda c, m: m @ c, initial=c0))
+    cs = list(accumulate((maps[k] for k in segments), lambda c, m: c + m @ c, initial=c0))
     states = _checked_states(_states(np.array(cs)), "recorded")
     return Trajectory(times=record_idx * dt_eff[0], states=states)
 
@@ -341,9 +341,9 @@ def final_states(models: Sequence[ThreeLevelModel], rho0, t_final: float, dt) ->
     rho0, n_steps, dt_eff = _step_counts(models, rho0, t_final, dt)
     if t_final == 0.0:
         return np.repeat(rho0[np.newaxis], len(models), axis=0)
-    c = np.empty((len(models), 9, 1))
+    c, c0 = np.empty((len(models), 9, 1)), _coherence_vector(rho0)[:, None]
     for start in range(0, len(models), _CHUNK):
         chunk = slice(start, start + _CHUNK)
         step = _rk4_transfer_matrix(_model_generators(models[chunk]), dt_eff[chunk])
-        c[chunk] = _transfer_power(step, n_steps[chunk]) @ _coherence_vector(rho0)[:, None]
+        c[chunk] = c0 + _transfer_power(step, n_steps[chunk]) @ c0
     return _checked_states(_states(c[:, :, 0]), "final")

@@ -297,12 +297,13 @@ class TestExitCodeMapping:
 
     def test_nothing_to_fit_exits_4(self, config_file, tmp_path, capsys):
         """A pulse long enough to relax every detuning to the ground state
-        leaves a flat coupler line: a fit error, not a traceback."""
+        leaves a coupler line flat to roundoff: a fit error, not a traceback
+        and not a Lorentzian fitted to roundoff."""
         out = tmp_path / "out"
         args = ["run", str(config_file), "--out", str(out), "--jobs", "1"]
         for item in ["experiment=coupler_spec", "drive.omega_p_mhz=0.0",
-                     "drive.omega_c_mhz=0.2", "drive.delta_p_mhz=0.0",
-                     "drive.delta_c_mhz={start: -0.5, stop: 0.5, count: 21}",
+                     "drive.omega_c_mhz=2.82", "drive.delta_p_mhz=0.0",
+                     "drive.delta_c_mhz={start: -5.0, stop: 5.0, count: 41}",
                      "pulse.duration_us=1.0e+12"]:
             args += ["--set", item]
         assert run_cli(*args) == 4
