@@ -5,12 +5,10 @@ dark-state fidelity analysis."""
 from .analysis import (
     DarkStateOverlap,
     DoubletFit,
-    DressedStates,
     LorentzianModel,
     SeparationMetrics,
     SingletFit,
     dark_state_fidelity,
-    dressed_eigenstates,
     fit_peaks,
     separation_metrics,
 )

@@ -1,11 +1,11 @@
-"""Lorentzian peak fitting, dressed states, and dark-state metrics.
+"""Lorentzian peak fitting and dark-state metrics.
 
 The fitter is a small damped least-squares (Levenberg-Marquardt) loop
 with the analytic Jacobian of the n-peak Lorentzian-plus-shared-offset
 model.  It is deliberately self-contained: the convergence flag has a
-precise meaning (relative parameter change below 1e-10 with the residual
-non-increasing over the final three accepted steps) that a black-box
-optimizer does not expose.
+precise meaning (a proposed step below 1e-10 relative to the parameters,
+taken if it does not raise the cost) that a black-box optimizer does not
+expose.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DegenerateData, NonPhysicalResult
-from .model import TWO_PI, check_density_matrix
+from .model import check_density_matrix
 
 _MAX_ITERATIONS = 500
 _REL_STEP_TOL = 1e-10
@@ -134,14 +134,15 @@ def _model_and_jacobian(x: np.ndarray, params: np.ndarray, n_peaks: int):
 
 
 def _levenberg_marquardt(x, y, p0, n_peaks):
-    """Damped least squares from one start; returns (params, cost, converged)."""
+    """Damped least squares from one start; returns (params, cost, converged).
+
+    Converged means a proposed step below 1e-10 relative to the parameters;
+    that step is taken if it does not raise the cost, and the loop stops."""
     p = np.asarray(p0, dtype=float).copy()
     fit, jac = _model_and_jacobian(x, p, n_peaks)
     residual = fit - y
     cost = 0.5 * float(residual @ residual)
     lam = 1e-3
-    accepted_costs = [cost]
-    converged = False
 
     for _ in range(_MAX_ITERATIONS):
         grad = jac.T @ residual
@@ -153,25 +154,21 @@ def _levenberg_marquardt(x, y, p0, n_peaks):
             lam = min(lam * 10.0, 1e14)
             continue
 
+        small = np.linalg.norm(step) < _REL_STEP_TOL * max(np.linalg.norm(p), 1e-300)
         trial = p + step
         fit_t, jac_t = _model_and_jacobian(x, trial, n_peaks)
         residual_t = fit_t - y
         cost_t = 0.5 * float(residual_t @ residual_t)
 
         if cost_t <= cost:
-            rel_change = np.linalg.norm(step) / max(np.linalg.norm(p), 1e-300)
             p, fit, jac, residual, cost = trial, fit_t, jac_t, residual_t, cost_t
-            accepted_costs.append(cost)
             lam = max(lam / 3.0, 1e-14)
-            recent = accepted_costs[-3:]
-            monotone = all(b <= a for a, b in zip(recent, recent[1:]))
-            if rel_change < _REL_STEP_TOL and monotone:
-                converged = True
-                break
         else:
             lam = min(lam * 2.0, 1e14)
+        if small:
+            return p, cost, True
 
-    return p, cost, converged
+    return p, cost, False
 
 
 def _local_maxima(y: np.ndarray) -> list[int]:
@@ -351,53 +348,8 @@ def peak_separation(x, y) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Dressed states
+# Dark-state metrics
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DressedStates:
-    """Eigensystem of the doubly driven system at zero detunings.
-
-    ``theta`` is the mixing angle atan(omega_p/omega_c).  The dark state
-    has no |1> component and eigenvalue zero; the bright pair sits at
-    +-(generalized Rabi frequency)/2 in angular units.  ``eigenvalues``
-    is ordered (dark, plus, minus) in rad/us.
-    """
-
-    theta: float
-    dark: np.ndarray
-    plus: np.ndarray
-    minus: np.ndarray
-    eigenvalues: np.ndarray
-
-
-def dressed_eigenstates(omega_p: float, omega_c: float) -> DressedStates:
-    """Dark and bright dressed states for given Rabi amplitudes (cyclic MHz).
-
-    Requires at least one nonzero amplitude.  The splitting between the
-    bright states equals the generalized Rabi frequency
-    sqrt(omega_p^2 + omega_c^2), the dressed splitting at zero detunings.
-    The peak spacing observed in a probe-detuning sweep lies below it by
-    about (omega_p/omega_c)^2 relative (see ``peak_separation``).
-    """
-    if omega_p < 0.0 or omega_c < 0.0:
-        raise ValueError("Rabi amplitudes must be >= 0")
-    if omega_p == 0.0 and omega_c == 0.0:
-        raise ValueError("at least one Rabi amplitude must be nonzero")
-    theta = math.atan2(omega_p, omega_c)
-    sin_t, cos_t = math.sin(theta), math.cos(theta)
-    dark = np.array([cos_t, 0.0, -sin_t], dtype=complex)
-    plus = np.array([sin_t, 1.0, cos_t], dtype=complex) / math.sqrt(2.0)
-    minus = np.array([sin_t, -1.0, cos_t], dtype=complex) / math.sqrt(2.0)
-    half_rabi = TWO_PI * math.hypot(omega_p, omega_c) / 2.0
-    return DressedStates(
-        theta=theta,
-        dark=dark,
-        plus=plus,
-        minus=minus,
-        eigenvalues=np.array([0.0, half_rabi, -half_rabi]),
-    )
-
 
 def dark_state_fidelity(rho: np.ndarray, theta: float | np.ndarray) -> DarkStateOverlap:
     """Dark-state occupation of a density matrix and its square root.

@@ -8,14 +8,14 @@ columns out over worker processes and reassembles them by index.
 Steady-state experiments replace the long drive pulse of the physical
 measurement with the exact steady-state solve (the pulse length in the
 experiment is chosen precisely so the system reaches steady state).
-Pulsed experiments (coupler spectroscopy, Rabi traces) use the fixed-step
-propagator; state preparation pulses are modeled as ideal instantaneous
+Pulsed experiments (coupler spectroscopy, Rabi traces) are one call of the
+stacked fixed-step propagator ``solver.final_states``, one final state per
+grid point; state preparation pulses are modeled as ideal instantaneous
 swaps.
 """
 
 from __future__ import annotations
 
-import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -27,9 +27,10 @@ import numpy as np
 from .analysis import LorentzianModel, dark_state_fidelity
 from .errors import NonPhysicalResult
 from .model import DecoherenceRates, ThreeLevelModel, ket_bra
-from .solver import evolve, final_states, max_cyclic_frequency, steady_states
+# evolve is imported for bench/trace_cli.py, which spans experiments.evolve.
+from .solver import evolve, final_states, max_cyclic_frequency, steady_states  # noqa: F401
 
-#: Fraction of the evolve step bound used by pulsed experiments.
+#: Fraction of the propagator's step bound used by pulsed experiments.
 _PULSE_STEP_FRACTION = 0.25
 
 
@@ -179,9 +180,8 @@ def rabi_trace(base: ThreeLevelModel, durations: Grid1D) -> SweepResult:
 
     Starts from the ground state with the probe on resonance and the
     coupler off; this is the trace used to calibrate the probability
-    scale of the readout.  One evolution reaches the first duration, a
-    second records every later one, stepping an integer number of times
-    per grid spacing.
+    scale of the readout.  Each duration is its own final state, stepped
+    evenly to that duration.
     """
     if base.drive.omega_c != 0.0:
         raise ValueError("rabi trace requires omega_c = 0")
@@ -190,20 +190,10 @@ def rabi_trace(base: ThreeLevelModel, durations: Grid1D) -> SweepResult:
     times = durations.points
     if times[0] < 0.0:
         raise ValueError("durations must be >= 0")
-    dt = _pulse_step(base)
-    first = evolve(base, ket_bra(0, 0), float(times[0]), dt, record_every=10**9)
-    span = float(times[-1] - times[0])
-    per_spacing = math.ceil(span / (times.size - 1) / dt)
-    n_steps = per_spacing * (times.size - 1)
-    # evolve takes ceil(span / step) steps of span / that count; asking for
-    # a step of span / (n_steps - 1/2) makes the count n_steps exactly, so
-    # every recorded state lands on a grid point despite roundoff.
-    traj = evolve(
-        base, first.final_state(), span, span / (n_steps - 0.5), record_every=per_spacing
-    )
+    states = final_states([base] * times.size, ket_bra(0, 0), times, _pulse_step(base))
     return SweepResult(
         axis1=times,
-        values=readout_signal(traj.states, Observable.POPULATION1),
+        values=readout_signal(states, Observable.POPULATION1),
         observable=Observable.POPULATION1,
         axis1_name="duration_us",
     )

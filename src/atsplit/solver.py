@@ -6,6 +6,8 @@ Applications, LNP 286, 1987), so every state is Hermitian by construction.
 The master equation, defined once on 3x3 matrices, becomes a real 9x9
 generator whose row 0 is exactly zero, so c_0 = tr(rho)/sqrt(3) is conserved
 exactly.  ``build_liouvillian`` gives it under column stacking instead.
+One routine, ``_propagated``, turns generators, steps and step counts into
+checked states; ``evolve`` and ``final_states`` both go through it.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -266,13 +267,16 @@ def _transfer_power(transfer: np.ndarray, exponents: np.ndarray) -> np.ndarray:
     return result
 
 
-def _step_counts(models, rho0, t_final: float, dt) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Checked rho0, step counts and actual steps.  Each maximum step dt[k] must
-    be positive, finite and at most 1/(50 * f_max) for model k (StepTooLarge
-    otherwise); each actual step divides the finite t_final >= 0 evenly."""
+def _step_counts(models, rho0, t_final, dt) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Checked rho0, step counts and actual steps, t_final and dt broadcast
+    over the models.  Each maximum step dt[k] must be positive, finite and at
+    most 1/(50 * f_max) for model k (StepTooLarge otherwise); each actual step
+    divides the finite t_final[k] >= 0 evenly, and t_final[k] = 0 takes none."""
     rho0 = check_density_matrix(rho0)
-    if not 0.0 <= t_final < math.inf:
-        raise ValueError(f"t_final must be finite and >= 0, got {t_final}")
+    t_final = np.broadcast_to(np.asarray(t_final, dtype=float), (len(models),))
+    bad = ~((t_final >= 0.0) & (t_final < math.inf))
+    if bad.any():
+        raise ValueError(f"t_final must be finite and >= 0, got {t_final[np.argmax(bad)]}")
     dt = np.broadcast_to(np.asarray(dt, dtype=float), (len(models),))
     f_max = np.array([max_cyclic_frequency(model) for model in models])
     bound = np.divide(1.0, 50.0 * f_max, out=np.full(len(dt), math.inf), where=f_max > 0.0)
@@ -283,14 +287,26 @@ def _step_counts(models, rho0, t_final: float, dt) -> tuple[np.ndarray, np.ndarr
             f"dt={dt[k]} us{f' at point {k}' if len(dt) > 1 else ''} must be positive, finite"
             f" and at most 1/(50*f_max)={bound[k]:.6g} us for f_max={f_max[k]:.6g} MHz"
         )
-    n_steps = np.maximum(1.0, np.ceil(t_final / dt - 1e-12))
+    n_steps = np.maximum(t_final > 0.0, np.ceil(t_final / dt - 1e-12))
     if not np.all(n_steps <= 2.0**62):
-        raise ValueError(f"t_final={t_final} needs more than 2**62 steps of dt")
-    return rho0, n_steps.astype(np.int64), t_final / n_steps
+        raise ValueError(f"t_final={t_final.max()} needs more than 2**62 steps of dt")
+    return rho0, n_steps.astype(np.int64), t_final / np.maximum(n_steps, 1.0)
 
 
-def _checked_states(states: np.ndarray, what: str) -> np.ndarray:
-    """Propagated states, checked in one call with the drift allowance."""
+def _propagated(models, dt, exponents, rho0, what: str) -> np.ndarray:
+    """Checked states c0 + ((I + X[k])**exponents[k] - I) c0, I + X[k] the RK4
+    step dt[k] of models[k]; one model and one dt make one step shared by
+    every exponent.  Points go ``_CHUNK`` at a time, each with its own binary
+    power, so memory stays bounded; exponent 0 gives rho0 itself.  The states
+    are checked in one call with the 1e-9 trace-drift allowance."""
+    c, c0 = np.empty((len(exponents), 9, 1)), _coherence_vector(rho0)[:, None]
+    for start in range(0, len(exponents), _CHUNK):
+        chunk = slice(start, start + _CHUNK)
+        own = chunk if len(dt) > 1 else slice(None)
+        step = _rk4_transfer_matrix(_model_generators(models[own]), dt[own])
+        c[chunk] = c0 + _transfer_power(step, exponents[chunk]) @ c0
+    states = _states(c[:, :, 0])
+    states[exponents == 0] = rho0
     try:
         check_density_matrix(states, trace_tol=_TRACE_DRIFT_LIMIT)
     except NonPhysicalResult as exc:
@@ -310,40 +326,25 @@ def evolve(
     ``dt`` is the maximum step (StepTooLarge above 1/(50 * f_max), f_max the
     model's largest cyclic frequency scale); the actual step divides t_final
     evenly.  States are recorded every ``record_every`` steps plus the first
-    and last, and checked in one call with a 1e-9 trace-drift allowance;
-    an error names the first failing state's index.
+    and last, each as its own power of the one step, and checked in one
+    call with a 1e-9 trace-drift allowance; an error names the first
+    failing state's index.
     """
     if record_every < 1:
         raise ValueError(f"record_every must be >= 1, got {record_every}")
     rho0, n_steps, dt_eff = _step_counts([model], rho0, t_final, dt)
-    if t_final == 0.0:
-        return Trajectory(times=np.array([0.0]), states=rho0[np.newaxis].copy())
-
-    # Jump between recorded points with one power per distinct segment length.
-    record_idx = np.append(np.arange(0, n_steps[0], min(record_every, n_steps[0])), n_steps)
-    lengths, segments = np.unique(np.diff(record_idx), return_inverse=True)
-    maps = _transfer_power(_rk4_transfer_matrix(_model_generators([model]), dt_eff), lengths)
-    c0 = _coherence_vector(rho0)
-    cs = list(accumulate((maps[k] for k in segments), lambda c, m: c + m @ c, initial=c0))
-    states = _checked_states(_states(np.array(cs)), "recorded")
+    record_idx = np.append(np.arange(0, n_steps[0], record_every), n_steps)
+    states = _propagated([model], dt_eff, record_idx, rho0, "recorded")
     return Trajectory(times=record_idx * dt_eff[0], states=states)
 
 
-def final_states(models: Sequence[ThreeLevelModel], rho0, t_final: float, dt) -> np.ndarray:
-    """Final state of ``evolve(models[k], rho0, t_final, dt[k])`` for every k,
-    bit for bit when evolve records nothing between, as an (n, 3, 3) stack.
-
-    The models share one rate set (ValueError otherwise).  Points go ``_CHUNK``
-    at a time, each with its own step and binary power, so memory stays
-    bounded; the final states are checked in one call."""
+def final_states(models: Sequence[ThreeLevelModel], rho0, t_final, dt) -> np.ndarray:
+    """Final state of ``evolve(models[k], rho0, t_final[k], dt[k])`` for every
+    k, bit for bit, as an (n, 3, 3) stack; t_final and dt broadcast like
+    arrays.  The models share one rate set (ValueError otherwise); each point
+    takes its own step and binary power, and the states are checked in one
+    call."""
     if len({model.rates for model in models}) > 1:
         raise ValueError("models must share one rate set")
     rho0, n_steps, dt_eff = _step_counts(models, rho0, t_final, dt)
-    if t_final == 0.0:
-        return np.repeat(rho0[np.newaxis], len(models), axis=0)
-    c, c0 = np.empty((len(models), 9, 1)), _coherence_vector(rho0)[:, None]
-    for start in range(0, len(models), _CHUNK):
-        chunk = slice(start, start + _CHUNK)
-        step = _rk4_transfer_matrix(_model_generators(models[chunk]), dt_eff[chunk])
-        c[chunk] = c0 + _transfer_power(step, n_steps[chunk]) @ c0
-    return _checked_states(_states(c[:, :, 0]), "final")
+    return _propagated(models, dt_eff, n_steps, rho0, "final")

@@ -22,9 +22,10 @@ from atsplit.experiments import (
     fidelity_vs_coupler,
     probe_spectroscopy,
     rabi_trace,
+    readout_signal,
 )
 from atsplit.model import DriveParams, ThreeLevelModel, ket_bra
-from atsplit.solver import evolve, steady_state
+from atsplit.solver import evolve, final_states, steady_state
 
 from conftest import FIG3_COUPLERS, OMEGA_P
 
@@ -173,10 +174,9 @@ class TestRabiTrace:
         assert worst < 0.5 - target  # closer to the true limit than to 1/2
 
     def test_long_fine_grid_lands_on_every_point(self, paper_rates):
-        """One evolution records the whole grid.  On this grid a step of
-        exactly spacing/m rounds to one step too many over the 20000
-        spacings; each value must still match an evolution to its own
-        grid point, far inside the 5.6e-4 a one-step shift would move it."""
+        """On this 20000-spacing grid each value must match an evolution to
+        its own grid point, far inside the 5.6e-4 a one-step shift would
+        move it."""
         base = model_with(paper_rates, omega_p=OMEGA_P)
         sweep = rabi_trace(base, Grid1D(0.0, 39.11, 20001))
         dt = experiments._pulse_step(base)
@@ -184,6 +184,25 @@ class TestRabiTrace:
             t = float(sweep.axis1[k])
             state = evolve(base, ket_bra(0, 0), t, dt, record_every=10**9).final_state()
             assert sweep.values[k] == pytest.approx(state[1, 1].real, abs=1e-6)
+
+    def test_one_stacked_call_matches_single_points_bitwise(self, paper_rates, monkeypatch):
+        """The trace is one final_states call, and each value is the final
+        state of its own duration, bit for bit."""
+        calls = {"final_states": 0, "evolve": 0}
+        for name in calls:
+
+            def counting(*args, _name=name, _fn=getattr(experiments, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(experiments, name, counting)
+        base = model_with(paper_rates, omega_p=OMEGA_P)
+        sweep = rabi_trace(base, Grid1D(0.0, 20.0, 41))
+        assert calls == {"final_states": 1, "evolve": 0}
+        dt = experiments._pulse_step(base)
+        for t, value in zip(sweep.axis1.tolist(), sweep.values.tolist()):
+            state = final_states([base], ket_bra(0, 0), t, dt)[0]
+            assert value == readout_signal(state, Observable.POPULATION1)
 
     def test_late_start_matches_shifted_grid(self, paper_rates):
         """A grid that starts late reads the same trace as one from 0."""

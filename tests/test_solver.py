@@ -440,7 +440,16 @@ def step_bounds(models) -> np.ndarray:
 
 class TestFinalStates:
     @pytest.mark.parametrize("chunk", [None, 7])
-    @pytest.mark.parametrize("t_final", [0.0, 0.37, 2.5])
+    @pytest.mark.parametrize(
+        "t_final",
+        [
+            0.0,
+            0.37,
+            2.5,
+            pytest.param(np.linspace(0.0, 2.5, 20), id="per-point-ramp"),
+            pytest.param(np.tile([0.37, 0.0], 10), id="per-point-zeros"),
+        ],
+    )
     def test_matches_single_evolutions_bitwise(self, monkeypatch, chunk, t_final):
         if chunk is not None:
             monkeypatch.setattr(solver, "_CHUNK", chunk)
@@ -450,8 +459,8 @@ class TestFinalStates:
         rho0 = random_density_matrix(rng)
         stacked = solver.final_states(models, rho0, t_final, dt)
         singles = np.array([
-            evolve(m, rho0, t_final, step, record_every=10**9).final_state()
-            for m, step in zip(models, dt)
+            evolve(m, rho0, t, step, record_every=10**9).final_state()
+            for m, step, t in zip(models, dt, np.broadcast_to(t_final, len(models)).tolist())
         ])
         assert stacked.shape == (20, 3, 3)
         assert np.array_equal(stacked, singles)
