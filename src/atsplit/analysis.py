@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import DegenerateData, NonPhysicalResult
 from .model import check_density_matrix
+from .solver import _TRACE_DRIFT_LIMIT
 
 _MAX_ITERATIONS = 500
 _REL_STEP_TOL = 1e-10
@@ -256,7 +257,8 @@ def fit_peaks(
 
     The returned object carries a ``converged`` flag; when the iteration
     cap is reached the best parameters so far are returned with
-    ``converged=False``.  Flat input raises DegenerateData.
+    ``converged=False``.  Data flat to within the propagator's 1e-9
+    trace-drift allowance raise DegenerateData.
     """
     if n_peaks not in (1, 2):
         raise ValueError(f"n_peaks must be 1 or 2, got {n_peaks}")
@@ -272,8 +274,8 @@ def fit_peaks(
         )
     if not np.all(np.diff(x) > 0.0):
         raise ValueError("x values must be strictly increasing")
-    if float(np.max(y) - np.min(y)) < 1e-12:
-        raise DegenerateData("y range below 1e-12; nothing to fit")
+    if float(np.max(y) - np.min(y)) < _TRACE_DRIFT_LIMIT:
+        raise DegenerateData(f"y range below {_TRACE_DRIFT_LIMIT:g}; nothing to fit")
 
     if init is not None:
         p0 = np.asarray(init, dtype=float)

@@ -23,6 +23,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -306,13 +307,7 @@ def _summary_document(cfg: ExperimentConfig, results: dict, files: list[str]) ->
                 "omega12_ghz": cfg.device.omega12,
                 "alpha_mhz": cfg.device.alpha,
             },
-            "rates_per_us": {
-                "gamma_10": cfg.rates.gamma_10,
-                "gamma_21": cfg.rates.gamma_21,
-                "gamma_20": cfg.rates.gamma_20,
-                "phi_1": cfg.rates.phi_1,
-                "phi_2": cfg.rates.phi_2,
-            },
+            "rates_per_us": asdict(cfg.rates),
             "drive": {
                 "omega_p_mhz": cfg.omega_p,
                 "omega_c_mhz": list(cfg.omega_c_values),

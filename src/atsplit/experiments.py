@@ -9,9 +9,9 @@ Steady-state experiments replace the long drive pulse of the physical
 measurement with the exact steady-state solve (the pulse length in the
 experiment is chosen precisely so the system reaches steady state).
 Pulsed experiments (coupler spectroscopy, Rabi traces) are one call of the
-stacked fixed-step propagator ``solver.final_states``, one final state per
-grid point; state preparation pulses are modeled as ideal instantaneous
-swaps.
+stacked fixed-step propagator ``solver.final_states``, the grid passed as a
+drive or duration array, one final state per grid point; state preparation
+pulses are modeled as ideal instantaneous swaps.
 """
 
 from __future__ import annotations
@@ -28,10 +28,7 @@ from .analysis import LorentzianModel, dark_state_fidelity
 from .errors import NonPhysicalResult
 from .model import DecoherenceRates, ThreeLevelModel, ket_bra
 # evolve is imported for bench/trace_cli.py, which spans experiments.evolve.
-from .solver import evolve, final_states, max_cyclic_frequency, steady_states  # noqa: F401
-
-#: Fraction of the propagator's step bound used by pulsed experiments.
-_PULSE_STEP_FRACTION = 0.25
+from .solver import evolve, final_states, steady_states  # noqa: F401
 
 
 class Observable(Enum):
@@ -165,8 +162,9 @@ def coupler_spectroscopy(
     if not pulse_duration >= 0.0:  # NaN fails too
         raise ValueError(f"pulse_duration must be >= 0, got {pulse_duration}")
     dc = dc_grid.points
-    models = [base.with_drive(delta_p=0.0, delta_c=d, omega_p=0.0) for d in dc.tolist()]
-    states = final_states(models, ket_bra(1, 1), pulse_duration, [_pulse_step(m) for m in models])
+    states = final_states(
+        0.0, dc, 0.0, base.drive.omega_c, base.rates, ket_bra(1, 1), pulse_duration
+    )
     return SweepResult(
         axis1=dc,
         values=readout_signal(states, Observable.PB_SECOND),
@@ -190,20 +188,13 @@ def rabi_trace(base: ThreeLevelModel, durations: Grid1D) -> SweepResult:
     times = durations.points
     if times[0] < 0.0:
         raise ValueError("durations must be >= 0")
-    states = final_states([base] * times.size, ket_bra(0, 0), times, _pulse_step(base))
+    states = final_states(*base.drive.as_tuple(), base.rates, ket_bra(0, 0), times)
     return SweepResult(
         axis1=times,
         values=readout_signal(states, Observable.POPULATION1),
         observable=Observable.POPULATION1,
         axis1_name="duration_us",
     )
-
-
-def _pulse_step(model: ThreeLevelModel) -> float:
-    f_max = max_cyclic_frequency(model)
-    if f_max == 0.0:
-        return 1.0
-    return _PULSE_STEP_FRACTION / (50.0 * f_max)
 
 
 def _map_columns(args) -> np.ndarray:
@@ -341,10 +332,10 @@ def eit_regime_scan(
 ) -> list[SweepResult]:
     """Fidelity-versus-drive-ratio curves with the 2-1 relaxation scaled down.
 
-    Curve n uses gamma_21 / 2^n with everything else fixed; the ratio
-    axis is omega_c / omega_p.  Successively longer |2> lifetimes open
-    the population-trapping (EIT-like) window, raising the fidelity even
-    at small drive ratios.
+    Curve n uses gamma_21 * 0.5^n (0 once the product underflows) with
+    everything else fixed; the ratio axis is omega_c / omega_p.
+    Successively longer |2> lifetimes open the population-trapping
+    (EIT-like) window, raising the fidelity even at small drive ratios.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
@@ -360,7 +351,7 @@ def eit_regime_scan(
         _fidelity_sweep(
             omega_p,
             ratios * omega_p,
-            replace(base.rates, gamma_21=base.rates.gamma_21 / 2.0**n),
+            replace(base.rates, gamma_21=base.rates.gamma_21 * 0.5**n),
             ratios,
             "omega_c_over_omega_p",
         )

@@ -136,6 +136,9 @@ class DriveParams:
                 f"omega_c={self.omega_c}"
             )
 
+    def as_tuple(self) -> tuple[float, float, float, float]:
+        return (self.delta_p, self.delta_c, self.omega_p, self.omega_c)
+
 
 @dataclass(frozen=True)
 class DecoherenceRates:
@@ -160,9 +163,6 @@ class DecoherenceRates:
 
     def as_tuple(self) -> tuple[float, float, float, float, float]:
         return (self.gamma_10, self.gamma_21, self.gamma_20, self.phi_1, self.phi_2)
-
-    def max_rate(self) -> float:
-        return max(self.as_tuple())
 
     def min_nonzero_rate(self) -> float:
         nonzero = [r for r in self.as_tuple() if r > 0.0]

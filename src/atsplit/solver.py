@@ -6,14 +6,14 @@ Applications, LNP 286, 1987), so every state is Hermitian by construction.
 The master equation, defined once on 3x3 matrices, becomes a real 9x9
 generator whose row 0 is exactly zero, so c_0 = tr(rho)/sqrt(3) is conserved
 exactly.  ``build_liouvillian`` gives it under column stacking instead.
-One routine, ``_propagated``, turns generators, steps and step counts into
-checked states; ``evolve`` and ``final_states`` both go through it.
+The batch solvers ``steady_states`` and ``final_states`` both take drive
+arrays and one rate set.  One routine, ``_propagated``, turns drive rows,
+steps and step counts into checked states for ``evolve`` and ``final_states``.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +42,9 @@ _CHUNK = 1024
 
 #: Allowed trace drift over a full time evolution.
 _TRACE_DRIFT_LIMIT = 1e-9
+
+#: Fraction of its step bound at which each point of ``final_states`` steps.
+_PULSE_STEP_FRACTION = 0.25
 
 
 def vectorize(rho: np.ndarray) -> np.ndarray:
@@ -115,20 +118,19 @@ def _generator_table() -> np.ndarray:
 _GENERATORS = _generator_table()
 
 
-def _generators(drives: np.ndarray, rates: DecoherenceRates) -> np.ndarray:
-    """Real 9x9 generators, one per row of an (n, 4) array of drive values
+def _generators(drives, rates: DecoherenceRates) -> np.ndarray:
+    """Real 9x9 generators, one per point of four equal-length drive arrays
     under one rate set.  The product is stacked, one vector per point, so a
     generator never depends on the batch it was built in."""
-    params = np.empty((len(drives), 1, 9))
-    params[:, 0, :4] = drives
+    params = np.empty((len(drives[0]), 1, 9))
+    params[:, 0, :4] = np.transpose(drives)
     params[:, 0, 4:] = rates.as_tuple()
     return (params @ _GENERATORS).reshape(-1, 9, 9)
 
 
-def _model_generators(models: Sequence[ThreeLevelModel]) -> np.ndarray:
-    """Real generators of models that share the rate set of the first."""
-    drives = [(m.drive.delta_p, m.drive.delta_c, m.drive.omega_p, m.drive.omega_c) for m in models]
-    return _generators(np.array(drives), models[0].rates)
+def _broadcast(*values) -> list[np.ndarray]:
+    """1-D float views of arrays or scalars, broadcast to one length."""
+    return np.broadcast_arrays(*np.atleast_1d(*(np.asarray(v, dtype=float) for v in values)))
 
 
 def _states(c: np.ndarray) -> np.ndarray:
@@ -143,13 +145,13 @@ def _coherence_vector(rho: np.ndarray) -> np.ndarray:
 
 def build_liouvillian(model: ThreeLevelModel) -> np.ndarray:
     """9x9 generator L with vec(d rho/dt) = L . vec(rho), in rad/us."""
-    return _VEC_BASIS @ _model_generators([model])[0] @ _VEC_BASIS.conj().T
+    generator = _generators(np.array([model.drive.as_tuple()]).T, model.rates)[0]
+    return _VEC_BASIS @ generator @ _VEC_BASIS.conj().T
 
 
 def steady_state(model: ThreeLevelModel) -> np.ndarray:
     """Unique steady state of the master equation: ``steady_states`` for one point."""
-    d = model.drive
-    return steady_states(d.delta_p, d.delta_c, d.omega_p, d.omega_c, model.rates)[0]
+    return steady_states(*model.drive.as_tuple(), model.rates)[0]
 
 
 def steady_states(delta_p, delta_c, omega_p, omega_c, rates: DecoherenceRates) -> np.ndarray:
@@ -167,13 +169,11 @@ def steady_states(delta_p, delta_c, omega_p, omega_c, rates: DecoherenceRates) -
     exceeds the limit, and NonPhysicalResult when a state violates the
     positivity floor; both name the grid point.
     """
-    drive_arrays = [np.asarray(a, dtype=float) for a in (delta_p, delta_c, omega_p, omega_c)]
-    drives = np.broadcast_arrays(*np.atleast_1d(*drive_arrays))
+    drives = _broadcast(delta_p, delta_c, omega_p, omega_c)
     rho = np.empty((drives[0].size, 3, 3), dtype=complex)
     for start in range(0, len(rho), _CHUNK):
         chunk = [d[start:start + _CHUNK] for d in drives]
-        generators = _generators(np.column_stack(chunk), rates)
-        rho[start:start + _CHUNK] = _solve_chunk(generators, chunk, start)
+        rho[start:start + _CHUNK] = _solve_chunk(_generators(chunk, rates), chunk, start)
     return rho
 
 
@@ -223,20 +223,14 @@ def _solve_chunk(generators: np.ndarray, drives: list[np.ndarray], offset: int) 
 
 
 def max_cyclic_frequency(model: ThreeLevelModel) -> float:
-    """Largest frequency scale of the model in cyclic MHz.
+    """Largest frequency scale of the model in cyclic MHz, which bounds the
+    integration step: drive amplitudes, |detunings| and the largest rate / 2 pi."""
+    return float(_cyclic_frequencies(np.array([model.drive.as_tuple()]).T, model.rates)[0])
 
-    Covers drive amplitudes, detunings, and decoherence rates (converted
-    from 1/us to an equivalent cyclic value); used to bound the
-    integration step.
-    """
-    drive = model.drive
-    return max(
-        drive.omega_p,
-        drive.omega_c,
-        abs(drive.delta_p),
-        abs(drive.delta_c),
-        model.rates.max_rate() / TWO_PI,
-    )
+
+def _cyclic_frequencies(drives, rates: DecoherenceRates) -> np.ndarray:
+    """``max_cyclic_frequency`` of every point of four equal-length drive arrays."""
+    return np.maximum(np.abs(drives).max(axis=0), max(rates.as_tuple()) / TWO_PI)
 
 
 def _rk4_transfer_matrix(generators: np.ndarray, dt: np.ndarray) -> np.ndarray:
@@ -267,24 +261,28 @@ def _transfer_power(transfer: np.ndarray, exponents: np.ndarray) -> np.ndarray:
     return result
 
 
-def _step_counts(models, rho0, t_final, dt) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _step_counts(drives, rates, rho0, t_final, dt=None) -> tuple[np.ndarray, ...]:
     """Checked rho0, step counts and actual steps, t_final and dt broadcast
-    over the models.  Each maximum step dt[k] must be positive, finite and at
-    most 1/(50 * f_max) for model k (StepTooLarge otherwise); each actual step
-    divides the finite t_final[k] >= 0 evenly, and t_final[k] = 0 takes none."""
+    over the drive rows.  Each maximum step dt[k] (by default
+    ``_PULSE_STEP_FRACTION`` of its bound, or 1.0 where f_max = 0) must be
+    positive, finite and at most 1/(50 * f_max) for row k (StepTooLarge
+    otherwise); each actual step divides the finite t_final[k] >= 0 evenly."""
     rho0 = check_density_matrix(rho0)
-    t_final = np.broadcast_to(np.asarray(t_final, dtype=float), (len(models),))
+    n = len(drives[0])
+    t_final = np.broadcast_to(np.asarray(t_final, dtype=float), (n,))
     bad = ~((t_final >= 0.0) & (t_final < math.inf))
     if bad.any():
         raise ValueError(f"t_final must be finite and >= 0, got {t_final[np.argmax(bad)]}")
-    dt = np.broadcast_to(np.asarray(dt, dtype=float), (len(models),))
-    f_max = np.array([max_cyclic_frequency(model) for model in models])
-    bound = np.divide(1.0, 50.0 * f_max, out=np.full(len(dt), math.inf), where=f_max > 0.0)
+    f_max = _cyclic_frequencies(drives, rates)
+    if dt is None:
+        dt = np.divide(_PULSE_STEP_FRACTION, 50.0 * f_max, out=np.ones(n), where=f_max != 0.0)
+    dt = np.broadcast_to(np.asarray(dt, dtype=float), (n,))
+    bound = np.divide(1.0, 50.0 * f_max, out=np.full(n, math.inf), where=f_max > 0.0)
     bad = ~((dt > 0.0) & (dt < math.inf) & (dt <= bound * (1.0 + 1e-12)))  # NaN is bad
     if bad.any():
         k = int(np.argmax(bad))
         raise StepTooLarge(
-            f"dt={dt[k]} us{f' at point {k}' if len(dt) > 1 else ''} must be positive, finite"
+            f"dt={dt[k]} us{f' at point {k}' if n > 1 else ''} must be positive, finite"
             f" and at most 1/(50*f_max)={bound[k]:.6g} us for f_max={f_max[k]:.6g} MHz"
         )
     n_steps = np.maximum(t_final > 0.0, np.ceil(t_final / dt - 1e-12))
@@ -293,9 +291,9 @@ def _step_counts(models, rho0, t_final, dt) -> tuple[np.ndarray, np.ndarray, np.
     return rho0, n_steps.astype(np.int64), t_final / np.maximum(n_steps, 1.0)
 
 
-def _propagated(models, dt, exponents, rho0, what: str) -> np.ndarray:
+def _propagated(drives, rates, dt, exponents, rho0, what: str) -> np.ndarray:
     """Checked states c0 + ((I + X[k])**exponents[k] - I) c0, I + X[k] the RK4
-    step dt[k] of models[k]; one model and one dt make one step shared by
+    step dt[k] of drive row k; one row and one dt make one step shared by
     every exponent.  Points go ``_CHUNK`` at a time, each with its own binary
     power, so memory stays bounded; exponent 0 gives rho0 itself.  The states
     are checked in one call with the 1e-9 trace-drift allowance."""
@@ -303,7 +301,7 @@ def _propagated(models, dt, exponents, rho0, what: str) -> np.ndarray:
     for start in range(0, len(exponents), _CHUNK):
         chunk = slice(start, start + _CHUNK)
         own = chunk if len(dt) > 1 else slice(None)
-        step = _rk4_transfer_matrix(_model_generators(models[own]), dt[own])
+        step = _rk4_transfer_matrix(_generators([d[own] for d in drives], rates), dt[own])
         c[chunk] = c0 + _transfer_power(step, exponents[chunk]) @ c0
     states = _states(c[:, :, 0])
     states[exponents == 0] = rho0
@@ -332,19 +330,21 @@ def evolve(
     """
     if record_every < 1:
         raise ValueError(f"record_every must be >= 1, got {record_every}")
-    rho0, n_steps, dt_eff = _step_counts([model], rho0, t_final, dt)
+    drives = np.array([model.drive.as_tuple()]).T
+    rho0, n_steps, dt_eff = _step_counts(drives, model.rates, rho0, t_final, dt)
     record_idx = np.append(np.arange(0, n_steps[0], record_every), n_steps)
-    states = _propagated([model], dt_eff, record_idx, rho0, "recorded")
+    states = _propagated(drives, model.rates, dt_eff, record_idx, rho0, "recorded")
     return Trajectory(times=record_idx * dt_eff[0], states=states)
 
 
-def final_states(models: Sequence[ThreeLevelModel], rho0, t_final, dt) -> np.ndarray:
-    """Final state of ``evolve(models[k], rho0, t_final[k], dt[k])`` for every
-    k, bit for bit, as an (n, 3, 3) stack; t_final and dt broadcast like
-    arrays.  The models share one rate set (ValueError otherwise); each point
-    takes its own step and binary power, and the states are checked in one
-    call."""
-    if len({model.rates for model in models}) > 1:
-        raise ValueError("models must share one rate set")
-    rho0, n_steps, dt_eff = _step_counts(models, rho0, t_final, dt)
-    return _propagated(models, dt_eff, n_steps, rho0, "final")
+def final_states(
+    delta_p, delta_c, omega_p, omega_c, rates: DecoherenceRates, rho0, t_final
+) -> np.ndarray:
+    """(n, 3, 3) stack of the states at t_final from rho0, one per point of
+    the drive arrays and t_final broadcast together, under one rate set.
+    Point k equals ``evolve`` of its model at ``_PULSE_STEP_FRACTION`` of its
+    step bound (1.0 where f_max = 0), bit for bit, with its own binary power;
+    a drive value that leaves no valid step raises StepTooLarge at point k."""
+    *drives, t_final = _broadcast(delta_p, delta_c, omega_p, omega_c, t_final)
+    rho0, n_steps, dt = _step_counts(drives, rates, rho0, t_final)
+    return _propagated(drives, rates, dt, n_steps, rho0, "final")

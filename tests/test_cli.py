@@ -295,14 +295,16 @@ class TestExitCodeMapping:
         assert run_cli("run", str(config_file)) == 4
         assert "fit error" in capsys.readouterr().err
 
-    def test_nothing_to_fit_exits_4(self, config_file, tmp_path, capsys):
+    @pytest.mark.parametrize("omega_c", [2.82, 150.0])
+    def test_nothing_to_fit_exits_4(self, config_file, tmp_path, capsys, omega_c):
         """A pulse long enough to relax every detuning to the ground state
-        leaves a coupler line flat to roundoff: a fit error, not a traceback
+        leaves a coupler line flat to roundoff, which grows with the coupler
+        amplitude (about 1e-12 at 150 MHz): a fit error, not a traceback
         and not a Lorentzian fitted to roundoff."""
         out = tmp_path / "out"
         args = ["run", str(config_file), "--out", str(out), "--jobs", "1"]
         for item in ["experiment=coupler_spec", "drive.omega_p_mhz=0.0",
-                     "drive.omega_c_mhz=2.82", "drive.delta_p_mhz=0.0",
+                     f"drive.omega_c_mhz={omega_c}", "drive.delta_p_mhz=0.0",
                      "drive.delta_c_mhz={start: -5.0, stop: 5.0, count: 41}",
                      "pulse.duration_us=1.0e+12"]:
             args += ["--set", item]

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from atsplit import experiments
+from atsplit import experiments, solver
 from atsplit.analysis import LorentzianModel, fit_peaks
 from atsplit.experiments import (
     Grid1D,
@@ -154,6 +154,23 @@ class TestCouplerSpectroscopy:
             )
 
 
+class TestPulsedStepRule:
+    def test_no_per_point_frequency_calls(self, paper_rates, monkeypatch):
+        """Both pulsed experiments take their steps from one vectorised
+        bound: ``max_cyclic_frequency`` is never called per point."""
+        calls = []
+        frequency = solver.max_cyclic_frequency
+
+        def counting(model):
+            calls.append(model)
+            return frequency(model)
+
+        monkeypatch.setattr(solver, "max_cyclic_frequency", counting)
+        coupler_spectroscopy(model_with(paper_rates, omega_c=2.0), Grid1D(-3.0, 3.0, 41), 0.25)
+        rabi_trace(model_with(paper_rates, omega_p=OMEGA_P), Grid1D(0.0, 2.0, 21))
+        assert calls == []
+
+
 class TestRabiTrace:
     def test_first_maximum_at_half_period(self, paper_rates):
         base = model_with(paper_rates, omega_p=OMEGA_P)
@@ -179,7 +196,7 @@ class TestRabiTrace:
         move it."""
         base = model_with(paper_rates, omega_p=OMEGA_P)
         sweep = rabi_trace(base, Grid1D(0.0, 39.11, 20001))
-        dt = experiments._pulse_step(base)
+        dt = solver._PULSE_STEP_FRACTION / (50.0 * solver.max_cyclic_frequency(base))
         for k in (1, 2, 9999, 19999, 20000):
             t = float(sweep.axis1[k])
             state = evolve(base, ket_bra(0, 0), t, dt, record_every=10**9).final_state()
@@ -199,9 +216,8 @@ class TestRabiTrace:
         base = model_with(paper_rates, omega_p=OMEGA_P)
         sweep = rabi_trace(base, Grid1D(0.0, 20.0, 41))
         assert calls == {"final_states": 1, "evolve": 0}
-        dt = experiments._pulse_step(base)
         for t, value in zip(sweep.axis1.tolist(), sweep.values.tolist()):
-            state = final_states([base], ket_bra(0, 0), t, dt)[0]
+            state = final_states(*base.drive.as_tuple(), base.rates, ket_bra(0, 0), t)[0]
             assert value == readout_signal(state, Observable.POPULATION1)
 
     def test_late_start_matches_shifted_grid(self, paper_rates):
@@ -455,3 +471,11 @@ class TestEitRegimeScan:
     def test_requires_probe_drive(self, paper_rates):
         with pytest.raises(ValueError, match="omega_p"):
             eit_regime_scan(model_with(paper_rates), 2, Grid1D(0.5, 2.0, 5))
+
+    def test_scale_underflows_to_zero_instead_of_overflowing(self, paper_rates):
+        """Past n = 1023, 2**n overflows a float; the scale 0.5**n instead
+        reaches gamma_21 = 0, whose steady state still solves."""
+        base = model_with(paper_rates, omega_p=OMEGA_P)
+        scan = eit_regime_scan(base, 1100, Grid1D(1.0, 2.0, 2))
+        assert len(scan) == 1101
+        assert all(np.isfinite(curve.values).all() for curve in scan)

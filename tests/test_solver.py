@@ -42,6 +42,11 @@ def random_model(rng) -> ThreeLevelModel:
     return ThreeLevelModel(drive, rates)
 
 
+def real_generator(model: ThreeLevelModel) -> np.ndarray:
+    """The real 9x9 coherence-vector generator of one model."""
+    return solver._generators(solver._broadcast(*model.drive.as_tuple()), model.rates)[0]
+
+
 def random_density_matrix(rng) -> np.ndarray:
     a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     rho = a @ a.conj().T
@@ -200,7 +205,7 @@ class TestTraceRow:
     def test_generator_and_long_power_keep_row_zero_exact(self):
         rng = np.random.default_rng(17)
         models = [random_model(rng) for _ in range(20)]
-        generators = np.array([solver._model_generators([m])[0] for m in models])
+        generators = np.array([real_generator(m) for m in models])
         assert not generators[:, 0, :].any()
         step = solver._rk4_transfer_matrix(generators, step_bounds(models))
         power = solver._transfer_power(step, np.full(len(models), 10**12))
@@ -240,7 +245,7 @@ class TestConditionGate:
 
 def coherence_system(model: ThreeLevelModel) -> np.ndarray:
     """The real 9x9 matrix the steady-state kernel inverts and gates on."""
-    matrix = solver._model_generators([model])[0].copy()
+    matrix = real_generator(model).copy()
     matrix[0, 0] = 1.0
     return matrix
 
@@ -438,6 +443,12 @@ def step_bounds(models) -> np.ndarray:
     return np.array([1.0 / (50.0 * max_cyclic_frequency(m)) for m in models])
 
 
+def batch_final_states(models, rho0, t_final) -> np.ndarray:
+    """``final_states`` over the drive rows of models that share one rate set."""
+    drives = np.array([m.drive.as_tuple() for m in models]).T
+    return solver.final_states(*drives, models[0].rates, rho0, t_final)
+
+
 class TestFinalStates:
     @pytest.mark.parametrize("chunk", [None, 7])
     @pytest.mark.parametrize(
@@ -451,13 +462,14 @@ class TestFinalStates:
         ],
     )
     def test_matches_single_evolutions_bitwise(self, monkeypatch, chunk, t_final):
+        """Each point equals ``evolve`` at a quarter of its own step bound."""
         if chunk is not None:
             monkeypatch.setattr(solver, "_CHUNK", chunk)
         rng = np.random.default_rng(9)
         models = shared_rate_models(rng, 20)
-        dt = step_bounds(models) * rng.uniform(0.2, 1.0, len(models))
+        dt = 0.25 * step_bounds(models)
         rho0 = random_density_matrix(rng)
-        stacked = solver.final_states(models, rho0, t_final, dt)
+        stacked = batch_final_states(models, rho0, t_final)
         singles = np.array([
             evolve(m, rho0, t, step, record_every=10**9).final_state()
             for m, step, t in zip(models, dt, np.broadcast_to(t_final, len(models)).tolist())
@@ -468,30 +480,34 @@ class TestFinalStates:
     def test_steps_and_counts_differ_between_points(self):
         rng = np.random.default_rng(9)
         models = shared_rate_models(rng, 20)
-        counts = np.ceil(0.37 / step_bounds(models))
+        counts = np.ceil(0.37 / (0.25 * step_bounds(models)))
         assert len(set(counts.tolist())) > 10
 
-    @pytest.mark.parametrize("value", [2.0, math.nan, 0.0])
-    def test_bad_step_names_the_point(self, value):
+    def test_zero_frequency_steps_at_one_microsecond(self):
+        """With no drive and no rates f_max = 0, so the step is 1.0 and a
+        2.5 us pulse takes three steps; the state stays put."""
+        rates = DecoherenceRates(0.0, 0.0)
+        rho0 = np.diag([0.2, 0.3, 0.5]).astype(complex)
+        drives = solver._broadcast(0.0, 0.0, 0.0, 0.0)
+        _, n_steps, _ = solver._step_counts(drives, rates, rho0, 2.5)
+        assert n_steps.tolist() == [3]
+        state = solver.final_states(*drives, rates, rho0, 2.5)[0]
+        np.testing.assert_allclose(state, rho0, atol=1e-14)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_bad_step_names_the_point(self, paper_rates, value):
+        """A drive value that leaves no valid step is refused at its point."""
         rng = np.random.default_rng(10)
-        models = shared_rate_models(rng, 20)
-        dt = step_bounds(models)
-        dt[13] *= value
+        drives = np.array([m.drive.as_tuple() for m in shared_rate_models(rng, 20)]).T
+        drives[1, 13] = value
         with pytest.raises(StepTooLarge, match=r"at point 13\b"):
-            solver.final_states(models, ket_bra(1, 1), 0.5, dt)
+            solver.final_states(*drives, paper_rates, ket_bra(1, 1), 0.5)
 
     def test_step_count_beyond_int64_rejected(self):
         """Per-point exponents are 64-bit, so a count that would wrap is refused."""
         models = shared_rate_models(np.random.default_rng(14), 3)
         with pytest.raises(ValueError, match="2\\*\\*62 steps"):
-            solver.final_states(models, ket_bra(1, 1), 1e300, step_bounds(models))
-
-    def test_rate_sets_must_match(self, paper_rates):
-        rng = np.random.default_rng(11)
-        models = shared_rate_models(rng, 5)
-        models.append(ThreeLevelModel(DriveParams(omega_c=1.0), paper_rates))
-        with pytest.raises(ValueError, match="rate set"):
-            solver.final_states(models, ket_bra(1, 1), 0.5, step_bounds(models))
+            batch_final_states(models, ket_bra(1, 1), 1e300)
 
     def test_final_states_checked_in_one_call(self, monkeypatch):
         calls = []
@@ -503,14 +519,14 @@ class TestFinalStates:
 
         monkeypatch.setattr(solver, "check_density_matrix", counting)
         models = shared_rate_models(np.random.default_rng(12), 30)
-        solver.final_states(models, ket_bra(1, 1), 0.5, step_bounds(models))
+        batch_final_states(models, ket_bra(1, 1), 0.5)
         assert calls == [(3, 3), (30, 3, 3)]
 
     def test_drifted_final_state_is_named(self, monkeypatch):
         monkeypatch.setattr(solver, "_TRACE_DRIFT_LIMIT", -1.0)
         models = shared_rate_models(np.random.default_rng(13), 4)
         with pytest.raises(NonPhysicalResult, match="final density matrix 0 of 4 trace"):
-            solver.final_states(models, ket_bra(1, 1), 0.5, step_bounds(models))
+            batch_final_states(models, ket_bra(1, 1), 0.5)
 
 
 class TestReadout:
