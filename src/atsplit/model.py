@@ -53,19 +53,39 @@ def ket_bra(i: int, j: int) -> np.ndarray:
 
 
 #: Hermiticity tolerance and eigenvalue floor of a density matrix; the
-#: steady-state kernel gates on the same floor.
+#: steady-state kernel gates on the same floor, also with ``below_eig_floor``.
 _HERM_TOL = 1e-12
 EIG_FLOOR = -1e-10
+
+
+def below_eig_floor(rho: np.ndarray) -> np.ndarray:
+    """Mask of the states of an (n, 3, 3) Hermitian stack (lower triangle
+    read) whose lowest eigenvalue is below ``EIG_FLOOR``, decided from the
+    pivots of the unpivoted LDL^H factorization of A = rho - EIG_FLOOR * I.
+    It is backward stable (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., SIAM 2002, ch. 10), so it agrees with eigvalsh to
+    roundoff.  Each pivot is scaled by the positive pivots before it, so
+    nothing is divided.  NaN fails; a zero pivot passes only over zeros."""
+    p, q, r = (np.diagonal(rho, axis1=1, axis2=2).real - EIG_FLOOR).T
+    b1, b2, e = rho[:, 1, 0], rho[:, 2, 0], rho[:, 2, 1]
+    n1, n2 = abs(b1) ** 2, abs(b2) ** 2
+    # d1 and t: the diagonal of p S, with S the Schur complement of A[0, 0] (S where p = 0).
+    scale = np.where(p > 0.0, p, 1.0)
+    d1, t = scale * q - n1, scale * r - n2
+    # The last pivot times p^2 d1; at d1 = 0 it is -|p S[1, 0]|^2, and t >= 0 decides.
+    d2 = np.maximum(d1, 0.0) * t - abs(scale * e - b2 * b1.conj()) ** 2
+    lowest = np.minimum(np.minimum(p, d1), np.minimum(t, d2))
+    return ~(lowest >= 0.0) | (p == 0.0) & (n1 + n2 > 0.0)
 
 
 def check_density_matrix(rho: np.ndarray, trace_tol: float = 1e-12) -> np.ndarray:
     """Validate one 3x3 density matrix or an (n, 3, 3) stack of them.
 
     Requires Hermiticity within ``_HERM_TOL``, trace within ``trace_tol``
-    of one, and all eigenvalues above ``EIG_FLOOR`` (a small negative
-    floor absorbs roundoff on pure states).  Each comparison fails on NaN,
-    and the eigenvalues are computed only once the first two hold.  An
-    error on a stack names the index of the first failing state.
+    of one, then no eigenvalue of the Hermitian part below ``EIG_FLOOR``
+    (``below_eig_floor``; the negative floor absorbs roundoff on pure
+    states).  Each comparison fails on NaN.  An error on a stack names the
+    first failing state, and eigvalsh runs only on it, to word the error.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim not in (2, 3) or rho.shape[-2:] != (3, 3):
@@ -73,18 +93,19 @@ def check_density_matrix(rho: np.ndarray, trace_tol: float = 1e-12) -> np.ndarra
     stack = rho.reshape(-1, 3, 3)
     adjoint = stack.conj().transpose(0, 2, 1)
 
-    def reject(failed: np.ndarray, values: np.ndarray, what: str) -> None:
+    def reject(failed: np.ndarray, value, what: str) -> None:  # value(k) words state k
         if failed.any():
             k = int(np.argmax(failed))
             name = "density matrix" if rho.ndim == 2 else f"density matrix {k} of {len(stack)}"
-            raise NonPhysicalResult(f"{name} {what.format(values[k])}")
+            raise NonPhysicalResult(f"{name} {what.format(value(k))}")
 
     defect = np.abs(stack - adjoint).max(axis=(1, 2))
-    reject(~(defect <= _HERM_TOL), defect, "not Hermitian: defect {:.3e}")
+    reject(~(defect <= _HERM_TOL), lambda k: defect[k], "not Hermitian: defect {:.3e}")
     trace = np.trace(stack, axis1=1, axis2=2)
-    reject(~(np.abs(trace - 1.0) <= trace_tol), trace, "trace {:.15g} != 1")
-    lowest = np.linalg.eigvalsh(0.5 * (stack + adjoint))[:, 0]
-    reject(~(lowest >= EIG_FLOOR), lowest, "has eigenvalue {:.3e}")
+    reject(~(np.abs(trace - 1.0) <= trace_tol), lambda k: trace[k], "trace {:.15g} != 1")
+    hermitian = 0.5 * (stack + adjoint)
+    reject(below_eig_floor(hermitian), lambda k: np.linalg.eigvalsh(hermitian[k])[0],
+           "has eigenvalue {:.3e}")
     return rho
 
 

@@ -8,12 +8,14 @@ import pytest
 
 from atsplit.errors import NonPhysicalCoherence, NonPhysicalResult
 from atsplit.model import (
+    EIG_FLOOR,
     TWO_PI,
     DecoherenceRates,
     DeviceSpec,
     DriveParams,
     ThreeLevelModel,
     basis_ket,
+    below_eig_floor,
     build_hamiltonian,
     check_density_matrix,
     collapse_operators,
@@ -222,6 +224,59 @@ class TestValidateThreeLevel:
         assert validate_three_level(DriveParams(delta_p=10.0), paper_device) == []
 
 
+def rotated(rng, spectra):
+    """U diag(s) U^H for one seeded random unitary U per row s of spectra."""
+    z = rng.normal(size=(len(spectra), 3, 3)) + 1j * rng.normal(size=(len(spectra), 3, 3))
+    u = np.linalg.qr(z)[0]
+    return (u * spectra[:, None, :]) @ u.conj().transpose(0, 2, 1)
+
+
+class TestEigenvalueFloor:
+    """``below_eig_floor`` against the eigenvalue oracle it replaces."""
+
+    def test_agrees_with_eigvalsh_away_from_the_floor(self):
+        rng = np.random.default_rng(11)
+        n = 20000
+        eps = 10.0 ** rng.uniform(-16.0, -1.0, n)
+        tiny = rng.choice([0.0, 1e-17, 1e-13], n) * rng.uniform(0.0, 1.0, n)
+        delta = 10.0 ** rng.uniform(-17.0, -8.0, n) * rng.choice([-1.0, 1.0], n)
+        near = rng.permuted(np.stack([1.0 - eps, tiny, EIG_FLOOR + delta], axis=1), axis=1)
+        x = rng.uniform(0.0, 1.0, (n // 4, 1))
+        rank_1 = np.hstack([np.ones_like(x), 0.0 * x, 0.0 * x])
+        rank_2 = np.hstack([x, 1.0 - x, 0.0 * x])
+        stack = rotated(rng, np.vstack([near, rank_1, rank_2]))
+        lowest = np.linalg.eigvalsh(stack)[:, 0]
+        below = below_eig_floor(stack)
+        disagree = below != ~(lowest >= EIG_FLOOR)
+        assert np.all(np.abs(lowest[disagree] - EIG_FLOOR) <= 1e-14)
+        assert not below[n:].any()
+        clear = np.abs(lowest - EIG_FLOOR) > 1e-14
+        assert 0.3 < below[:n][clear[:n]].mean() < 0.7
+
+    @pytest.mark.parametrize("i, j", [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2)])
+    def test_nan_fails(self, i, j):
+        rho = np.diag([0.2, 0.3, 0.5]).astype(complex)
+        rho[i, j] = rho[j, i] = math.nan
+        assert below_eig_floor(np.array([rho, np.full((3, 3), math.nan)])).all()
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_zero_pivot_passes_only_over_zeros(self, k):
+        """A diagonal entry exactly at the floor is a zero pivot: it passes
+        over zeros, fails once an entry couples it to a later row, and
+        leaves the pivots after it checked."""
+        diagonal = np.full(3, 0.5)
+        diagonal[k], diagonal[(k + 1) % 3] = EIG_FLOOR, 0.5 - EIG_FLOOR
+        at_floor = np.diag(diagonal).astype(complex)
+        coupled = at_floor.copy()
+        i, j = sorted((k, (k + 1) % 3), reverse=True)
+        coupled[i, j], coupled[j, i] = 1e-3j, -1e-3j
+        diagonal[(k + 1) % 3] = -0.5
+        negative_after = np.diag(diagonal).astype(complex)
+        assert np.linalg.eigvalsh(coupled)[0] < EIG_FLOOR
+        decided = below_eig_floor(np.array([at_floor, coupled, negative_after]))
+        assert decided.tolist() == [False, True, True]
+
+
 class TestMatrixChecks:
     def test_check_density_matrix_rejects_bad_trace(self):
         with pytest.raises(NonPhysicalResult, match="trace"):
@@ -233,6 +288,7 @@ class TestMatrixChecks:
 
     def test_check_density_matrix_allows_roundoff_floor(self):
         check_density_matrix(np.diag([1.0 + 5e-11, -5e-11, 0.0]))
+        check_density_matrix(np.diag([1.0 + 1e-10, -1e-10, 0.0]))  # exactly at the floor
 
     @pytest.mark.parametrize(
         "rho",

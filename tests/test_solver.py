@@ -309,6 +309,23 @@ class TestChunking:
         with pytest.raises(SingularLiouvillian, match=f"grid point {k} "):
             steady_states(np.linspace(-1.0, 1.0, 40), 0.3, wp, wc, rates)
 
+    def test_positivity_error_names_first_failing_point(self, paper_rates, monkeypatch):
+        """The kernel's own floor gate names the first non-positive state of
+        a later chunk by its grid index, worded with its lowest eigenvalue."""
+        monkeypatch.setattr(solver, "_CHUNK", 7)
+        states, calls = solver._states, []
+
+        def corrupt_second_chunk(c):
+            rho = states(c)
+            calls.append(len(rho))
+            if len(calls) == 2:
+                rho[3], rho[5] = np.diag([1.1, -0.1, 0.0]), np.diag([1.3, -0.3, 0.0])
+            return rho
+
+        monkeypatch.setattr(solver, "_states", corrupt_second_chunk)
+        with pytest.raises(NonPhysicalResult, match=r"grid point 10 .* eigenvalue -1\.000e-01"):
+            steady_states(np.linspace(-1.0, 1.0, 40), 0.0, 0.5, 1.5, paper_rates)
+
 
 class TestEvolve:
     def test_t1_decay(self, paper_rates):
