@@ -39,7 +39,6 @@ from .errors import (
     NonPhysicalCoherence,
     NonPhysicalResult,
     SingularLiouvillian,
-    StepTooLarge,
 )
 from .experiments import (
     Grid1D,
@@ -411,7 +410,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, NonPhysicalCoherence) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (SingularLiouvillian, NonPhysicalResult, StepTooLarge) as exc:
+    except (SingularLiouvillian, NonPhysicalResult) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except (NoConvergence, DegenerateData) as exc:

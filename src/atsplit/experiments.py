@@ -9,7 +9,7 @@ Steady-state experiments replace the long drive pulse of the physical
 measurement with the exact steady-state solve (the pulse length in the
 experiment is chosen precisely so the system reaches steady state).
 Pulsed experiments (coupler spectroscopy, Rabi traces) are one call of the
-stacked fixed-step propagator ``solver.final_states``, the grid passed as a
+stacked exact propagator ``solver.final_states``, the grid passed as a
 drive or duration array, one final state per grid point; state preparation
 pulses are modeled as ideal instantaneous swaps.
 """
@@ -155,7 +155,7 @@ def coupler_spectroscopy(
 
     The preparation pulse on the 0-1 transition is modeled as an ideal
     instantaneous swap into |1><1|; the coupler pulse of the given
-    duration (us) is integrated with the fixed-step propagator.
+    duration (us) is applied as the exact map exp(t R) of each detuning.
     """
     if base.drive.omega_p != 0.0:
         raise ValueError("coupler spectroscopy requires omega_p = 0 during the pulse")
@@ -178,8 +178,8 @@ def rabi_trace(base: ThreeLevelModel, durations: Grid1D) -> SweepResult:
 
     Starts from the ground state with the probe on resonance and the
     coupler off; this is the trace used to calibrate the probability
-    scale of the readout.  Each duration is its own final state, stepped
-    evenly to that duration.
+    scale of the readout.  Each duration is its own final state, the
+    exact map exp(t R) applied to the ground state.
     """
     if base.drive.omega_c != 0.0:
         raise ValueError("rabi trace requires omega_c = 0")

@@ -81,11 +81,11 @@ def below_eig_floor(rho: np.ndarray) -> np.ndarray:
 def check_density_matrix(rho: np.ndarray, trace_tol: float = 1e-12) -> np.ndarray:
     """Validate one 3x3 density matrix or an (n, 3, 3) stack of them.
 
-    Requires Hermiticity within ``_HERM_TOL``, trace within ``trace_tol``
-    of one, then no eigenvalue of the Hermitian part below ``EIG_FLOOR``
-    (``below_eig_floor``; the negative floor absorbs roundoff on pure
-    states).  Each comparison fails on NaN.  An error on a stack names the
-    first failing state, and eigvalsh runs only on it, to word the error.
+    Requires finite entries (first, so no inf - inf warns), Hermiticity
+    within ``_HERM_TOL``, trace within ``trace_tol`` of one, then no
+    eigenvalue of the Hermitian part below ``EIG_FLOOR`` (``below_eig_floor``;
+    the negative floor absorbs roundoff on pure states).  An error on a
+    stack names the first failing state; eigvalsh runs only on it, to word it.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim not in (2, 3) or rho.shape[-2:] != (3, 3):
@@ -99,6 +99,7 @@ def check_density_matrix(rho: np.ndarray, trace_tol: float = 1e-12) -> np.ndarra
             name = "density matrix" if rho.ndim == 2 else f"density matrix {k} of {len(stack)}"
             raise NonPhysicalResult(f"{name} {what.format(value(k))}")
 
+    reject(~np.isfinite(stack).all(axis=(1, 2)), lambda k: None, "not finite")
     defect = np.abs(stack - adjoint).max(axis=(1, 2))
     reject(~(defect <= _HERM_TOL), lambda k: defect[k], "not Hermitian: defect {:.3e}")
     trace = np.trace(stack, axis1=1, axis2=2)

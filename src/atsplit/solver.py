@@ -1,4 +1,4 @@
-"""Real Lindblad generators, steady-state solve, and a fixed-step propagator.
+"""Real Lindblad generators, steady-state solve, and two propagators.
 
 States are real coherence vectors c_k = tr(E_k rho) in the orthonormal
 Hermitian basis ``_BASIS`` (Alicki & Lendi, Quantum Dynamical Semigroups and
@@ -7,8 +7,9 @@ The master equation, defined once on 3x3 matrices, becomes a real 9x9
 generator whose row 0 is exactly zero, so c_0 = tr(rho)/sqrt(3) is conserved
 exactly.  ``build_liouvillian`` gives it under column stacking instead.
 The batch solvers ``steady_states`` and ``final_states`` both take drive
-arrays and one rate set.  One routine, ``_propagated``, turns drive rows,
-steps and step counts into checked states for ``evolve`` and ``final_states``.
+arrays and one rate set.  ``final_states`` applies exp(t R) by scaling and
+squaring; ``evolve`` is fixed-step RK4, kept as an independent oracle.  One
+routine, ``_propagated``, turns either's increments into checked states.
 """
 
 from __future__ import annotations
@@ -42,9 +43,6 @@ _CHUNK = 1024
 
 #: Allowed trace drift over a full time evolution.
 _TRACE_DRIFT_LIMIT = 1e-9
-
-#: Fraction of its step bound at which each point of ``final_states`` steps.
-_PULSE_STEP_FRACTION = 0.25
 
 
 def vectorize(rho: np.ndarray) -> np.ndarray:
@@ -229,26 +227,35 @@ def _solve_chunk(system: np.ndarray, drives: list[np.ndarray], offset: int) -> n
 def max_cyclic_frequency(model: ThreeLevelModel) -> float:
     """Largest frequency scale of the model in cyclic MHz, which bounds the
     integration step: drive amplitudes, |detunings| and the largest rate / 2 pi."""
-    return float(_cyclic_frequencies(np.array([model.drive.as_tuple()]).T, model.rates)[0])
+    return float(max(*map(abs, model.drive.as_tuple()), max(model.rates.as_tuple()) / TWO_PI))
 
 
-def _cyclic_frequencies(drives, rates: DecoherenceRates) -> np.ndarray:
-    """``max_cyclic_frequency`` of every point of four equal-length drive arrays."""
-    return np.maximum(np.abs(drives).max(axis=0), max(rates.as_tuple()) / TWO_PI)
-
-
-def _rk4_transfer_matrix(generators: np.ndarray, dt: np.ndarray) -> np.ndarray:
-    """One-step classic RK4 maps I + X[k] for d c/dt = R c, one step dt[k] per
-    generator, returned as X.  For a time-independent generator the RK4
-    stages collapse to the degree-4 Taylor polynomial of exp(dt R), whose
-    powers reproduce fixed-step RK4 exactly and allow cheap long jumps.
+def _taylor_increments(a: np.ndarray, degree: int) -> np.ndarray:
+    """Taylor polynomial of exp(A) - I for an (n, 9, 9) stack, with no
+    identity term, by Horner's rule X <- (A + A X) / k.  At degree 4 and
+    A = dt R it is the classic RK4 step of d c/dt = R c for a constant R.
     Without I, roundoff scales with X, not 1, so relaxed populations are not
-    left at ulp(1) / (dt * rate).  Row 0 of R, so of every X, is exactly
-    zero: the trace is conserved without correction.
-    """
-    a = dt[:, None, None] * generators
-    a2 = a @ a
-    return a + a2 / 2.0 + (a2 @ a) / 6.0 + (a2 @ a2) / 24.0
+    left at ulp(1) / (t * rate); row 0 of R, so of X, is exactly zero."""
+    x = a / degree
+    for k in range(degree - 1, 0, -1):
+        x = (a + a @ x) / k
+    return x
+
+
+def _exp_increments(generators: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """exp(t[k] R[k]) - I by scaling and squaring (Moler & Van Loan, SIAM
+    Review 45, 2003; Higham, SIMAX 26, 2005): the Taylor increment X of
+    A = t R / 2**s with ||A||_1 <= theta, then s squarings (I + X)**2 - I =
+    2X + X^2, each point with its own s.  s comes from the binary exponents
+    of t and ||R||_1, so nothing overflows at any finite t.  With theta = 1/4
+    the terms past degree 12 sum to at most ||A||_1 theta^12 / 13! /
+    (1 - theta / 14) = 9.8e-18 ||A||_1."""
+    norm = np.einsum("nij->nj", abs(generators)).max(axis=1)
+    s = np.maximum(np.frexp(t)[1] + np.frexp(norm)[1] + 2, 0)  # t ||R||_1 / 2**s < 2**-2
+    x = _taylor_increments(np.ldexp(t, -s)[:, None, None] * generators, 12)
+    for k in range(s.max(initial=0)):
+        x = np.where((s > k)[:, None, None], 2.0 * x + x @ x, x)
+    return x
 
 
 def _transfer_power(transfer: np.ndarray, exponents: np.ndarray) -> np.ndarray:
@@ -265,50 +272,19 @@ def _transfer_power(transfer: np.ndarray, exponents: np.ndarray) -> np.ndarray:
     return result
 
 
-def _step_counts(drives, rates, rho0, t_final, dt=None) -> tuple[np.ndarray, ...]:
-    """Checked rho0, step counts and actual steps, t_final and dt broadcast
-    over the drive rows.  Each maximum step dt[k] (by default
-    ``_PULSE_STEP_FRACTION`` of its bound, or 1.0 where f_max = 0) must be
-    positive, finite and at most 1/(50 * f_max) for row k (StepTooLarge
-    otherwise); each actual step divides the finite t_final[k] >= 0 evenly."""
+def _propagated(increments, n: int, rho0, what: str) -> np.ndarray:
+    """Checked states c0 + X[k] c0 for k < n from the checked rho0, with
+    ``increments(chunk)`` the X of a slice of points.  Points go ``_CHUNK``
+    at a time, so memory stays bounded; where c0 + X[k] c0 is exactly c0 (as
+    for X[k] = 0) the state is rho0 itself.  The states are checked in one
+    call with the 1e-9 trace-drift allowance."""
     rho0 = check_density_matrix(rho0)
-    n = len(drives[0])
-    t_final = np.broadcast_to(np.asarray(t_final, dtype=float), (n,))
-    bad = ~((t_final >= 0.0) & (t_final < math.inf))
-    if bad.any():
-        raise ValueError(f"t_final must be finite and >= 0, got {t_final[np.argmax(bad)]}")
-    f_max = _cyclic_frequencies(drives, rates)
-    if dt is None:
-        dt = np.divide(_PULSE_STEP_FRACTION, 50.0 * f_max, out=np.ones(n), where=f_max != 0.0)
-    dt = np.broadcast_to(np.asarray(dt, dtype=float), (n,))
-    bound = np.divide(1.0, 50.0 * f_max, out=np.full(n, math.inf), where=f_max > 0.0)
-    bad = ~((dt > 0.0) & (dt < math.inf) & (dt <= bound * (1.0 + 1e-12)))  # NaN is bad
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise StepTooLarge(
-            f"dt={dt[k]} us{f' at point {k}' if n > 1 else ''} must be positive, finite"
-            f" and at most 1/(50*f_max)={bound[k]:.6g} us for f_max={f_max[k]:.6g} MHz"
-        )
-    n_steps = np.maximum(t_final > 0.0, np.ceil(t_final / dt - 1e-12))
-    if not np.all(n_steps <= 2.0**62):
-        raise ValueError(f"t_final={t_final.max()} needs more than 2**62 steps of dt")
-    return rho0, n_steps.astype(np.int64), t_final / np.maximum(n_steps, 1.0)
-
-
-def _propagated(drives, rates, dt, exponents, rho0, what: str) -> np.ndarray:
-    """Checked states c0 + ((I + X[k])**exponents[k] - I) c0, I + X[k] the RK4
-    step dt[k] of drive row k; one row and one dt make one step shared by
-    every exponent.  Points go ``_CHUNK`` at a time, each with its own binary
-    power, so memory stays bounded; exponent 0 gives rho0 itself.  The states
-    are checked in one call with the 1e-9 trace-drift allowance."""
-    c, c0 = np.empty((len(exponents), 9, 1)), _coherence_vector(rho0)[:, None]
-    for start in range(0, len(exponents), _CHUNK):
+    c, c0 = np.empty((n, 9, 1)), _coherence_vector(rho0)[:, None]
+    for start in range(0, n, _CHUNK):
         chunk = slice(start, start + _CHUNK)
-        own = chunk if len(dt) > 1 else slice(None)
-        step = _rk4_transfer_matrix(_generators([d[own] for d in drives], rates), dt[own])
-        c[chunk] = c0 + _transfer_power(step, exponents[chunk]) @ c0
+        c[chunk] = c0 + increments(chunk) @ c0
     states = _states(c[:, :, 0])
-    states[exponents == 0] = rho0
+    states[(c == c0).all(axis=(1, 2))] = rho0
     try:
         check_density_matrix(states, trace_tol=_TRACE_DRIFT_LIMIT)
     except NonPhysicalResult as exc:
@@ -330,25 +306,48 @@ def evolve(
     evenly.  States are recorded every ``record_every`` steps plus the first
     and last, each as its own power of the one step, and checked in one
     call with a 1e-9 trace-drift allowance; an error names the first
-    failing state's index.
+    failing state's index.  More than 2**62 steps raise ValueError.
     """
     if record_every < 1:
         raise ValueError(f"record_every must be >= 1, got {record_every}")
-    drives = np.array([model.drive.as_tuple()]).T
-    rho0, n_steps, dt_eff = _step_counts(drives, model.rates, rho0, t_final, dt)
-    record_idx = np.append(np.arange(0, n_steps[0], record_every), n_steps)
-    states = _propagated(drives, model.rates, dt_eff, record_idx, rho0, "recorded")
-    return Trajectory(times=record_idx * dt_eff[0], states=states)
+    if not 0.0 <= t_final < math.inf:  # NaN fails too
+        raise ValueError(f"t_final must be finite and >= 0, got {t_final}")
+    f_max = max_cyclic_frequency(model)
+    bound = 1.0 / (50.0 * f_max) if f_max > 0.0 else math.inf
+    if not (0.0 < dt < math.inf and dt <= bound * (1.0 + 1e-12)):
+        raise StepTooLarge(
+            f"dt={dt} us must be positive, finite and at most"
+            f" 1/(50*f_max)={bound:.6g} us for f_max={f_max:.6g} MHz"
+        )
+    n_steps = max(1, math.ceil(t_final / dt - 1e-12)) if t_final > 0.0 else 0
+    if n_steps > 2**62:  # exponents are 64-bit
+        raise ValueError(f"t_final={t_final} needs more than 2**62 steps of dt")
+    dt = t_final / max(n_steps, 1)
+    record_idx = np.append(np.arange(0, n_steps, record_every), n_steps)
+    generator = _generators(_broadcast(*model.drive.as_tuple()), model.rates)
+    step = _taylor_increments(dt * generator, 4)
+    states = _propagated(
+        lambda chunk: _transfer_power(step, record_idx[chunk]), len(record_idx), rho0, "recorded"
+    )
+    return Trajectory(times=record_idx * dt, states=states)
 
 
 def final_states(
     delta_p, delta_c, omega_p, omega_c, rates: DecoherenceRates, rho0, t_final
 ) -> np.ndarray:
-    """(n, 3, 3) stack of the states at t_final from rho0, one per point of
+    """(n, 3, 3) stack of the states exp(t_final R) rho0, one per point of
     the drive arrays and t_final broadcast together, under one rate set.
-    Point k equals ``evolve`` of its model at ``_PULSE_STEP_FRACTION`` of its
-    step bound (1.0 where f_max = 0), bit for bit, with its own binary power;
-    a drive value that leaves no valid step raises StepTooLarge at point k."""
+    Each is exact to roundoff (``_exp_increments``) and independent of the
+    batch it was computed in.  A non-finite drive value, or a t_final that
+    is not finite and >= 0, raises ValueError naming the point."""
     *drives, t_final = _broadcast(delta_p, delta_c, omega_p, omega_c, t_final)
-    rho0, n_steps, dt = _step_counts(drives, rates, rho0, t_final)
-    return _propagated(drives, rates, dt, n_steps, rho0, "final")
+    bad = ~((t_final >= 0.0) & (t_final < math.inf) & np.isfinite(drives).all(axis=0))
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(f"t_final={t_final[k]} and drive values {[float(d[k]) for d in drives]}"
+                         f" at point {k} must be finite, with t_final >= 0")
+
+    def increments(chunk: slice) -> np.ndarray:
+        return _exp_increments(_generators([d[chunk] for d in drives], rates), t_final[chunk])
+
+    return _propagated(increments, len(t_final), rho0, "final")

@@ -295,8 +295,15 @@ class TestExitCodeMapping:
         assert run_cli("run", str(config_file)) == 4
         assert "fit error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("omega_c", [2.82, 150.0])
-    def test_nothing_to_fit_exits_4(self, config_file, tmp_path, capsys, omega_c):
+    @pytest.mark.parametrize(
+        "omega_c, duration",
+        [
+            pytest.param(2.82, "1.0e+12", id="2.82"),
+            pytest.param(150.0, "1.0e+12", id="150.0"),
+            pytest.param(2.82, "1.0e+300", id="2.82-1e300us"),
+        ],
+    )
+    def test_nothing_to_fit_exits_4(self, config_file, tmp_path, capsys, omega_c, duration):
         """A pulse long enough to relax every detuning to the ground state
         leaves a coupler line flat to roundoff, which grows with the coupler
         amplitude (about 1e-12 at 150 MHz): a fit error, not a traceback
@@ -306,12 +313,23 @@ class TestExitCodeMapping:
         for item in ["experiment=coupler_spec", "drive.omega_p_mhz=0.0",
                      f"drive.omega_c_mhz={omega_c}", "drive.delta_p_mhz=0.0",
                      "drive.delta_c_mhz={start: -5.0, stop: 5.0, count: 41}",
-                     "pulse.duration_us=1.0e+12"]:
+                     f"pulse.duration_us={duration}"]:
             args += ["--set", item]
         assert run_cli(*args) == 4
         err = capsys.readouterr().err
         assert any(line.startswith("fit error") for line in err.splitlines())
         assert "Traceback" not in err
+
+    def test_rabi_to_1e300_us_ends_at_the_driven_steady_state(self, config_file, tmp_path):
+        overrides = _RABI + ["pulse.durations_us={start: 0.0, stop: 1.0e+300, count: 11}"]
+        out = tmp_path / "out"
+        args = ["run", str(config_file), "--out", str(out), "--jobs", "1"]
+        assert run_cli(*args, *(a for item in overrides for a in ("--set", item))) == 0
+        cfg = load(config_file, overrides)
+        target = steady_states(0.0, 0.0, cfg.omega_p, 0.0, cfg.rates)[0, 1, 1].real
+        with open(out / "rabi.csv", newline="") as f:
+            last = float(list(csv.reader(f))[-1][-1])
+        assert last == pytest.approx(target, rel=0.0, abs=1e-12)
 
     def test_require_converged_raises(self):
         class Unconverged:

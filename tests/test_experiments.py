@@ -154,23 +154,6 @@ class TestCouplerSpectroscopy:
             )
 
 
-class TestPulsedStepRule:
-    def test_no_per_point_frequency_calls(self, paper_rates, monkeypatch):
-        """Both pulsed experiments take their steps from one vectorised
-        bound: ``max_cyclic_frequency`` is never called per point."""
-        calls = []
-        frequency = solver.max_cyclic_frequency
-
-        def counting(model):
-            calls.append(model)
-            return frequency(model)
-
-        monkeypatch.setattr(solver, "max_cyclic_frequency", counting)
-        coupler_spectroscopy(model_with(paper_rates, omega_c=2.0), Grid1D(-3.0, 3.0, 41), 0.25)
-        rabi_trace(model_with(paper_rates, omega_p=OMEGA_P), Grid1D(0.0, 2.0, 21))
-        assert calls == []
-
-
 class TestRabiTrace:
     def test_first_maximum_at_half_period(self, paper_rates):
         base = model_with(paper_rates, omega_p=OMEGA_P)
@@ -196,7 +179,7 @@ class TestRabiTrace:
         move it."""
         base = model_with(paper_rates, omega_p=OMEGA_P)
         sweep = rabi_trace(base, Grid1D(0.0, 39.11, 20001))
-        dt = solver._PULSE_STEP_FRACTION / (50.0 * solver.max_cyclic_frequency(base))
+        dt = 1.0 / (200.0 * solver.max_cyclic_frequency(base))
         for k in (1, 2, 9999, 19999, 20000):
             t = float(sweep.axis1[k])
             state = evolve(base, ket_bra(0, 0), t, dt, record_every=10**9).final_state()

@@ -299,6 +299,14 @@ class TestMatrixChecks:
         with pytest.raises(NonPhysicalResult):
             check_density_matrix(rho)
 
+    def test_check_density_matrix_rejects_non_finite_before_arithmetic(self):
+        """inf - inf would warn (an error under this suite's filterwarnings)."""
+        with pytest.raises(NonPhysicalResult, match="^density matrix not finite"):
+            check_density_matrix(np.diag([math.inf, 0.0, 0.0]))
+        stack = np.array([ket_bra(0, 0), ket_bra(1, 1), np.diag([math.nan, 0.0, 0.0])])
+        with pytest.raises(NonPhysicalResult, match="density matrix 2 of 3 not finite"):
+            check_density_matrix(stack)
+
     def test_check_density_matrix_accepts_a_stack(self):
         stack = np.array([np.diag([1.0, 0.0, 0.0]), np.diag([0.2, 0.3, 0.5]), ket_bra(2, 2)])
         assert check_density_matrix(stack).shape == (3, 3, 3)

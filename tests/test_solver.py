@@ -1,5 +1,5 @@
-"""Tests for the vectorized Liouvillian, the steady-state solve, the
-fixed-step propagator, and the readout maps."""
+"""Tests for the vectorized Liouvillian, the steady-state solve, the exact
+and fixed-step propagators, and the readout maps."""
 
 import math
 
@@ -207,10 +207,17 @@ class TestTraceRow:
         models = [random_model(rng) for _ in range(20)]
         generators = np.array([real_generator(m) for m in models])
         assert not generators[:, 0, :].any()
-        step = solver._rk4_transfer_matrix(generators, step_bounds(models))
+        step = solver._taylor_increments(step_bounds(models)[:, None, None] * generators, 4)
         power = solver._transfer_power(step, np.full(len(models), 10**12))
         # Both are increments over I: the maps' row 0 is exactly e_0.
         assert not step[:, 0, :].any() and not power[:, 0, :].any()
+
+    @pytest.mark.parametrize("t_final", [1e12, 1e300])
+    def test_exact_increments_keep_row_zero_exact_at_any_time(self, t_final):
+        rng = np.random.default_rng(18)
+        generators = np.array([real_generator(random_model(rng)) for _ in range(20)])
+        x = solver._exp_increments(generators, np.full(20, t_final))
+        assert np.isfinite(x).all() and not x[:, 0, :].any()
 
 
 def constrained_system(model: ThreeLevelModel) -> np.ndarray:
@@ -417,6 +424,22 @@ class TestEvolve:
             traj = evolve(model, random_density_matrix(rng), t_final, dt, record_every=10**9)
             assert abs(traj.final_state().trace() - 1.0) < 1e-9
 
+    def test_step_count_beyond_int64_rejected(self, paper_rates):
+        """Exponents are 64-bit, so a count that would wrap is refused."""
+        model = ThreeLevelModel(DriveParams(omega_p=0.186), paper_rates)
+        with pytest.raises(ValueError, match="2\\*\\*62 steps"):
+            evolve(model, ket_bra(1, 1), 1e300, 0.01)
+
+    @pytest.mark.parametrize("propagate", ["evolve", "final_states"])
+    def test_non_finite_initial_state_rejected(self, paper_rates, propagate):
+        model = ThreeLevelModel(DriveParams(omega_p=0.186), paper_rates)
+        rho0 = np.diag([math.inf, 0.0, 0.0])
+        with pytest.raises(NonPhysicalResult, match="not finite"):
+            if propagate == "evolve":
+                evolve(model, rho0, 1.0, 0.01)
+            else:
+                solver.final_states(*model.drive.as_tuple(), model.rates, rho0, 1.0)
+
     @pytest.mark.parametrize(
         "t_final, dt, error, match",
         [
@@ -440,7 +463,7 @@ class TestEvolve:
 
 
 def shared_rate_models(rng, n: int) -> list[ThreeLevelModel]:
-    """Random drives over one rate set; mixed |delta_c| spreads the steps."""
+    """Random drives over one rate set; mixed |delta_c| spreads the generator norms."""
     rates = DecoherenceRates(*rng.uniform(0.001, 0.1, 5))
     return [
         ThreeLevelModel(
@@ -479,52 +502,87 @@ class TestFinalStates:
         ],
     )
     def test_matches_single_evolutions_bitwise(self, monkeypatch, chunk, t_final):
-        """Each point equals ``evolve`` at a quarter of its own step bound."""
+        """Each point equals its own single-point propagation, bit for bit,
+        whatever the chunk size; a zero duration returns rho0 itself."""
         if chunk is not None:
             monkeypatch.setattr(solver, "_CHUNK", chunk)
         rng = np.random.default_rng(9)
         models = shared_rate_models(rng, 20)
-        dt = 0.25 * step_bounds(models)
         rho0 = random_density_matrix(rng)
         stacked = batch_final_states(models, rho0, t_final)
-        singles = np.array([
-            evolve(m, rho0, t, step, record_every=10**9).final_state()
-            for m, step, t in zip(models, dt, np.broadcast_to(t_final, len(models)).tolist())
-        ])
+        t_final = np.broadcast_to(t_final, len(models))
+        singles = np.array([batch_final_states([m], rho0, t)[0] for m, t in zip(models, t_final)])
         assert stacked.shape == (20, 3, 3)
         assert np.array_equal(stacked, singles)
+        assert (stacked[t_final == 0.0] == rho0).all()
 
-    def test_steps_and_counts_differ_between_points(self):
-        rng = np.random.default_rng(9)
-        models = shared_rate_models(rng, 20)
-        counts = np.ceil(0.37 / (0.25 * step_bounds(models)))
-        assert len(set(counts.tolist())) > 10
-
-    def test_zero_frequency_steps_at_one_microsecond(self):
-        """With no drive and no rates f_max = 0, so the step is 1.0 and a
-        2.5 us pulse takes three steps; the state stays put."""
-        rates = DecoherenceRates(0.0, 0.0)
+    def test_zero_generator_returns_rho0_exactly(self):
+        """With no drive and no rates exp(t R) = I at every duration."""
         rho0 = np.diag([0.2, 0.3, 0.5]).astype(complex)
-        drives = solver._broadcast(0.0, 0.0, 0.0, 0.0)
-        _, n_steps, _ = solver._step_counts(drives, rates, rho0, 2.5)
-        assert n_steps.tolist() == [3]
-        state = solver.final_states(*drives, rates, rho0, 2.5)[0]
-        np.testing.assert_allclose(state, rho0, atol=1e-14)
+        rates = DecoherenceRates(0.0, 0.0)
+        states = solver.final_states(0.0, 0.0, 0.0, 0.0, rates, rho0, [2.5, 1e300])
+        assert np.array_equal(states, [rho0, rho0])
 
-    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
-    def test_bad_step_names_the_point(self, paper_rates, value):
-        """A drive value that leaves no valid step is refused at its point."""
+    def test_zero_rates_match_two_level_rabi_closed_form(self):
+        """Without dissipation a probe (coupler) pulse from |0> (|1>) is a
+        two-level Rabi oscillation: P = W^2/(W^2 + d^2) sin^2(pi sqrt(W^2 + d^2) t)."""
+        rates = DecoherenceRates(0.0, 0.0)
+        t = np.linspace(0.0, 12.0, 97)
+        for omega, delta in [(0.186, 0.0), (0.186, 0.1), (2.82, 0.0), (2.82, -3.0)]:
+            w2 = omega**2 + delta**2
+            expected = omega**2 / w2 * np.sin(np.pi * math.sqrt(w2) * t) ** 2
+            probe = solver.final_states(delta, 0.0, omega, 0.0, rates, ket_bra(0, 0), t)
+            coupler = solver.final_states(0.0, delta, 0.0, omega, rates, ket_bra(1, 1), t)
+            np.testing.assert_allclose(probe[:, 1, 1].real, expected, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(coupler[:, 2, 2].real, expected, rtol=0.0, atol=1e-12)
+
+    def test_free_decay_matches_exponential(self, paper_rates):
+        t = np.linspace(0.0, 5.0 / paper_rates.gamma_10, 101)
+        states = solver.final_states(0.0, 0.0, 0.0, 0.0, paper_rates, ket_bra(1, 1), t)
+        expected = np.exp(-paper_rates.gamma_10 * t)
+        np.testing.assert_allclose(states[:, 1, 1].real, expected, rtol=1e-13, atol=0.0)
+
+    def test_matches_liouvillian_eigendecomposition(self):
+        """exp(t L) = V diag(exp(t w)) V^-1 on diagonalizable random models,
+        the reference of ``bench/check.py``."""
+        rng = np.random.default_rng(15)
+        models = shared_rate_models(rng, 30)
+        rho0 = random_density_matrix(rng)
+        t_final = rng.uniform(0.0, 5.0, len(models))
+        stacked = batch_final_states(models, rho0, t_final)
+        for model, t, state in zip(models, t_final, stacked):
+            w, v = np.linalg.eig(build_liouvillian(model))
+            assert np.linalg.cond(v) < 1e3  # diagonalizable, well conditioned
+            exact = unvectorize(v @ (np.exp(t * w) * np.linalg.solve(v, vectorize(rho0))))
+            np.testing.assert_allclose(state, exact, rtol=0.0, atol=1e-12)
+
+    def test_agrees_with_evolve_within_the_rk4_bound(self):
+        """RK4 at dt = 1/(200 f_max) has a global error of about
+        t |lambda| (dt |lambda|)^4 / 120 for the largest |lambda| of L."""
+        rng = np.random.default_rng(16)
+        models = shared_rate_models(rng, 12)
+        rho0 = random_density_matrix(rng)
+        t_final = rng.uniform(0.5, 5.0, len(models))
+        stacked = batch_final_states(models, rho0, t_final)
+        for model, t, state in zip(models, t_final, stacked):
+            dt = 1.0 / (200.0 * max_cyclic_frequency(model))
+            rk4 = evolve(model, rho0, t, dt, record_every=10**9).final_state()
+            lam = np.abs(np.linalg.eigvals(build_liouvillian(model))).max()
+            assert np.abs(state - rk4).max() <= t * lam * (dt * lam) ** 4 / 120.0
+
+    @pytest.mark.parametrize(
+        "row, value",
+        [(1, math.inf), (1, -math.inf), (1, math.nan), (4, math.nan)],
+        ids=["inf", "-inf", "nan", "nan-t_final"],
+    )
+    def test_bad_step_names_the_point(self, paper_rates, row, value):
+        """A non-finite drive value or duration is refused at its point."""
         rng = np.random.default_rng(10)
         drives = np.array([m.drive.as_tuple() for m in shared_rate_models(rng, 20)]).T
-        drives[1, 13] = value
-        with pytest.raises(StepTooLarge, match=r"at point 13\b"):
-            solver.final_states(*drives, paper_rates, ket_bra(1, 1), 0.5)
-
-    def test_step_count_beyond_int64_rejected(self):
-        """Per-point exponents are 64-bit, so a count that would wrap is refused."""
-        models = shared_rate_models(np.random.default_rng(14), 3)
-        with pytest.raises(ValueError, match="2\\*\\*62 steps"):
-            batch_final_states(models, ket_bra(1, 1), 1e300)
+        args = np.concatenate([drives, np.full((1, 20), 0.5)])
+        args[row, 13] = value
+        with pytest.raises(ValueError, match=r"at point 13\b"):
+            solver.final_states(*args[:4], paper_rates, ket_bra(1, 1), args[4])
 
     def test_final_states_checked_in_one_call(self, monkeypatch):
         calls = []
