@@ -242,6 +242,11 @@ def _perturbed_starts(p0: np.ndarray, n_peaks: int) -> list[np.ndarray]:
     return starts
 
 
+def min_fit_points(n_peaks: int) -> int:
+    """Fewest points ``fit_peaks`` takes: five per parameter (three per peak and the offset)."""
+    return 5 * (3 * n_peaks + 1)
+
+
 def fit_peaks(
     points: Sequence[tuple[float, float]] | np.ndarray,
     n_peaks: int,
@@ -267,11 +272,9 @@ def fit_peaks(
         raise ValueError("points must be a sequence of (x, y) pairs")
     x, y = data[:, 0], data[:, 1]
 
-    n_params = 3 * n_peaks + 1
-    if x.size < 5 * n_params:
-        raise ValueError(
-            f"need at least {5 * n_params} points for a {n_peaks}-peak fit, got {x.size}"
-        )
+    n_params, least = 3 * n_peaks + 1, min_fit_points(n_peaks)
+    if x.size < least:
+        raise ValueError(f"need at least {least} points for a {n_peaks}-peak fit, got {x.size}")
     if not np.all(np.diff(x) > 0.0):
         raise ValueError("x values must be strictly increasing")
     if float(np.max(y) - np.min(y)) < _TRACE_DRIFT_LIMIT:

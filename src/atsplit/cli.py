@@ -36,7 +36,6 @@ from .errors import (
     ConfigError,
     DegenerateData,
     NoConvergence,
-    NonPhysicalCoherence,
     NonPhysicalResult,
     SingularLiouvillian,
 )
@@ -131,7 +130,15 @@ def _broadened_fwhm_mhz(cfg: ExperimentConfig) -> float:
     return max(2.0 * hwhm_angular / TWO_PI, 1e-3)
 
 
-def _singlet_summary(fit) -> dict:
+def _require_converged(fit, what: str):
+    if not fit.converged:
+        raise NoConvergence(f"{what} fit did not converge")
+    return fit
+
+
+def _line_summary(sweep: SweepResult, what: str, line: str, f0_ghz: float) -> dict:
+    """Summary of a converged one-peak fit to a line scan; ``line`` is f0_ghz + center, GHz."""
+    fit = _require_converged(fit_peaks(np.column_stack([sweep.axis1, sweep.values]), 1), what)
     return {
         "center_mhz": float(fit.peak.center),
         "fwhm_mhz": float(fit.peak.fwhm),
@@ -139,13 +146,8 @@ def _singlet_summary(fit) -> dict:
         "offset": float(fit.peak.offset),
         "residual_rms": float(fit.residual_rms),
         "converged": bool(fit.converged),
+        line: f0_ghz + fit.peak.center * 1e-3,
     }
-
-
-def _require_converged(fit, what: str):
-    if not fit.converged:
-        raise NoConvergence(f"{what} fit did not converge")
-    return fit
 
 
 # ---------------------------------------------------------------------------
@@ -159,11 +161,7 @@ def _base_model(cfg: ExperimentConfig, omega_c: float):
 def _run_probe_spec(cfg: ExperimentConfig, jobs: int):
     grid = cfg.delta_p if isinstance(cfg.delta_p, Grid1D) else Grid1D(-1.0, 1.0, 401)
     sweep = probe_spectroscopy(_base_model(cfg, 0.0), grid, cfg.background)
-    fit = _require_converged(
-        fit_peaks(np.column_stack([sweep.axis1, sweep.values]), 1), "probe line"
-    )
-    info = _singlet_summary(fit)
-    info["f01_ghz"] = cfg.device.omega01 + fit.peak.center * 1e-3
+    info = _line_summary(sweep, "probe line", "f01_ghz", cfg.device.omega01)
     return [("probe_spec", sweep)], {"probe_line": info}
 
 
@@ -178,11 +176,7 @@ def _run_coupler_spec(cfg: ExperimentConfig, jobs: int):
     if duration is None:
         duration = 1.0 / (2.0 * omega_c)  # ideal pi pulse
     sweep = coupler_spectroscopy(_base_model(cfg, omega_c), grid, duration)
-    fit = _require_converged(
-        fit_peaks(np.column_stack([sweep.axis1, sweep.values]), 1), "coupler line"
-    )
-    info = _singlet_summary(fit)
-    info["f12_ghz"] = cfg.device.omega12 + fit.peak.center * 1e-3
+    info = _line_summary(sweep, "coupler line", "f12_ghz", cfg.device.omega12)
     info["pulse_duration_us"] = float(duration)
     return [("coupler_spec", sweep)], {"coupler_line": info}
 
@@ -215,9 +209,8 @@ def _run_at_map(cfg: ExperimentConfig, jobs: int):
 
 
 def _run_at_slice(cfg: ExperimentConfig, jobs: int):
-    grid = cfg.delta_p if isinstance(cfg.delta_p, Grid1D) else None
     base = _base_model(cfg, cfg.omega_c_values[0])
-    sweeps = at_slice(base, grid, cfg.omega_c_values, cfg.background)
+    sweeps = at_slice(base, cfg.delta_p, cfg.omega_c_values, cfg.background)
     width_guess = _broadened_fwhm_mhz(cfg)
     outputs, slices = [], []
     for omega_c, sweep in zip(cfg.omega_c_values, sweeps):
@@ -335,25 +328,21 @@ def _cmd_run(args) -> int:
 
     jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
     started = time.perf_counter()
-    sweeps, results = run_experiment(cfg, jobs=max(1, jobs))
+    sweeps, results = run_experiment(cfg, jobs=jobs)
 
     out_dir = _resolve_out_dir(cfg, args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     files = []
-    if "csv" in cfg.formats:
-        for name, sweep in sweeps:
-            filename = f"{name}.csv"
-            _atomic_write(out_dir / filename, _sweep_csv(sweep))
-            files.append(filename)
-        _atomic_write(out_dir / "plots.json", _plot_manifest(sweeps))
-        files.append("plots.json")
-    if "summary" in cfg.formats:
-        document = _summary_document(cfg, results, files)
-        _atomic_write(
-            out_dir / "summary.yaml",
-            yaml.safe_dump(document, sort_keys=True, default_flow_style=False),
-        )
-        files.append("summary.yaml")
+    for name, sweep in sweeps:
+        filename = f"{name}.csv"
+        _atomic_write(out_dir / filename, _sweep_csv(sweep))
+        files.append(filename)
+    _atomic_write(out_dir / "plots.json", _plot_manifest(sweeps))
+    files.append("plots.json")
+    document = _summary_document(cfg, results, files)
+    text = yaml.safe_dump(document, sort_keys=True, default_flow_style=False)
+    _atomic_write(out_dir / "summary.yaml", text)
+    files.append("summary.yaml")
 
     elapsed = time.perf_counter() - started
     print(f"{cfg.experiment}: wrote {len(files)} file(s) to {out_dir}")
@@ -407,7 +396,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, NonPhysicalCoherence) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (SingularLiouvillian, NonPhysicalResult) as exc:

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import yaml
 
-from .analysis import LorentzianModel
+from .analysis import LorentzianModel, min_fit_points
 from .errors import ConfigError, NonPhysicalCoherence
 from .experiments import Grid1D
 from .model import (
@@ -46,6 +46,8 @@ _DRIVE_RULES = {
     "eit_scan": ("> 0", None, "0", "0"),
 }
 _DRIVE_KEYS = ("omega_p_mhz", "omega_c_mhz", "delta_p_mhz", "delta_c_mhz")
+#: Peaks fitted to the one detuning grid of probe_spec, coupler_spec and at_slice.
+_FIT_PEAKS = {"probe_spec": 1, "coupler_spec": 1, "at_slice": 2}
 
 #: Each rule tests the tuple of a drive key's values (several only for
 #: coupler amplitudes); None stands for ``auto``.
@@ -76,7 +78,6 @@ class ExperimentConfig:
     eit_n_max: int
     eit_ratio_grid: Grid1D
     out_dir: str
-    formats: tuple[str, ...]
     warnings: tuple[str, ...]
 
 
@@ -210,12 +211,6 @@ def _string(value, key: str) -> str:
     return value
 
 
-def _formats(value, key: str) -> tuple[str, ...]:
-    if not isinstance(value, list) or not all(f in ("csv", "summary") for f in value):
-        raise ConfigError(f"key '{key}' entries must be 'csv' or 'summary'")
-    return tuple(value)
-
-
 def _experiment(value, key: str) -> str:
     if value not in EXPERIMENTS:
         raise ConfigError(
@@ -272,7 +267,6 @@ _SCHEMA = {
     "eit.ratio_grid": (_grid(">= 0"), Grid1D(0.25, 60.25, 81)),
     "output": (_block, None),
     "output.directory": (_string, "results"),
-    "output.formats": (_formats, ("csv", "summary")),
 }
 
 
@@ -337,9 +331,12 @@ def resolve(raw: dict) -> ExperimentConfig:
     experiment = get("experiment")
     drive = [get(f"drive.{key}") for key in _DRIVE_KEYS]
     omega_p, omega_c_values, delta_p, delta_c = drive
+    least = min_fit_points(_FIT_PEAKS[experiment]) if experiment in _FIT_PEAKS else 0
     for key, rule, value in zip(_DRIVE_KEYS, _DRIVE_RULES[experiment], drive):
         if rule and not _RULES[rule](value if isinstance(value, tuple) else (value,)):
             raise ConfigError(f"key 'drive.{key}' must be {rule} for {experiment}")
+        if isinstance(value, Grid1D) and value.count < least:
+            raise ConfigError(f"key 'drive.{key}.count' must be at least {least} for {experiment}")
     if experiment == "rabi" and get("pulse.durations_us") is None:
         raise ConfigError("missing required key 'pulse.durations_us' for rabi")
 
@@ -368,7 +365,6 @@ def resolve(raw: dict) -> ExperimentConfig:
         eit_n_max=get("eit.n_max"),
         eit_ratio_grid=get("eit.ratio_grid"),
         out_dir=get("output.directory"),
-        formats=get("output.formats"),
         warnings=tuple(dict.fromkeys(warnings)),
     )
 
@@ -423,5 +419,4 @@ def resolved_lines(cfg: ExperimentConfig) -> list[str]:
         lines.append(f"eit.n_max = {cfg.eit_n_max}")
         lines.append(f"eit.ratio_grid = {fmt(cfg.eit_ratio_grid)}")
     lines.append(f"output.directory = {cfg.out_dir}")
-    lines.append("output.formats = " + ", ".join(cfg.formats))
     return lines

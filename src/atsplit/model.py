@@ -14,7 +14,7 @@ Unit conventions (used consistently everywhere):
 * internal operator math is angular: Hamiltonians in rad/us, collapse
   operators in 1/sqrt(us).
 
-Conversions happen exactly once, inside ``hamiltonian_stack`` and
+Conversions happen exactly once, inside ``build_hamiltonian`` and
 ``collapse_operators``.
 """
 
@@ -220,18 +220,11 @@ def build_hamiltonian(drive: DriveParams) -> np.ndarray:
     couples 0-1 and the coupler couples 1-2 with matrix elements
     Omega/2.  Hermitian by construction (real drive amplitudes).
     """
-    drive_arrays = np.atleast_1d(drive.delta_p, drive.delta_c, drive.omega_p, drive.omega_c)
-    return hamiltonian_stack(*drive_arrays)[0]
-
-
-def hamiltonian_stack(delta_p, delta_c, omega_p, omega_c) -> np.ndarray:
-    """``build_hamiltonian`` for each point of equal-length 1-D arrays of
-    the ``DriveParams`` fields; returns an (n, 3, 3) stack."""
-    h = np.zeros((len(delta_p), 3, 3), dtype=complex)
-    h[:, 1, 1] = -TWO_PI * delta_p
-    h[:, 2, 2] = -TWO_PI * (delta_p + delta_c)
-    h[:, 1, 0] = h[:, 0, 1] = TWO_PI * omega_p / 2.0
-    h[:, 2, 1] = h[:, 1, 2] = TWO_PI * omega_c / 2.0
+    h = np.zeros((3, 3), dtype=complex)
+    h[1, 1] = -TWO_PI * drive.delta_p
+    h[2, 2] = -TWO_PI * (drive.delta_p + drive.delta_c)
+    h[1, 0] = h[0, 1] = TWO_PI * drive.omega_p / 2.0
+    h[2, 1] = h[1, 2] = TWO_PI * drive.omega_c / 2.0
     return h
 
 
@@ -297,26 +290,16 @@ def validate_three_level(drive: DriveParams, device: DeviceSpec) -> list[str]:
     """
     warnings = []
     alpha = device.alpha
-    amp_limit = alpha / 5.0
-    det_limit = alpha / 4.0
-    if drive.omega_c > amp_limit:
-        warnings.append(
-            f"coupler amplitude {drive.omega_c} MHz exceeds alpha/5 = "
-            f"{amp_limit:.6g} MHz; higher transmon levels may contribute"
-        )
-    if drive.omega_p > amp_limit:
-        warnings.append(
-            f"probe amplitude {drive.omega_p} MHz exceeds alpha/5 = "
-            f"{amp_limit:.6g} MHz; higher transmon levels may contribute"
-        )
-    if abs(drive.delta_p) > det_limit:
-        warnings.append(
-            f"probe detuning {drive.delta_p} MHz is within reach of the "
-            f"two-photon 0-2 line at -alpha/2 = {-alpha / 2.0:.6g} MHz"
-        )
-    if abs(drive.delta_c) > det_limit:
-        warnings.append(
-            f"coupler detuning {drive.delta_c} MHz is within reach of the "
-            f"two-photon 0-2 line at -alpha/2 = {-alpha / 2.0:.6g} MHz"
-        )
+    for name, amplitude in (("coupler", drive.omega_c), ("probe", drive.omega_p)):
+        if amplitude > alpha / 5.0:
+            warnings.append(
+                f"{name} amplitude {amplitude} MHz exceeds alpha/5 = "
+                f"{alpha / 5.0:.6g} MHz; higher transmon levels may contribute"
+            )
+    for name, detuning in (("probe", drive.delta_p), ("coupler", drive.delta_c)):
+        if abs(detuning) > alpha / 4.0:
+            warnings.append(
+                f"{name} detuning {detuning} MHz is within reach of the "
+                f"two-photon 0-2 line at -alpha/2 = {-alpha / 2.0:.6g} MHz"
+            )
     return warnings

@@ -23,11 +23,12 @@ from .errors import NonPhysicalResult, SingularLiouvillian, StepTooLarge
 from .model import (
     TWO_PI,
     DecoherenceRates,
+    DriveParams,
     ThreeLevelModel,
     below_eig_floor,
+    build_hamiltonian,
     check_density_matrix,
     collapse_operators,
-    hamiltonian_stack,
 )
 
 #: Condition-number threshold beyond which the trace-constrained system is
@@ -104,9 +105,8 @@ def _generator_table() -> np.ndarray:
     """Flattened real generators R[j, k] = tr(E_j f(E_k)) at unit values of
     the four drive fields, then of the five rates (the generator is linear
     in each), with row 0 set to exactly zero: it holds only roundoff."""
-    h = np.concatenate([hamiltonian_stack(*np.eye(4)), np.zeros((5, 3, 3))])
-    unit_ops = [collapse_operators(DecoherenceRates(*unit)) for unit in np.eye(5)]
-    ops = np.concatenate([np.zeros((4, 5, 3, 3)), np.array(unit_ops)])
+    h = np.array([build_hamiltonian(DriveParams(*unit[:4])) for unit in np.eye(9)])
+    ops = np.array([collapse_operators(DecoherenceRates(*unit[4:])) for unit in np.eye(9)])
     images = _master_equation(h[:, None], ops[:, None], _BASIS)  # f_g(E_k)
     table = np.einsum("jab,gkba->gjk", _BASIS, images).real
     table[:, 0, :] = 0.0
@@ -246,15 +246,17 @@ def _exp_increments(generators: np.ndarray, t: np.ndarray) -> np.ndarray:
     """exp(t[k] R[k]) - I by scaling and squaring (Moler & Van Loan, SIAM
     Review 45, 2003; Higham, SIMAX 26, 2005): the Taylor increment X of
     A = t R / 2**s with ||A||_1 <= theta, then s squarings (I + X)**2 - I =
-    2X + X^2, each point with its own s.  s comes from the binary exponents
-    of t and ||R||_1, so nothing overflows at any finite t.  With theta = 1/4
-    the terms past degree 12 sum to at most ||A||_1 theta^12 / 13! /
-    (1 - theta / 14) = 9.8e-18 ||A||_1."""
+    2X + X^2, each point with its own s, from the binary exponents of t and
+    ||R||_1.  Squaring amplifies roundoff about 2**s-fold on weakly damped
+    modes; an X that overflows (t ||R||_1 near 1e306) is refused downstream
+    as not finite.  With theta = 1/4 the terms past degree 12 sum to at most
+    ||A||_1 theta^12 / 13! / (1 - theta / 14) = 9.8e-18 ||A||_1."""
     norm = np.einsum("nij->nj", abs(generators)).max(axis=1)
     s = np.maximum(np.frexp(t)[1] + np.frexp(norm)[1] + 2, 0)  # t ||R||_1 / 2**s < 2**-2
     x = _taylor_increments(np.ldexp(t, -s)[:, None, None] * generators, 12)
-    for k in range(s.max(initial=0)):
-        x = np.where((s > k)[:, None, None], 2.0 * x + x @ x, x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(s.max(initial=0)):
+            x = np.where((s > k)[:, None, None], 2.0 * x + x @ x, x)
     return x
 
 

@@ -31,7 +31,6 @@ drive:
   delta_c_mhz: 0.0
 output:
   directory: results
-  formats: [csv, summary]
 """
 
 
@@ -320,6 +319,19 @@ class TestExitCodeMapping:
         assert any(line.startswith("fit error") for line in err.splitlines())
         assert "Traceback" not in err
 
+    def test_overflowing_pulse_map_exits_3_without_warnings(self, config_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        args = ["run", str(config_file), "--out", str(out), "--jobs", "1"]
+        for item in ["experiment=coupler_spec", "drive.omega_p_mhz=0.0",
+                     "drive.omega_c_mhz=1.0e+306", "drive.delta_p_mhz=0.0",
+                     "drive.delta_c_mhz={start: -5.0, stop: 5.0, count: 41}",
+                     "pulse.duration_us=0.177"]:
+            args += ["--set", item]
+        assert run_cli(*args) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("solver error") and "not finite" in err
+        assert "RuntimeWarning" not in err
+
     def test_rabi_to_1e300_us_ends_at_the_driven_steady_state(self, config_file, tmp_path):
         overrides = _RABI + ["pulse.durations_us={start: 0.0, stop: 1.0e+300, count: 11}"]
         out = tmp_path / "out"
@@ -340,6 +352,9 @@ class TestExitCodeMapping:
 
 
 _RABI = ["experiment=rabi", "drive.omega_c_mhz=0.0", "drive.delta_p_mhz=0.0"]
+_PROBE_SPEC = ["experiment=probe_spec", "drive.omega_c_mhz=0.0",
+               "drive.delta_p_mhz={start: -1.0, stop: 1.0, count: 101}"]
+_COUPLER_SPEC = ["experiment=coupler_spec", "drive.omega_p_mhz=0.0", "drive.delta_p_mhz=0.0"]
 _EIT = ["experiment=eit_scan", "drive.omega_c_mhz=0.0", "drive.delta_p_mhz=0.0"]
 
 #: (--set overrides on BASE_CONFIG, the dotted key or block the error must name)
@@ -375,6 +390,24 @@ INVALID_CONFIGS = [
     pytest.param(["drive.omega_c_mhz=[1.0, 1.0000001]"], "drive.omega_c_mhz",
                  id="couplers-equal-under-g"),
     pytest.param(["schema=true"], "schema", id="schema-true"),
+    pytest.param(["output.formats=[csv, summary]"], "output.formats", id="formats-removed"),
+    # Fitted sweeps shorter than the fit's minimum (5 points per parameter).
+    pytest.param(_PROBE_SPEC[:2] + ["drive.delta_p_mhz={start: -1.0, stop: 1.0, count: 5}"],
+                 "drive.delta_p_mhz.count", id="short-probe_spec-grid"),
+    pytest.param(_COUPLER_SPEC + ["drive.delta_c_mhz={start: -5.0, stop: 5.0, count: 5}"],
+                 "drive.delta_c_mhz.count", id="short-coupler_spec-grid"),
+    pytest.param(["drive.delta_p_mhz={start: -6.0, stop: 6.0, count: 20}"],
+                 "drive.delta_p_mhz.count", id="short-at_slice-grid"),
+]
+
+#: (--set overrides on BASE_CONFIG) giving each fitted sweep exactly the
+#: fit's minimum number of points.
+MINIMAL_FIT_GRIDS = [
+    pytest.param(_PROBE_SPEC[:2] + ["drive.delta_p_mhz={start: -1.0, stop: 1.0, count: 20}"],
+                 id="probe_spec-20"),
+    pytest.param(_COUPLER_SPEC + ["drive.delta_c_mhz={start: -5.0, stop: 5.0, count: 20}"],
+                 id="coupler_spec-20"),
+    pytest.param(["drive.delta_p_mhz={start: -6.0, stop: 6.0, count: 35}"], id="at_slice-35"),
 ]
 
 
@@ -391,10 +424,14 @@ class TestInvalidConfigs:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("overrides", MINIMAL_FIT_GRIDS)
+    def test_fit_minimum_still_validates(self, config_file, capsys, overrides):
+        args = ["validate", str(config_file)]
+        assert run_cli(*args, *(a for item in overrides for a in ("--set", item))) == 0
+        assert "config ok" in capsys.readouterr().out
+
 
 _BACKGROUND = ["background.fwhm_mhz=0.3", "background.amplitude=0.02"]
-_PROBE_SPEC = ["experiment=probe_spec", "drive.omega_c_mhz=0.0",
-               "drive.delta_p_mhz={start: -1.0, stop: 1.0, count: 101}"]
 
 #: (--set overrides on BASE_CONFIG, the CSV to check, the background peaks'
 #: shifts from background.center_mhz in MHz).  The signal-level background

@@ -77,3 +77,61 @@ def test_check_sees_a_foreign_import():
         "from conftest import OMEGA_P\nfrom scipy import linalg\n"
     )
     assert foreign_imports(source) == ["scipy.linalg (line 2)", "scipy (line 5)"]
+
+
+def dead_definitions(sources: dict[str, str]) -> list[str]:
+    """Module-level functions, classes and assigned names of the modules in
+    ``sources`` (module name -> text) that no module loads, reads as an
+    attribute or imports by name.  ``__init__`` defines nothing here; its
+    re-exports count as references.  The match is by name, so a definition
+    that shares its name with a local elsewhere can pass unnoticed."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(alias.name for alias in node.names)
+    dead = []
+    for module, tree in trees.items():
+        if module == "__init__":
+            continue
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            dead += [f"{module}.{name}" for name in names if name not in referenced]
+    return dead
+
+
+def package_sources() -> dict[str, str]:
+    return {path.stem: path.read_text() for path in PACKAGE.glob("*.py")}
+
+
+def test_every_definition_is_used_or_exported():
+    assert dead_definitions(package_sources()) == []
+
+
+def test_check_sees_a_dead_definition():
+    sources = {
+        "a": "def used(): pass\ndef dead(): pass\nclass Gone: pass\nX = 1\n_Y, Z = used(), 2\n",
+        "b": "from .a import Z\nprint(Z.used)\n",
+        "__init__": "from .a import X\n",
+    }
+    assert dead_definitions(sources) == ["a.dead", "a.Gone", "a._Y"]
+
+
+@pytest.mark.parametrize(
+    "module, name", [("model", "hamiltonian_stack"), ("cli", "_singlet_summary")]
+)
+def test_check_sees_a_helper_left_behind_by_a_fold(module, name):
+    sources = package_sources()
+    sources[module] += f"\n\ndef {name}(*args):\n    return args\n"
+    assert dead_definitions(sources) == [f"{module}.{name}"]

@@ -223,6 +223,17 @@ class TestValidateThreeLevel:
     def test_small_detuning_is_quiet(self, paper_device):
         assert validate_three_level(DriveParams(delta_p=10.0), paper_device) == []
 
+    def test_every_rule_fires_in_order_with_exact_text(self, paper_device):
+        drive = DriveParams(delta_p=-88.5, delta_c=50.0, omega_p=40.0, omega_c=50.0)
+        levels = "higher transmon levels may contribute"
+        line = "two-photon 0-2 line at -alpha/2 = -88.738 MHz"
+        assert validate_three_level(drive, paper_device) == [
+            f"coupler amplitude 50.0 MHz exceeds alpha/5 = 35.4952 MHz; {levels}",
+            f"probe amplitude 40.0 MHz exceeds alpha/5 = 35.4952 MHz; {levels}",
+            f"probe detuning -88.5 MHz is within reach of the {line}",
+            f"coupler detuning 50.0 MHz is within reach of the {line}",
+        ]
+
 
 def rotated(rng, spectra):
     """U diag(s) U^H for one seeded random unitary U per row s of spectra."""

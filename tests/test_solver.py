@@ -584,6 +584,15 @@ class TestFinalStates:
         with pytest.raises(ValueError, match=r"at point 13\b"):
             solver.final_states(*args[:4], paper_rates, ket_bra(1, 1), args[4])
 
+    def test_overflowing_squarings_raise_the_named_error(self, paper_rates):
+        """At t ||R|| near 1e306 the squarings amplify roundoff past the
+        double range: the states are refused as not finite, with no numpy
+        warning first (pytest turns warnings into errors)."""
+        with pytest.raises(NonPhysicalResult, match="final density matrix 0 of 3 not finite"):
+            solver.final_states(
+                0.0, [-7.0, 0.0, 7.0], 0.0, 1e306, paper_rates, ket_bra(1, 1), 0.177
+            )
+
     def test_final_states_checked_in_one_call(self, monkeypatch):
         calls = []
         check = solver.check_density_matrix
