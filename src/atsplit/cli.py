@@ -40,12 +40,10 @@ from .errors import (
     SingularLiouvillian,
 )
 from .experiments import (
-    Grid1D,
     SweepResult,
     at_map,
     at_slice,
     coupler_spectroscopy,
-    default_map_grid,
     eit_regime_scan,
     fidelity_vs_coupler,
     probe_spectroscopy,
@@ -159,25 +157,16 @@ def _base_model(cfg: ExperimentConfig, omega_c: float):
 
 
 def _run_probe_spec(cfg: ExperimentConfig, jobs: int):
-    grid = cfg.delta_p if isinstance(cfg.delta_p, Grid1D) else Grid1D(-1.0, 1.0, 401)
-    sweep = probe_spectroscopy(_base_model(cfg, 0.0), grid, cfg.background)
+    sweep = probe_spectroscopy(_base_model(cfg, 0.0), cfg.delta_p, cfg.background)
     info = _line_summary(sweep, "probe line", "f01_ghz", cfg.device.omega01)
     return [("probe_spec", sweep)], {"probe_line": info}
 
 
 def _run_coupler_spec(cfg: ExperimentConfig, jobs: int):
-    omega_c = cfg.omega_c_values[0]
-    if isinstance(cfg.delta_c, Grid1D):
-        grid = cfg.delta_c
-    else:
-        limit = 2.0 * omega_c + 1.0
-        grid = Grid1D(-limit, limit, 201)
-    duration = cfg.pulse_duration
-    if duration is None:
-        duration = 1.0 / (2.0 * omega_c)  # ideal pi pulse
-    sweep = coupler_spectroscopy(_base_model(cfg, omega_c), grid, duration)
+    base = _base_model(cfg, cfg.omega_c_values[0])
+    sweep = coupler_spectroscopy(base, cfg.delta_c, cfg.pulse_duration)
     info = _line_summary(sweep, "coupler line", "f12_ghz", cfg.device.omega12)
-    info["pulse_duration_us"] = float(duration)
+    info["pulse_duration_us"] = float(cfg.pulse_duration)
     return [("coupler_spec", sweep)], {"coupler_line": info}
 
 
@@ -194,13 +183,11 @@ def _run_rabi(cfg: ExperimentConfig, jobs: int):
 
 def _run_at_map(cfg: ExperimentConfig, jobs: int):
     omega_c = cfg.omega_c_values[0]
-    dp = cfg.delta_p if isinstance(cfg.delta_p, Grid1D) else default_map_grid(omega_c)
-    dc = cfg.delta_c if isinstance(cfg.delta_c, Grid1D) else default_map_grid(omega_c)
-    sweep = at_map(_base_model(cfg, omega_c), dp, dc, jobs=jobs)
+    sweep = at_map(_base_model(cfg, omega_c), cfg.delta_p, cfg.delta_c, jobs=jobs)
     i, j = np.unravel_index(int(np.argmax(sweep.values)), sweep.values.shape)
     info = {
         "omega_c_mhz": float(omega_c),
-        "grid": f"{dp.count}x{dc.count}",
+        "grid": f"{cfg.delta_p.count}x{cfg.delta_c.count}",
         "max_value": float(sweep.values[i, j]),
         "max_at_delta_p_mhz": float(sweep.axis1[i]),
         "max_at_delta_c_mhz": float(sweep.axis2[j]),

@@ -22,7 +22,7 @@ import yaml
 
 from .analysis import LorentzianModel, min_fit_points
 from .errors import ConfigError, NonPhysicalCoherence
-from .experiments import Grid1D
+from .experiments import Grid1D, default_map_grid, default_slice_grid
 from .model import (
     TRANSMON_RATIO_21,
     DecoherenceRates,
@@ -70,8 +70,8 @@ class ExperimentConfig:
     rates: DecoherenceRates
     omega_p: float
     omega_c_values: tuple[float, ...]
-    delta_p: float | Grid1D | None  # None means the experiment's default grid
-    delta_c: float | Grid1D | None
+    delta_p: float | Grid1D | None  # None: at_slice's per-slice auto grid, or 0
+    delta_c: float | Grid1D | None  # None: 0
     pulse_duration: float | None
     durations: Grid1D | None
     background: LorentzianModel | None
@@ -340,16 +340,29 @@ def resolve(raw: dict) -> ExperimentConfig:
     if experiment == "rabi" and get("pulse.durations_us") is None:
         raise ConfigError("missing required key 'pulse.durations_us' for rabi")
 
-    def worst_detuning(value):
-        # For grids, warn against the endpoint farthest from resonance.
-        if isinstance(value, Grid1D):
-            return max(value.start, value.stop, key=abs)
-        return value if isinstance(value, float) else 0.0
-
+    omega_c = omega_c_values[0]
+    largest_ratio = get("eit.ratio_grid").stop  # eit_scan drives omega_c = ratio * omega_p
+    couplers = (largest_ratio * omega_p,) if experiment == "eit_scan" else omega_c_values
     warnings = []
-    for omega_c in omega_c_values:
-        probe = DriveParams(worst_detuning(delta_p), worst_detuning(delta_c), omega_p, omega_c)
-        warnings.extend(validate_three_level(probe, device))
+    try:  # an auto grid's span grows with the coupler amplitude and may overflow
+        if experiment == "probe_spec" and delta_p is None:
+            delta_p = Grid1D(-1.0, 1.0, 401)
+        if experiment == "coupler_spec" and delta_c is None:
+            delta_c = Grid1D(-(2.0 * omega_c + 1.0), 2.0 * omega_c + 1.0, 201)
+        if experiment == "at_map":
+            delta_p, delta_c = (d or default_map_grid(omega_c) for d in (delta_p, delta_c))
+        slice_auto = experiment == "at_slice" and delta_p is None  # None: one grid per slice
+        for omega in couplers:
+            probe = default_slice_grid(omega) if slice_auto else delta_p
+            # A grid warns at its endpoint farthest from resonance; a None left is 0.
+            farthest = [max(d.start, d.stop, key=abs) if isinstance(d, Grid1D) else d or 0.0
+                        for d in (probe, delta_c)]
+            warnings.extend(validate_three_level(DriveParams(*farthest, omega_p, omega), device))
+    except ValueError as exc:
+        raise ConfigError(f"key 'drive.omega_c_mhz' is too large for an auto grid: {exc}") from exc
+    pulse_duration = get("pulse.duration_us")
+    if experiment == "coupler_spec" and pulse_duration is None:
+        pulse_duration = 1.0 / (2.0 * omega_c)  # ideal pi pulse
 
     return ExperimentConfig(
         experiment=experiment,
@@ -359,7 +372,7 @@ def resolve(raw: dict) -> ExperimentConfig:
         omega_c_values=omega_c_values,
         delta_p=delta_p,
         delta_c=delta_c,
-        pulse_duration=get("pulse.duration_us"),
+        pulse_duration=pulse_duration,
         durations=get("pulse.durations_us"),
         background=background,
         eit_n_max=get("eit.n_max"),

@@ -12,6 +12,7 @@ from atsplit import cli
 from atsplit.config import bundled_config_path, load, resolve_config_path
 from atsplit.errors import ConfigError, NoConvergence, SingularLiouvillian
 from atsplit.experiments import Observable, readout_signal
+from atsplit.model import DeviceSpec, DriveParams, validate_three_level
 from atsplit.solver import steady_states
 
 BASE_CONFIG = """\
@@ -277,6 +278,106 @@ eit:
         ]
 
 
+_RABI = ["experiment=rabi", "drive.omega_c_mhz=0.0", "drive.delta_p_mhz=0.0"]
+_PROBE_SPEC = ["experiment=probe_spec", "drive.omega_c_mhz=0.0",
+               "drive.delta_p_mhz={start: -1.0, stop: 1.0, count: 101}"]
+_COUPLER_SPEC = ["experiment=coupler_spec", "drive.omega_p_mhz=0.0", "drive.delta_p_mhz=0.0"]
+_EIT = ["experiment=eit_scan", "drive.omega_c_mhz=0.0", "drive.delta_p_mhz=0.0"]
+
+
+def _set_args(overrides):
+    return [a for item in overrides for a in ("--set", item)]
+
+
+def _axis_columns(path):
+    """Each axis column of a written CSV as its distinct texts, in order."""
+    with open(path, newline="") as handle:
+        rows = list(csv.reader(handle))[1:]
+    return [list(dict.fromkeys(column)) for column in list(zip(*rows))[:-1]]
+
+
+def _grid_texts(start, stop, count):
+    """The CSV text of each point of a grid, so a comparison is bit for bit."""
+    return [repr(x) for x in np.linspace(start, stop, count).tolist()]
+
+
+class TestAutoGrids:
+    """The grids and the pulse that an ``auto`` run uses, at 2.82 MHz."""
+
+    W = 2.82
+
+    def _run(self, config_file, tmp_path, overrides):
+        out = tmp_path / "out"
+        args = ["run", str(config_file), "--out", str(out), "--jobs", "1"]
+        assert run_cli(*args, *_set_args(overrides)) == 0
+        return out
+
+    def test_probe_spec(self, config_file, tmp_path):
+        out = self._run(config_file, tmp_path, _PROBE_SPEC[:2] + ["drive.delta_p_mhz=auto"])
+        assert _axis_columns(out / "probe_spec.csv") == [_grid_texts(-1.0, 1.0, 401)]
+
+    def test_coupler_spec_and_pi_pulse(self, config_file, tmp_path):
+        out = self._run(config_file, tmp_path, _COUPLER_SPEC + ["drive.delta_c_mhz=auto"])
+        limit = 2 * self.W + 1
+        assert _axis_columns(out / "coupler_spec.csv") == [_grid_texts(-limit, limit, 201)]
+        summary = yaml.safe_load((out / "summary.yaml").read_text())
+        assert summary["results"]["coupler_line"]["pulse_duration_us"] == 1 / (2 * self.W)
+
+    def test_at_map(self, config_file, tmp_path):
+        overrides = ["experiment=at_map", "drive.delta_p_mhz=auto", "drive.delta_c_mhz=auto"]
+        out = self._run(config_file, tmp_path, overrides)
+        limit = 2 * self.W + 2
+        grid = _grid_texts(-limit, limit, 201)
+        assert _axis_columns(out / "at_map.csv") == [grid, grid]
+
+
+#: (--set overrides on BASE_CONFIG) whose runs strain the three-level
+#: truncation only through an auto grid or, for eit_scan, the drive ratio;
+#: each once validated without a warning.
+STRAINED_RUNS = [
+    pytest.param(["experiment=at_map", "drive.omega_c_mhz=22.0", "drive.delta_p_mhz=auto",
+                  "drive.delta_c_mhz=auto"], id="at_map-auto-22"),
+    pytest.param(_COUPLER_SPEC + ["drive.omega_c_mhz=25.0", "drive.delta_c_mhz=auto"],
+                 id="coupler_spec-auto-25"),
+    pytest.param(["drive.omega_c_mhz=[30.0]", "drive.delta_p_mhz=auto"], id="at_slice-auto-30"),
+    pytest.param(_EIT + ["drive.omega_p_mhz=1.0"], id="eit_scan-omega_p-1"),
+]
+
+
+class TestWarningsSeeWhatRuns:
+    @pytest.mark.parametrize("overrides", STRAINED_RUNS)
+    def test_warnings_match_the_written_axes(self, config_file, tmp_path, capsys, overrides):
+        """The warnings of validate and of summary.yaml are those of the
+        farthest detunings and the coupler amplitudes that the CSVs hold."""
+        assert run_cli("validate", str(config_file), *_set_args(overrides)) == 0
+        printed = [line.removeprefix("warning: ")
+                   for line in capsys.readouterr().out.splitlines() if line.startswith("warning")]
+        out = tmp_path / "out"
+        args = ["run", str(config_file), "--out", str(out), "--jobs", "1", *_set_args(overrides)]
+        assert run_cli(*args) == 0
+        summary = yaml.safe_load((out / "summary.yaml").read_text())
+        levels = summary["parameters"]["device"]
+        device = DeviceSpec(levels["omega01_ghz"], levels["omega12_ghz"])
+        drive = summary["parameters"]["drive"]
+        slices = {f"at_slice_omega_c_{s['omega_c_mhz']:g}.csv": s["omega_c_mhz"]
+                  for s in summary["results"].get("at_slice", [])}
+        expected = []
+        for name in [name for name in summary["files"] if name.endswith(".csv")]:
+            with open(out / name, newline="") as handle:
+                header, *rows = csv.reader(handle)
+            farthest = {axis: max(map(float, column), key=abs)
+                        for axis, column in zip(header[:-1], zip(*rows))}
+            omega_c = slices.get(name, drive["omega_c_mhz"][0])
+            if "omega_c_over_omega_p" in farthest:
+                omega_c = farthest["omega_c_over_omega_p"] * drive["omega_p_mhz"]
+            delta_p, delta_c = (farthest.get(f"delta_{k}_mhz", 0.0) for k in "pc")
+            ran = DriveParams(delta_p, delta_c, drive["omega_p_mhz"], omega_c)
+            expected.extend(w for w in validate_three_level(ran, device) if w not in expected)
+        assert expected
+        assert summary["three_level_warnings"] == expected
+        assert printed == expected
+
+
 class TestExitCodeMapping:
     def test_solver_error_exits_3(self, config_file, capsys, monkeypatch):
         def boom(cfg, jobs):
@@ -350,12 +451,6 @@ class TestExitCodeMapping:
         with pytest.raises(NoConvergence):
             cli._require_converged(Unconverged(), "test")
 
-
-_RABI = ["experiment=rabi", "drive.omega_c_mhz=0.0", "drive.delta_p_mhz=0.0"]
-_PROBE_SPEC = ["experiment=probe_spec", "drive.omega_c_mhz=0.0",
-               "drive.delta_p_mhz={start: -1.0, stop: 1.0, count: 101}"]
-_COUPLER_SPEC = ["experiment=coupler_spec", "drive.omega_p_mhz=0.0", "drive.delta_p_mhz=0.0"]
-_EIT = ["experiment=eit_scan", "drive.omega_c_mhz=0.0", "drive.delta_p_mhz=0.0"]
 
 #: (--set overrides on BASE_CONFIG, the dotted key or block the error must name)
 INVALID_CONFIGS = [
@@ -502,3 +597,4 @@ class TestConfigLoading:
     def test_override_empty_key_rejected(self, config_file):
         with pytest.raises(ConfigError, match="empty key"):
             load(config_file, ["drive..omega_p_mhz=1.0"])
+
