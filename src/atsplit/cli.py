@@ -10,8 +10,8 @@ Every float is serialized with repr, so a written value re-parses to the
 exact in-memory double and two runs of the same config are byte
 identical.  Wall time goes to stdout only, never into the files.
 
-Exit codes: 0 success, 2 config/schema error, 3 solver error, 4 fit did
-not converge where the experiment requires it, or there was nothing to fit.
+Exit codes: 0 success, 2 config, schema or output-directory error, 3 solver
+error, 4 a required fit did not converge or there was nothing to fit.
 """
 
 from __future__ import annotations
@@ -313,12 +313,17 @@ def _cmd_run(args) -> int:
     for warning in cfg.warnings:
         print(f"warning: {warning}")
 
+    out_dir = _resolve_out_dir(cfg, args.out)
+    if out_dir.exists() and not out_dir.is_dir():
+        raise ConfigError(f"output directory {out_dir} exists and is not a directory")
     jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
     started = time.perf_counter()
     sweeps, results = run_experiment(cfg, jobs=jobs)
 
-    out_dir = _resolve_out_dir(cfg, args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
     files = []
     for name, sweep in sweeps:
         filename = f"{name}.csv"

@@ -363,6 +363,8 @@ def resolve(raw: dict) -> ExperimentConfig:
     pulse_duration = get("pulse.duration_us")
     if experiment == "coupler_spec" and pulse_duration is None:
         pulse_duration = 1.0 / (2.0 * omega_c)  # ideal pi pulse
+        if not pulse_duration <= sys.float_info.max:
+            raise ConfigError(f"key 'drive.omega_c_mhz': pi pulse 1/(2*{omega_c!r}) overflows")
 
     return ExperimentConfig(
         experiment=experiment,

@@ -90,6 +90,8 @@ class Grid1D:
             raise ValueError(f"grid count must be >= 2, got {self.count}")
         if not self.start < self.stop:
             raise ValueError(f"grid start {self.start} must be below stop {self.stop}")
+        if not np.isfinite(self.stop - self.start):
+            raise ValueError(f"grid span from {self.start} to {self.stop} is not finite")
 
     @property
     def points(self) -> np.ndarray:

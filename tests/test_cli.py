@@ -2,14 +2,16 @@
 dispatch, output files, determinism, and exit codes."""
 
 import csv
+import importlib.util
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
 from atsplit import cli
-from atsplit.config import bundled_config_path, load, resolve_config_path
+from atsplit.config import EXPERIMENTS, bundled_config_path, load, resolve_config_path
 from atsplit.errors import ConfigError, NoConvergence, SingularLiouvillian
 from atsplit.experiments import Observable, readout_signal
 from atsplit.model import DeviceSpec, DriveParams, validate_three_level
@@ -283,6 +285,7 @@ _PROBE_SPEC = ["experiment=probe_spec", "drive.omega_c_mhz=0.0",
                "drive.delta_p_mhz={start: -1.0, stop: 1.0, count: 101}"]
 _COUPLER_SPEC = ["experiment=coupler_spec", "drive.omega_p_mhz=0.0", "drive.delta_p_mhz=0.0"]
 _EIT = ["experiment=eit_scan", "drive.omega_c_mhz=0.0", "drive.delta_p_mhz=0.0"]
+_HUGE_GRID = "{start: -1.0e+308, stop: 1.0e+308, count: 201}"
 
 
 def _set_args(overrides):
@@ -444,6 +447,32 @@ class TestExitCodeMapping:
             last = float(list(csv.reader(f))[-1][-1])
         assert last == pytest.approx(target, rel=0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("source", ["--out", "output.directory"])
+    def test_output_path_that_is_a_file_exits_2_before_solving(
+        self, config_file, tmp_path, capsys, monkeypatch, source
+    ):
+        def no_solve(cfg, jobs):
+            raise AssertionError("solved before checking the output directory")
+
+        monkeypatch.setitem(cli._RUNNERS, "at_slice", no_solve)
+        monkeypatch.delenv(cli.OUTPUT_DIR_ENV, raising=False)
+        taken = tmp_path / "taken"
+        taken.write_text("a file\n")
+        where = ["--out", str(taken)] if source == "--out" else ["--set", f"{source}={taken}"]
+        assert run_cli("run", str(config_file), *where) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and str(taken) in err
+        assert taken.read_text() == "a file\n"
+
+    def test_uncreatable_output_directory_exits_2(self, config_file, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("a file\n")
+        out = taken / "out"
+        assert run_cli("run", str(config_file), "--out", str(out), "--jobs", "1") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and str(out) in err
+        assert "Traceback" not in err
+
     def test_require_converged_raises(self):
         class Unconverged:
             converged = False
@@ -493,6 +522,19 @@ INVALID_CONFIGS = [
                  "drive.delta_c_mhz.count", id="short-coupler_spec-grid"),
     pytest.param(["drive.delta_p_mhz={start: -6.0, stop: 6.0, count: 20}"],
                  "drive.delta_p_mhz.count", id="short-at_slice-grid"),
+    # Grids whose span overflows to inf: written out, or auto at a huge coupler.
+    pytest.param(_PROBE_SPEC[:2] + [f"drive.delta_p_mhz={_HUGE_GRID}"],
+                 "drive.delta_p_mhz", id="overflowing-probe_spec-grid"),
+    pytest.param(_COUPLER_SPEC + [f"drive.delta_c_mhz={_HUGE_GRID}"],
+                 "drive.delta_c_mhz", id="overflowing-coupler_spec-grid"),
+    pytest.param(_COUPLER_SPEC + ["drive.omega_c_mhz=1.0e+308", "drive.delta_c_mhz=auto"],
+                 "drive.omega_c_mhz", id="overflowing-coupler_spec-auto"),
+    pytest.param(["experiment=at_map", "drive.omega_c_mhz=1.0e+308", "drive.delta_p_mhz=auto",
+                  "drive.delta_c_mhz=auto"], "drive.omega_c_mhz", id="overflowing-at_map-auto"),
+    pytest.param(["drive.omega_c_mhz=[1.0e+308]", "drive.delta_p_mhz=auto"],
+                 "drive.omega_c_mhz", id="overflowing-at_slice-auto"),
+    pytest.param(_COUPLER_SPEC + ["drive.omega_c_mhz=5.0e-324", "drive.delta_c_mhz=auto"],
+                 "drive.omega_c_mhz", id="overflowing-pi-pulse"),
 ]
 
 #: (--set overrides on BASE_CONFIG) giving each fitted sweep exactly the
@@ -598,3 +640,24 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match="empty key"):
             load(config_file, ["drive..omega_p_mhz=1.0"])
 
+
+PAPER_SET = Path(__file__).resolve().parents[1] / "tools" / "paper_set.py"
+
+
+class TestPaperSet:
+    """``tools/paper_set.py``: the canonical runs that two source trees compare."""
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        spec = importlib.util.spec_from_file_location("paper_set", PAPER_SET)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module.RUNS
+
+    def test_covers_every_experiment(self, runs):
+        assert sorted(runs) == sorted(EXPERIMENTS)
+
+    def test_each_run_validates_as_its_experiment_without_warnings(self, runs):
+        for name, overrides in runs.items():
+            cfg = load(bundled_config_path("paper.cfg"), overrides)
+            assert (cfg.experiment, cfg.warnings) == (name, ())
