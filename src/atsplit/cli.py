@@ -2,10 +2,11 @@
 
 Commands::
 
-    atsplit run <config> [--set key=value ...] [--jobs N] [--out DIR]
+    atsplit run <config> [--set key=value ...] [--out DIR]
     atsplit validate <config>
 
-Outputs are one CSV per sweep plus a YAML summary with stable key order.
+Outputs go to ``--out``, else ``output.directory``: one CSV per sweep plus
+a YAML summary with stable key order.
 Every float is serialized with repr, so a written value re-parses to the
 exact in-memory double and two runs of the same config are byte
 identical.  Wall time goes to stdout only, never into the files.
@@ -50,8 +51,6 @@ from .experiments import (
     rabi_trace,
 )
 from .model import TWO_PI, DriveParams, ThreeLevelModel
-
-OUTPUT_DIR_ENV = "ATSPLIT_OUTPUT_DIR"
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -156,13 +155,13 @@ def _base_model(cfg: ExperimentConfig, omega_c: float):
     return ThreeLevelModel(DriveParams(omega_p=cfg.omega_p, omega_c=omega_c), cfg.rates)
 
 
-def _run_probe_spec(cfg: ExperimentConfig, jobs: int):
+def _run_probe_spec(cfg: ExperimentConfig):
     sweep = probe_spectroscopy(_base_model(cfg, 0.0), cfg.delta_p, cfg.background)
     info = _line_summary(sweep, "probe line", "f01_ghz", cfg.device.omega01)
     return [("probe_spec", sweep)], {"probe_line": info}
 
 
-def _run_coupler_spec(cfg: ExperimentConfig, jobs: int):
+def _run_coupler_spec(cfg: ExperimentConfig):
     base = _base_model(cfg, cfg.omega_c_values[0])
     sweep = coupler_spectroscopy(base, cfg.delta_c, cfg.pulse_duration)
     info = _line_summary(sweep, "coupler line", "f12_ghz", cfg.device.omega12)
@@ -170,7 +169,7 @@ def _run_coupler_spec(cfg: ExperimentConfig, jobs: int):
     return [("coupler_spec", sweep)], {"coupler_line": info}
 
 
-def _run_rabi(cfg: ExperimentConfig, jobs: int):
+def _run_rabi(cfg: ExperimentConfig):
     sweep = rabi_trace(_base_model(cfg, 0.0), cfg.durations)
     k = int(np.argmax(sweep.values))
     info = {
@@ -181,9 +180,9 @@ def _run_rabi(cfg: ExperimentConfig, jobs: int):
     return [("rabi", sweep)], {"rabi": info}
 
 
-def _run_at_map(cfg: ExperimentConfig, jobs: int):
+def _run_at_map(cfg: ExperimentConfig):
     omega_c = cfg.omega_c_values[0]
-    sweep = at_map(_base_model(cfg, omega_c), cfg.delta_p, cfg.delta_c, jobs=jobs)
+    sweep = at_map(_base_model(cfg, omega_c), cfg.delta_p, cfg.delta_c)
     i, j = np.unravel_index(int(np.argmax(sweep.values)), sweep.values.shape)
     info = {
         "omega_c_mhz": float(omega_c),
@@ -195,7 +194,7 @@ def _run_at_map(cfg: ExperimentConfig, jobs: int):
     return [("at_map", sweep)], {"at_map": info}
 
 
-def _run_at_slice(cfg: ExperimentConfig, jobs: int):
+def _run_at_slice(cfg: ExperimentConfig):
     base = _base_model(cfg, cfg.omega_c_values[0])
     sweeps = at_slice(base, cfg.delta_p, cfg.omega_c_values, cfg.background)
     width_guess = _broadened_fwhm_mhz(cfg)
@@ -231,7 +230,7 @@ def _run_at_slice(cfg: ExperimentConfig, jobs: int):
     return outputs, {"at_slice": slices}
 
 
-def _run_fidelity_scan(cfg: ExperimentConfig, jobs: int):
+def _run_fidelity_scan(cfg: ExperimentConfig):
     sweep = fidelity_vs_coupler(_base_model(cfg, 0.0), list(cfg.omega_c_values))
     points = [
         {"omega_c_mhz": float(w), "fidelity": float(f)}
@@ -240,7 +239,7 @@ def _run_fidelity_scan(cfg: ExperimentConfig, jobs: int):
     return [("fidelity_scan", sweep)], {"fidelity_scan": points}
 
 
-def _run_eit_scan(cfg: ExperimentConfig, jobs: int):
+def _run_eit_scan(cfg: ExperimentConfig):
     sweeps = eit_regime_scan(_base_model(cfg, 0.0), cfg.eit_n_max, cfg.eit_ratio_grid)
     outputs, curves = [], []
     for n, sweep in enumerate(sweeps):
@@ -267,9 +266,9 @@ _RUNNERS = {
 }
 
 
-def run_experiment(cfg: ExperimentConfig, jobs: int = 1):
+def run_experiment(cfg: ExperimentConfig):
     """Execute the configured experiment; returns (named sweeps, summary info)."""
-    return _RUNNERS[cfg.experiment](cfg, jobs)
+    return _RUNNERS[cfg.experiment](cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -298,27 +297,17 @@ def _summary_document(cfg: ExperimentConfig, results: dict, files: list[str]) ->
     }
 
 
-def _resolve_out_dir(cfg: ExperimentConfig, cli_out: str | None) -> Path:
-    if cli_out:
-        return Path(cli_out)
-    env = os.environ.get(OUTPUT_DIR_ENV)
-    if env:
-        return Path(env)
-    return Path(cfg.out_dir)
-
-
 def _cmd_run(args) -> int:
     path = config_mod.resolve_config_path(args.config)
     cfg = config_mod.load(path, args.set or [])
     for warning in cfg.warnings:
         print(f"warning: {warning}")
 
-    out_dir = _resolve_out_dir(cfg, args.out)
+    out_dir = Path(args.out or cfg.out_dir)
     if out_dir.exists() and not out_dir.is_dir():
         raise ConfigError(f"output directory {out_dir} exists and is not a directory")
-    jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
     started = time.perf_counter()
-    sweeps, results = run_experiment(cfg, jobs=jobs)
+    sweeps, results = run_experiment(cfg)
 
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -368,12 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="override a config entry by dotted path (repeatable)",
     )
     run_parser.add_argument(
-        "--jobs", type=int, default=None,
-        help="max worker processes for grid sweeps (default: all cores)",
-    )
-    run_parser.add_argument(
         "--out", default=None,
-        help=f"output directory (overrides ${OUTPUT_DIR_ENV} and the config)",
+        help="output directory (overrides output.directory in the config)",
     )
     run_parser.set_defaults(func=_cmd_run)
 

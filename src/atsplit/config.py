@@ -343,6 +343,8 @@ def resolve(raw: dict) -> ExperimentConfig:
     omega_c = omega_c_values[0]
     largest_ratio = get("eit.ratio_grid").stop  # eit_scan drives omega_c = ratio * omega_p
     couplers = (largest_ratio * omega_p,) if experiment == "eit_scan" else omega_c_values
+    if experiment == "eit_scan" and not couplers[0] <= sys.float_info.max:
+        raise ConfigError("key 'eit.ratio_grid.stop' times 'drive.omega_p_mhz' overflows")
     warnings = []
     try:  # an auto grid's span grows with the coupler amplitude and may overflow
         if experiment == "probe_spec" and delta_p is None:

@@ -2,8 +2,8 @@
 
 Each experiment produces a SweepResult: realized grid axes plus one real
 observable per grid point.  Grid points are independent solves, so the
-values never depend on evaluation order; the 2D map can optionally fan
-columns out over worker processes and reassembles them by index.
+values never depend on evaluation order; the 2D map fans column spans
+out over a worker process per usable CPU and reassembles them by index.
 
 Steady-state experiments replace the long drive pulse of the physical
 measurement with the exact steady-state solve (the pulse length in the
@@ -208,33 +208,38 @@ def _map_columns(args) -> np.ndarray:
     return readout_signal(rho, Observable.PA_SUM).reshape(dp.size, dc_block.size)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask, which ``taskset`` sets)."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
 def at_map(
     base: ThreeLevelModel,
     dp_grid: Grid1D,
     dc_grid: Grid1D,
-    jobs: int = 1,
+    jobs: int | None = None,
 ) -> SweepResult:
     """2D steady-state map of rho11 + rho22 over (delta_p, delta_c).
 
     At weak coupling the map shows the bare probe line crossed by the
     two-photon sideband along delta_p + delta_c = 0; at strong coupling
-    the lines anticross into the fully separated doublet.  ``jobs``
-    distributes column blocks over at most ``jobs`` processes, never more
-    than there are columns or cores; values are assembled by index, so
-    the output is identical for any jobs value.
+    the lines anticross into the fully separated doublet.  Column spans,
+    four per worker, go to a worker process per usable CPU, at most ``jobs``
+    and one per column; one worker maps them in-process.  Values are put
+    together by index, so they are identical for any worker count.
     """
     if base.drive.omega_p <= 0.0 or base.drive.omega_c <= 0.0:
         raise ValueError("at_map requires both drive amplitudes > 0")
     dp, dc = dp_grid.points, dc_grid.points
     drive = (base.drive.omega_p, base.drive.omega_c, base.rates)
-    jobs = max(1, min(int(jobs), dc.size, os.cpu_count() or 1))
-
-    if jobs == 1:
-        blocks = [_map_columns((dp, dc, *drive))]
+    workers = max(1, min(dc.size, _usable_cpus(), dc.size if jobs is None else int(jobs)))
+    spans = np.array_split(np.arange(dc.size), min(workers * 4, dc.size))
+    tasks = [(dp, dc[span], *drive) for span in spans]
+    if workers == 1:
+        blocks = list(map(_map_columns, tasks))
     else:
-        spans = np.array_split(np.arange(dc.size), min(jobs * 4, dc.size))
-        tasks = [(dp, dc[span], *drive) for span in spans]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             blocks = list(pool.map(_map_columns, tasks))
 
     values = np.concatenate(blocks, axis=1)

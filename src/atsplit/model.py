@@ -250,15 +250,14 @@ def rates_from_coherence_times(
     t1: float,
     t2_star: float,
     ratio_21: float = TRANSMON_RATIO_21,
-    phi_2: float | None = None,
 ) -> DecoherenceRates:
     """Decoherence rates from measured T1 and Ramsey T2*, both in us.
 
     gamma_10 = 1/T1 and phi_1 = 1/T2* - 1/(2*T1).  The 2-1 relaxation is
     ratio_21 * gamma_10 (default from the transmon matrix elements) and
     gamma_20 = 0.  The |2> dephasing rate is not independently measurable
-    from these two numbers; by default it is set equal to phi_1, pass an
-    explicit ``phi_2`` to override.
+    from these two numbers and is set equal to phi_1 (a config overrides it
+    with ``rates.phi_2``).
 
     Raises NonPhysicalCoherence when t2_star > 2*t1, which would require
     negative pure dephasing.
@@ -277,7 +276,7 @@ def rates_from_coherence_times(
         gamma_21=ratio_21 * gamma_10,
         gamma_20=0.0,
         phi_1=phi_1,
-        phi_2=phi_1 if phi_2 is None else phi_2,
+        phi_2=phi_1,
     )
 
 

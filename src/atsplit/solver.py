@@ -127,8 +127,14 @@ def _generators(drives, rates: DecoherenceRates) -> np.ndarray:
 
 
 def _broadcast(*values) -> list[np.ndarray]:
-    """1-D float views of arrays or scalars, broadcast to one length."""
-    return np.broadcast_arrays(*np.atleast_1d(*(np.asarray(v, dtype=float) for v in values)))
+    """1-D float views of arrays or scalars, broadcast to one length.  A
+    point with a value that is not finite raises ValueError naming it."""
+    arrays = np.broadcast_arrays(*np.atleast_1d(*(np.asarray(v, dtype=float) for v in values)))
+    bad = ~np.logical_and.reduce([np.isfinite(a) for a in arrays])
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(f"values {[float(a[k]) for a in arrays]} at point {k} must be finite")
+    return arrays
 
 
 def _states(c: np.ndarray) -> np.ndarray:
@@ -156,7 +162,8 @@ def steady_states(delta_p, delta_c, omega_p, omega_c, rates: DecoherenceRates) -
     """Steady states for a batch of drive settings sharing one rate set.
 
     Drive arguments are 1-D arrays or scalars of the ``DriveParams`` fields,
-    broadcast together; returns an (n, 3, 3) stack of density matrices.
+    broadcast together; returns an (n, 3, 3) stack of density matrices.  A
+    drive value that is not finite raises ValueError naming the point.
     Points are solved ``_CHUNK`` at a time, each independently, so a value
     never depends on the batch it was solved in.  Each real generator, its
     zero row 0 replaced by c_0 = 1, is inverted directly (exact to machine
@@ -340,14 +347,12 @@ def final_states(
     """(n, 3, 3) stack of the states exp(t_final R) rho0, one per point of
     the drive arrays and t_final broadcast together, under one rate set.
     Each is exact to roundoff (``_exp_increments``) and independent of the
-    batch it was computed in.  A non-finite drive value, or a t_final that
-    is not finite and >= 0, raises ValueError naming the point."""
+    batch it was computed in.  A drive value or t_final that is not
+    finite, or a negative t_final, raises ValueError naming the point."""
     *drives, t_final = _broadcast(delta_p, delta_c, omega_p, omega_c, t_final)
-    bad = ~((t_final >= 0.0) & (t_final < math.inf) & np.isfinite(drives).all(axis=0))
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise ValueError(f"t_final={t_final[k]} and drive values {[float(d[k]) for d in drives]}"
-                         f" at point {k} must be finite, with t_final >= 0")
+    if (t_final < 0.0).any():
+        k = int(np.argmax(t_final < 0.0))
+        raise ValueError(f"t_final={t_final[k]} at point {k} must be >= 0")
 
     def increments(chunk: slice) -> np.ndarray:
         return _exp_increments(_generators([d[chunk] for d in drives], rates), t_final[chunk])

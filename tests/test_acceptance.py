@@ -150,7 +150,7 @@ def paper_slice_fits():
     procedure the CLI uses (default grids, physics-informed init)."""
     cfg = load(bundled_config_path("paper.cfg"))
     started = time.perf_counter()
-    _, results = cli.run_experiment(cfg, jobs=1)
+    _, results = cli.run_experiment(cfg)
     elapsed = time.perf_counter() - started
     return results["at_slice"], elapsed
 

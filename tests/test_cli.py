@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import yaml
 
-from atsplit import cli
+from atsplit import cli, experiments
 from atsplit.config import EXPERIMENTS, bundled_config_path, load, resolve_config_path
 from atsplit.errors import ConfigError, NoConvergence, SingularLiouvillian
 from atsplit.experiments import Observable, readout_signal
@@ -101,7 +101,7 @@ class TestValidateCommand:
 class TestRunCommand:
     def test_run_writes_csv_manifest_and_summary(self, config_file, tmp_path):
         out = tmp_path / "out"
-        assert run_cli("run", str(config_file), "--out", str(out), "--jobs", "1") == 0
+        assert run_cli("run", str(config_file), "--out", str(out)) == 0
         files = sorted(p.name for p in out.iterdir())
         assert files == ["at_slice_omega_c_2.82.csv", "plots.json", "summary.yaml"]
 
@@ -119,7 +119,7 @@ class TestRunCommand:
 
     def test_csv_round_trips_exact_values(self, config_file, tmp_path):
         out = tmp_path / "out"
-        run_cli("run", str(config_file), "--out", str(out), "--jobs", "1")
+        run_cli("run", str(config_file), "--out", str(out))
         with open(out / "at_slice_omega_c_2.82.csv", newline="") as handle:
             rows = list(csv.reader(handle))
         assert rows[0] == ["delta_p_mhz", "pa_sum"]
@@ -156,17 +156,10 @@ class TestRunCommand:
         assert slice_info["fit_separation_mhz"] < slice_info["separation_mhz"]
         assert text.count("converged:") == len(summary["results"]["at_slice"])
 
-    def test_env_var_sets_output_dir(self, config_file, tmp_path, monkeypatch):
-        target = tmp_path / "from_env"
-        monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(target))
-        monkeypatch.chdir(tmp_path)
-        assert run_cli("run", str(config_file)) == 0
-        assert (target / "summary.yaml").exists()
-
-    def test_out_flag_beats_env_var(self, config_file, tmp_path, monkeypatch):
-        monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path / "ignored"))
+    def test_out_flag_beats_output_directory(self, config_file, tmp_path):
         out = tmp_path / "explicit"
-        run_cli("run", str(config_file), "--out", str(out))
+        run_cli("run", str(config_file), "--out", str(out),
+                "--set", f"output.directory={tmp_path / 'ignored'}")
         assert (out / "summary.yaml").exists()
         assert not (tmp_path / "ignored").exists()
 
@@ -195,7 +188,7 @@ class TestOtherExperiments:
         path = tmp_path / f"{name}.cfg"
         path.write_text(text)
         out = tmp_path / f"{name}_out"
-        code = run_cli("run", str(path), "--out", str(out), "--jobs", "1")
+        code = run_cli("run", str(path), "--out", str(out))
         return code, out
 
     def test_probe_spec(self, tmp_path):
@@ -311,7 +304,7 @@ class TestAutoGrids:
 
     def _run(self, config_file, tmp_path, overrides):
         out = tmp_path / "out"
-        args = ["run", str(config_file), "--out", str(out), "--jobs", "1"]
+        args = ["run", str(config_file), "--out", str(out)]
         assert run_cli(*args, *_set_args(overrides)) == 0
         return out
 
@@ -356,7 +349,7 @@ class TestWarningsSeeWhatRuns:
         printed = [line.removeprefix("warning: ")
                    for line in capsys.readouterr().out.splitlines() if line.startswith("warning")]
         out = tmp_path / "out"
-        args = ["run", str(config_file), "--out", str(out), "--jobs", "1", *_set_args(overrides)]
+        args = ["run", str(config_file), "--out", str(out), *_set_args(overrides)]
         assert run_cli(*args) == 0
         summary = yaml.safe_load((out / "summary.yaml").read_text())
         levels = summary["parameters"]["device"]
@@ -383,7 +376,7 @@ class TestWarningsSeeWhatRuns:
 
 class TestExitCodeMapping:
     def test_solver_error_exits_3(self, config_file, capsys, monkeypatch):
-        def boom(cfg, jobs):
+        def boom(cfg):
             raise SingularLiouvillian("testing propagation")
 
         monkeypatch.setitem(cli._RUNNERS, "at_slice", boom)
@@ -391,7 +384,7 @@ class TestExitCodeMapping:
         assert "solver error" in capsys.readouterr().err
 
     def test_fit_no_convergence_exits_4(self, config_file, capsys, monkeypatch):
-        def boom(cfg, jobs):
+        def boom(cfg):
             raise NoConvergence("testing propagation")
 
         monkeypatch.setitem(cli._RUNNERS, "at_slice", boom)
@@ -412,7 +405,7 @@ class TestExitCodeMapping:
         amplitude (about 1e-12 at 150 MHz): a fit error, not a traceback
         and not a Lorentzian fitted to roundoff."""
         out = tmp_path / "out"
-        args = ["run", str(config_file), "--out", str(out), "--jobs", "1"]
+        args = ["run", str(config_file), "--out", str(out)]
         for item in ["experiment=coupler_spec", "drive.omega_p_mhz=0.0",
                      f"drive.omega_c_mhz={omega_c}", "drive.delta_p_mhz=0.0",
                      "drive.delta_c_mhz={start: -5.0, stop: 5.0, count: 41}",
@@ -425,7 +418,7 @@ class TestExitCodeMapping:
 
     def test_overflowing_pulse_map_exits_3_without_warnings(self, config_file, tmp_path, capsys):
         out = tmp_path / "out"
-        args = ["run", str(config_file), "--out", str(out), "--jobs", "1"]
+        args = ["run", str(config_file), "--out", str(out)]
         for item in ["experiment=coupler_spec", "drive.omega_p_mhz=0.0",
                      "drive.omega_c_mhz=1.0e+306", "drive.delta_p_mhz=0.0",
                      "drive.delta_c_mhz={start: -5.0, stop: 5.0, count: 41}",
@@ -439,7 +432,7 @@ class TestExitCodeMapping:
     def test_rabi_to_1e300_us_ends_at_the_driven_steady_state(self, config_file, tmp_path):
         overrides = _RABI + ["pulse.durations_us={start: 0.0, stop: 1.0e+300, count: 11}"]
         out = tmp_path / "out"
-        args = ["run", str(config_file), "--out", str(out), "--jobs", "1"]
+        args = ["run", str(config_file), "--out", str(out)]
         assert run_cli(*args, *(a for item in overrides for a in ("--set", item))) == 0
         cfg = load(config_file, overrides)
         target = steady_states(0.0, 0.0, cfg.omega_p, 0.0, cfg.rates)[0, 1, 1].real
@@ -451,11 +444,10 @@ class TestExitCodeMapping:
     def test_output_path_that_is_a_file_exits_2_before_solving(
         self, config_file, tmp_path, capsys, monkeypatch, source
     ):
-        def no_solve(cfg, jobs):
+        def no_solve(cfg):
             raise AssertionError("solved before checking the output directory")
 
         monkeypatch.setitem(cli._RUNNERS, "at_slice", no_solve)
-        monkeypatch.delenv(cli.OUTPUT_DIR_ENV, raising=False)
         taken = tmp_path / "taken"
         taken.write_text("a file\n")
         where = ["--out", str(taken)] if source == "--out" else ["--set", f"{source}={taken}"]
@@ -468,7 +460,7 @@ class TestExitCodeMapping:
         taken = tmp_path / "taken"
         taken.write_text("a file\n")
         out = taken / "out"
-        assert run_cli("run", str(config_file), "--out", str(out), "--jobs", "1") == 2
+        assert run_cli("run", str(config_file), "--out", str(out)) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error") and str(out) in err
         assert "Traceback" not in err
@@ -529,6 +521,9 @@ INVALID_CONFIGS = [
                  "drive.delta_c_mhz", id="overflowing-coupler_spec-grid"),
     pytest.param(_COUPLER_SPEC + ["drive.omega_c_mhz=1.0e+308", "drive.delta_c_mhz=auto"],
                  "drive.omega_c_mhz", id="overflowing-coupler_spec-auto"),
+    pytest.param(_EIT + ["drive.omega_p_mhz=1.0e+300", "eit.n_max=0",
+                  "eit.ratio_grid={start: 0.0, stop: 1.0e+10, count: 3}"],
+                 "eit.ratio_grid.stop", id="overflowing-eit_scan-coupler"),
     pytest.param(["experiment=at_map", "drive.omega_c_mhz=1.0e+308", "drive.delta_p_mhz=auto",
                   "drive.delta_c_mhz=auto"], "drive.omega_c_mhz", id="overflowing-at_map-auto"),
     pytest.param(["drive.omega_c_mhz=[1.0e+308]", "drive.delta_p_mhz=auto"],
@@ -552,7 +547,7 @@ class TestInvalidConfigs:
     @pytest.mark.parametrize("overrides, key", INVALID_CONFIGS)
     def test_exits_2_naming_the_key(self, config_file, tmp_path, capsys, overrides, key):
         out = tmp_path / "out"
-        args = ["run", str(config_file), "--out", str(out), "--jobs", "1"]
+        args = ["run", str(config_file), "--out", str(out)]
         for item in overrides:
             args += ["--set", item]
         assert run_cli(*args) == 2
@@ -589,7 +584,7 @@ class TestBackgroundRuns:
         self, config_file, tmp_path, capsys, overrides, csv_name, shifts
     ):
         out = tmp_path / "out"
-        args = ["run", str(config_file), "--out", str(out), "--jobs", "1"]
+        args = ["run", str(config_file), "--out", str(out)]
         for item in overrides:
             args += ["--set", item]
         assert run_cli(*args) == 0
@@ -648,11 +643,15 @@ class TestPaperSet:
     """``tools/paper_set.py``: the canonical runs that two source trees compare."""
 
     @pytest.fixture(scope="class")
-    def runs(self):
+    def paper_set(self):
         spec = importlib.util.spec_from_file_location("paper_set", PAPER_SET)
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
-        return module.RUNS
+        return module
+
+    @pytest.fixture(scope="class")
+    def runs(self, paper_set):
+        return paper_set.RUNS
 
     def test_covers_every_experiment(self, runs):
         assert sorted(runs) == sorted(EXPERIMENTS)
@@ -661,3 +660,16 @@ class TestPaperSet:
         for name, overrides in runs.items():
             cfg = load(bundled_config_path("paper.cfg"), overrides)
             assert (cfg.experiment, cfg.warnings) == (name, ())
+
+    def test_one_worker_writes_the_same_files(self, paper_set, tmp_path, monkeypatch, capsys):
+        """The seven runs write byte-identical trees whether the 2D map uses
+        a worker per usable CPU or maps every span in this process."""
+        assert paper_set.main([str(tmp_path / "default")]) == 0
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 1)
+        assert paper_set.main([str(tmp_path / "serial")]) == 0
+        default, serial = (
+            {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+            for root in (tmp_path / "default", tmp_path / "serial")
+        )
+        assert {p.parts[0] for p in default} == set(EXPERIMENTS)
+        assert default == serial

@@ -225,7 +225,7 @@ class TestRabiTrace:
 def small_map(paper_rates):
     base = model_with(paper_rates, omega_p=OMEGA_P, omega_c=0.707)
     grid = Grid1D(-2.0, 2.0, 41)
-    return at_map(base, grid, grid)
+    return at_map(base, grid, grid, jobs=1)
 
 
 class TestAtMap:
@@ -265,11 +265,12 @@ class TestAtMap:
         parallel = at_map(base, grid, grid, jobs=2)
         assert np.array_equal(parallel.values, small_map.values)
 
-    @pytest.mark.parametrize("cores, columns, workers", [(64, 3, 3), (2, 7, 2), (None, 7, 1)])
+    @pytest.mark.parametrize("cores, columns, workers", [(64, 3, 3), (2, 7, 2), (1, 7, 1)])
     def test_worker_count_is_capped(self, paper_rates, monkeypatch, cores, columns, workers):
-        """jobs=10_000 gets no more workers than columns or cores.  The pool
-        is replaced by a stand-in that records its size and maps serially,
-        so the test starts no process."""
+        """By default, and with jobs=10_000, the map starts one worker per
+        usable CPU, but no more than there are columns; one worker maps in
+        this process.  The pool is replaced by a stand-in that records its
+        size and maps serially, so the test starts no process."""
         sizes = []
 
         class RecordingPool:
@@ -286,12 +287,22 @@ class TestAtMap:
                 return map(fn, tasks)
 
         monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(experiments.os, "cpu_count", lambda: cores)
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: cores)
         base = model_with(paper_rates, omega_p=OMEGA_P, omega_c=0.707)
         dp, dc = Grid1D(-2.0, 2.0, 5), Grid1D(-2.0, 2.0, columns)
-        capped = at_map(base, dp, dc, jobs=10_000)
-        assert sizes == ([workers] if workers > 1 else [])
-        assert np.array_equal(capped.values, at_map(base, dp, dc, jobs=1).values)
+        for jobs in (None, 10_000):
+            sizes.clear()
+            capped = at_map(base, dp, dc, jobs=jobs)
+            assert sizes == ([workers] if workers > 1 else [])
+            assert np.array_equal(capped.values, at_map(base, dp, dc, jobs=1).values)
+
+    @pytest.mark.parametrize("count, usable", [(3, 3), (None, 1)])
+    def test_usable_cpus_without_affinity_falls_back_to_cpu_count(
+        self, monkeypatch, count, usable
+    ):
+        monkeypatch.delattr(experiments.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: count)
+        assert experiments._usable_cpus() == usable
 
     def test_requires_both_drives(self, paper_rates):
         with pytest.raises(ValueError, match="amplitudes"):

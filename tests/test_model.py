@@ -186,10 +186,6 @@ class TestRatesFromCoherenceTimes:
         with pytest.raises(ValueError):
             rates_from_coherence_times(0.0, 10.0)
 
-    def test_explicit_phi_2(self):
-        rates = rates_from_coherence_times(39.0, 51.0, phi_2=0.123)
-        assert rates.phi_2 == 0.123
-
     def test_round_trip_identities(self):
         """1/gamma_10 recovers T1 and 1/(gamma_10/2 + phi_1) recovers T2*."""
         rng = np.random.default_rng(5)

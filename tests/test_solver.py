@@ -133,6 +133,19 @@ class TestSteadyState:
         with pytest.raises(SingularLiouvillian):
             steady_state(model)
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
+    @pytest.mark.parametrize(
+        "row", range(4), ids=["delta_p", "delta_c", "omega_p", "omega_c"]
+    )
+    def test_bad_drive_names_the_point(self, paper_rates, row, value):
+        """A non-finite drive value is refused at its point, before any
+        generator is built (an inf once warned in the matmul, a NaN read
+        as a non-unique steady state)."""
+        drives = np.tile([[0.3], [-0.2], [0.186], [2.82]], 20)
+        drives[row, 13] = value
+        with pytest.raises(ValueError, match=r"at point 13\b"):
+            steady_states(*drives, paper_rates)
+
     def test_invariants_on_random_models(self):
         rng = np.random.default_rng(4)
         for _ in range(200):
