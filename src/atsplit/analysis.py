@@ -263,7 +263,8 @@ def fit_peaks(
     The returned object carries a ``converged`` flag; when the iteration
     cap is reached the best parameters so far are returned with
     ``converged=False``.  Data flat to within the propagator's 1e-9
-    trace-drift allowance raise DegenerateData.
+    trace-drift allowance raise DegenerateData, and so does a best fit
+    with a negative amplitude: the data hold no peak of the kind fitted.
     """
     if n_peaks not in (1, 2):
         raise ValueError(f"n_peaks must be 1 or 2, got {n_peaks}")
@@ -295,6 +296,8 @@ def fit_peaks(
         if best is None or key < best[0]:
             best = (key, params, cost, converged)
     _, params, cost, converged = best
+    if not np.all(params[2:-1:3] >= 0.0):  # every amplitude; NaN fails too
+        raise DegenerateData(f"fitted amplitude {min(params[2:-1:3]):.6g} < 0; no peak to fit")
 
     rms = math.sqrt(2.0 * cost / x.size)
     offset = float(params[-1])

@@ -18,7 +18,6 @@ error, 4 a required fit did not converge or there was nothing to fit.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import os
@@ -26,6 +25,7 @@ import sys
 import time
 from dataclasses import asdict
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 import yaml
@@ -58,15 +58,18 @@ EXIT_SOLVER = 3
 EXIT_FIT = 4
 
 
-def _atomic_write(path: Path, text: str) -> None:
+def _atomic_write(path: Path, chunks: Iterable[str]) -> None:
+    """Write the chunks to a ``.tmp`` file beside ``path``, then rename it over ``path``."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
+    with tmp.open("w") as f:
+        f.writelines(chunks)
     os.replace(tmp, path)
 
 
-def _sweep_csv(sweep: SweepResult) -> str:
-    """CSV text of a sweep: a header row naming the columns, then one row
-    per grid point with axis1 varying slowest (axis1, [axis2,] value).
+def _sweep_csv(sweep: SweepResult) -> Iterator[str]:
+    """CSV text of a sweep in chunks: a header row naming the columns, then
+    the rows (axis1, [axis2,] value) of one axis1 value per chunk, so a map
+    is formatted one row of values at a time, never held whole as text.
 
     Every float is written with repr, the shortest decimal that round-trips
     to the exact double; names and floats never need quoting.  Each axis
@@ -78,12 +81,10 @@ def _sweep_csv(sweep: SweepResult) -> str:
     else:
         names.insert(1, sweep.axis2_name)
         values, tails = sweep.values, [f",{y!r}," for y in sweep.axis2.tolist()]
-    buffer = io.StringIO()
-    buffer.write(",".join(names) + "\n")
-    for x, row in zip(sweep.axis1.tolist(), values.tolist()):
+    yield ",".join(names) + "\n"
+    for x, row in zip(sweep.axis1.tolist(), values):
         head = repr(x)
-        buffer.write("".join([head + tail + repr(v) + "\n" for tail, v in zip(tails, row)]))
-    return buffer.getvalue()
+        yield "".join([head + tail + repr(v) + "\n" for tail, v in zip(tails, row.tolist())])
 
 
 #: Human-readable axis labels for the plot manifest.
@@ -127,7 +128,12 @@ def _broadened_fwhm_mhz(cfg: ExperimentConfig) -> float:
     return max(2.0 * hwhm_angular / TWO_PI, 1e-3)
 
 
-def _require_converged(fit, what: str):
+def _converged_fit(sweep: SweepResult, n_peaks: int, what: str, init=None):
+    """``fit_peaks`` on a sweep; a fit error names ``what``."""
+    try:
+        fit = fit_peaks(np.column_stack([sweep.axis1, sweep.values]), n_peaks, init=init)
+    except DegenerateData as exc:
+        raise DegenerateData(f"{what}: {exc}") from None
     if not fit.converged:
         raise NoConvergence(f"{what} fit did not converge")
     return fit
@@ -135,7 +141,7 @@ def _require_converged(fit, what: str):
 
 def _line_summary(sweep: SweepResult, what: str, line: str, f0_ghz: float) -> dict:
     """Summary of a converged one-peak fit to a line scan; ``line`` is f0_ghz + center, GHz."""
-    fit = _require_converged(fit_peaks(np.column_stack([sweep.axis1, sweep.values]), 1), what)
+    fit = _converged_fit(sweep, 1, what)
     return {
         "center_mhz": float(fit.peak.center),
         "fwhm_mhz": float(fit.peak.fwhm),
@@ -207,10 +213,7 @@ def _run_at_slice(cfg: ExperimentConfig):
             +omega_c / 2.0, width_guess, amp_guess,
             offset_guess,
         ]
-        fit = _require_converged(
-            fit_peaks(np.column_stack([sweep.axis1, sweep.values]), 2, init=init),
-            f"doublet at omega_c={omega_c:g} MHz",
-        )
+        fit = _converged_fit(sweep, 2, f"doublet at omega_c={omega_c:g} MHz", init)
         metrics = separation_metrics(fit)
         separation = peak_separation(sweep.axis1, sweep.values)
         slices.append(
@@ -313,16 +316,13 @@ def _cmd_run(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
-    files = []
-    for name, sweep in sweeps:
-        filename = f"{name}.csv"
+    files = [f"{name}.csv" for name, _ in sweeps]
+    for filename, (_, sweep) in zip(files, sweeps):
         _atomic_write(out_dir / filename, _sweep_csv(sweep))
-        files.append(filename)
-    _atomic_write(out_dir / "plots.json", _plot_manifest(sweeps))
+    _atomic_write(out_dir / "plots.json", [_plot_manifest(sweeps)])
     files.append("plots.json")
     document = _summary_document(cfg, results, files)
-    text = yaml.safe_dump(document, sort_keys=True, default_flow_style=False)
-    _atomic_write(out_dir / "summary.yaml", text)
+    _atomic_write(out_dir / "summary.yaml", [yaml.safe_dump(document, sort_keys=True)])
     files.append("summary.yaml")
 
     elapsed = time.perf_counter() - started

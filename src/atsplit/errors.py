@@ -29,7 +29,7 @@ class StepTooLarge(ValueError):
 
 
 class DegenerateData(ValueError):
-    """Input data is flat (max - min below resolution); nothing to fit."""
+    """Input data hold nothing to fit: flat, or best fitted by a negative peak."""
 
 
 class NoConvergence(RuntimeError):

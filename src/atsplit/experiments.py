@@ -3,7 +3,7 @@
 Each experiment produces a SweepResult: realized grid axes plus one real
 observable per grid point.  Grid points are independent solves, so the
 values never depend on evaluation order; the 2D map fans column spans
-out over a worker process per usable CPU and reassembles them by index.
+out over a worker thread per usable CPU and reassembles them by index.
 
 Steady-state experiments replace the long drive pulse of the physical
 measurement with the exact steady-state solve (the pulse length in the
@@ -17,7 +17,7 @@ pulses are modeled as ideal instantaneous swaps.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Sequence
@@ -199,15 +199,6 @@ def rabi_trace(base: ThreeLevelModel, durations: Grid1D) -> SweepResult:
     )
 
 
-def _map_columns(args) -> np.ndarray:
-    """Worker: PA_SUM block for a span of coupler-detuning columns."""
-    dp, dc_block, omega_p, omega_c, rates = args
-    grid_dp = np.repeat(dp, dc_block.size)
-    grid_dc = np.tile(dc_block, dp.size)
-    rho = steady_states(grid_dp, grid_dc, omega_p, omega_c, rates)
-    return readout_signal(rho, Observable.PA_SUM).reshape(dp.size, dc_block.size)
-
-
 def _usable_cpus() -> int:
     """CPUs this process may run on (its affinity mask, which ``taskset`` sets)."""
     affinity = getattr(os, "sched_getaffinity", None)
@@ -225,22 +216,27 @@ def at_map(
     At weak coupling the map shows the bare probe line crossed by the
     two-photon sideband along delta_p + delta_c = 0; at strong coupling
     the lines anticross into the fully separated doublet.  Column spans,
-    four per worker, go to a worker process per usable CPU, at most ``jobs``
-    and one per column; one worker maps them in-process.  Values are put
-    together by index, so they are identical for any worker count.
+    four per worker, go to a worker thread per usable CPU, at most ``jobs``
+    and one per column (the kernel's numpy calls release the GIL); one
+    worker maps them in the calling thread.  Values are put together by
+    index, so they are identical for any worker count.
     """
     if base.drive.omega_p <= 0.0 or base.drive.omega_c <= 0.0:
         raise ValueError("at_map requires both drive amplitudes > 0")
     dp, dc = dp_grid.points, dc_grid.points
-    drive = (base.drive.omega_p, base.drive.omega_c, base.rates)
+
+    def columns(block: np.ndarray) -> np.ndarray:
+        rho = steady_states(np.repeat(dp, block.size), np.tile(block, dp.size),
+                            base.drive.omega_p, base.drive.omega_c, base.rates)
+        return readout_signal(rho, Observable.PA_SUM).reshape(dp.size, block.size)
+
     workers = max(1, min(dc.size, _usable_cpus(), dc.size if jobs is None else int(jobs)))
-    spans = np.array_split(np.arange(dc.size), min(workers * 4, dc.size))
-    tasks = [(dp, dc[span], *drive) for span in spans]
+    spans = np.array_split(dc, min(workers * 4, dc.size))
     if workers == 1:
-        blocks = list(map(_map_columns, tasks))
+        blocks = list(map(columns, spans))
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(_map_columns, tasks))
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            blocks = list(pool.map(columns, spans))
 
     values = np.concatenate(blocks, axis=1)
     return SweepResult(

@@ -4,6 +4,8 @@ dispatch, output files, determinism, and exit codes."""
 import csv
 import importlib.util
 import os
+import shutil
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +14,8 @@ import yaml
 
 from atsplit import cli, experiments
 from atsplit.config import EXPERIMENTS, bundled_config_path, load, resolve_config_path
-from atsplit.errors import ConfigError, NoConvergence, SingularLiouvillian
-from atsplit.experiments import Observable, readout_signal
+from atsplit.errors import ConfigError, DegenerateData, NoConvergence, SingularLiouvillian
+from atsplit.experiments import Observable, SweepResult, readout_signal
 from atsplit.model import DeviceSpec, DriveParams, validate_three_level
 from atsplit.solver import steady_states
 
@@ -155,6 +157,28 @@ class TestRunCommand:
         assert slice_info["fit_separation_mhz"] == pytest.approx(2.826, rel=0.02)
         assert slice_info["fit_separation_mhz"] < slice_info["separation_mhz"]
         assert text.count("converged:") == len(summary["results"]["at_slice"])
+
+    def test_map_csv_is_written_row_by_row(self, tmp_path):
+        """A 301x301 map goes to disk one formatted row at a time (its text
+        as one string traced 9.3 MB), with the bytes of the row format."""
+        axis = np.linspace(-7.64, 7.64, 301)
+        values = np.random.default_rng(5).random((axis.size, axis.size))
+        sweep = SweepResult(axis, values, Observable.PA_SUM, "delta_p_mhz", axis, "delta_c_mhz")
+        path = tmp_path / "at_map.csv"
+        tracemalloc.start()
+        try:
+            cli._atomic_write(path, cli._sweep_csv(sweep))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        rows = [
+            f"{x!r},{y!r},{v!r}\n"
+            for x, row in zip(axis.tolist(), values.tolist())
+            for y, v in zip(axis.tolist(), row)
+        ]
+        assert path.read_text() == "delta_p_mhz,delta_c_mhz,pa_sum\n" + "".join(rows)
+        assert [p.name for p in tmp_path.iterdir()] == ["at_map.csv"]
 
     def test_out_flag_beats_output_directory(self, config_file, tmp_path):
         out = tmp_path / "explicit"
@@ -416,6 +440,16 @@ class TestExitCodeMapping:
         assert any(line.startswith("fit error") for line in err.splitlines())
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("phi_1, omega_c", [("1.0", "0.707"), ("2.0", "1.41")])
+    def test_doublet_fitted_by_a_negative_peak_exits_4(self, tmp_path, capsys, phi_1, omega_c):
+        """Strong dephasing washes a weak doublet out, and its best fit has
+        a negative amplitude: a fit error naming the slice, not a traceback."""
+        args = ["run", "paper.cfg", "--out", str(tmp_path), "--set", f"rates.phi_1={phi_1}"]
+        assert run_cli(*args) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"fit error: doublet at omega_c={omega_c} MHz: fitted amplitude -")
+        assert "Traceback" not in err
+
     def test_overflowing_pulse_map_exits_3_without_warnings(self, config_file, tmp_path, capsys):
         out = tmp_path / "out"
         args = ["run", str(config_file), "--out", str(out)]
@@ -465,12 +499,17 @@ class TestExitCodeMapping:
         assert err.startswith("config error") and str(out) in err
         assert "Traceback" not in err
 
-    def test_require_converged_raises(self):
+    def test_converged_fit_raises_fit_errors_naming_the_fit(self, monkeypatch):
+        flat = SweepResult(np.arange(41.0), np.zeros(41), Observable.PA_SUM, "delta_p_mhz")
+        with pytest.raises(DegenerateData, match="^test: y range below"):
+            cli._converged_fit(flat, 1, "test")
+
         class Unconverged:
             converged = False
 
-        with pytest.raises(NoConvergence):
-            cli._require_converged(Unconverged(), "test")
+        monkeypatch.setattr(cli, "fit_peaks", lambda *args, **kwargs: Unconverged())
+        with pytest.raises(NoConvergence, match="^test fit did not converge"):
+            cli._converged_fit(flat, 1, "test")
 
 
 #: (--set overrides on BASE_CONFIG, the dotted key or block the error must name)
@@ -640,7 +679,9 @@ PAPER_SET = Path(__file__).resolve().parents[1] / "tools" / "paper_set.py"
 
 
 class TestPaperSet:
-    """``tools/paper_set.py``: the canonical runs that two source trees compare."""
+    """``tools/paper_set.py``: the seven canonical runs, run once per class,
+    compared with the committed reference under ``tests/reference`` and with
+    a run whose map uses one worker thread."""
 
     @pytest.fixture(scope="class")
     def paper_set(self):
@@ -653,6 +694,12 @@ class TestPaperSet:
     def runs(self, paper_set):
         return paper_set.RUNS
 
+    @pytest.fixture(scope="class")
+    def default_run(self, paper_set, tmp_path_factory):
+        root = tmp_path_factory.mktemp("paper_set") / "default"
+        assert paper_set.main([str(root)]) == 0
+        return root
+
     def test_covers_every_experiment(self, runs):
         assert sorted(runs) == sorted(EXPERIMENTS)
 
@@ -661,15 +708,37 @@ class TestPaperSet:
             cfg = load(bundled_config_path("paper.cfg"), overrides)
             assert (cfg.experiment, cfg.warnings) == (name, ())
 
-    def test_one_worker_writes_the_same_files(self, paper_set, tmp_path, monkeypatch, capsys):
+    def test_one_worker_writes_the_same_files(self, paper_set, default_run, tmp_path,
+                                              monkeypatch, capsys):
         """The seven runs write byte-identical trees whether the 2D map uses
-        a worker per usable CPU or maps every span in this process."""
-        assert paper_set.main([str(tmp_path / "default")]) == 0
+        a worker thread per usable CPU or maps every span in the calling
+        thread."""
         monkeypatch.setattr(experiments, "_usable_cpus", lambda: 1)
         assert paper_set.main([str(tmp_path / "serial")]) == 0
         default, serial = (
             {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
-            for root in (tmp_path / "default", tmp_path / "serial")
+            for root in (default_run, tmp_path / "serial")
         )
         assert {p.parts[0] for p in default} == set(EXPERIMENTS)
         assert default == serial
+
+    def test_runs_match_the_reference(self, paper_set, default_run):
+        """File lists, headers, row counts and axis values exactly; sweep
+        values and summary numbers to 1e-12 relative.  After an intended
+        change, ``tools/paper_set.py --update`` rewrites the reference."""
+        largest, problems = paper_set.compare(default_run)
+        report = "\n".join(f"{name}: largest difference {d:.3g}" for name, d in largest.items())
+        assert problems == [], report
+
+    def test_reference_check_sees_one_value_moved_by_1e_9(self, paper_set, default_run,
+                                                           tmp_path):
+        moved = tmp_path / "moved"
+        shutil.copytree(default_run, moved)
+        name = "at_map/at_map.csv"
+        lines = (moved / name).read_text().splitlines(keepends=True)
+        *axes, value = lines[12345].rstrip("\n").split(",")
+        lines[12345] = ",".join(axes + [repr(float(value) * (1 + 1e-9))]) + "\n"
+        (moved / name).write_text("".join(lines))
+        largest, problems = paper_set.compare(moved)
+        assert len(problems) == 1 and problems[0].startswith(f"{name} row 12345: ")
+        assert largest[name] == pytest.approx(1e-9, rel=1e-3)

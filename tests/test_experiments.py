@@ -24,7 +24,8 @@ from atsplit.experiments import (
     rabi_trace,
     readout_signal,
 )
-from atsplit.model import DriveParams, ThreeLevelModel, ket_bra
+from atsplit.errors import SingularLiouvillian
+from atsplit.model import DecoherenceRates, DriveParams, ThreeLevelModel, ket_bra
 from atsplit.solver import evolve, final_states, steady_state
 
 from conftest import FIG3_COUPLERS, OMEGA_P
@@ -267,10 +268,10 @@ class TestAtMap:
 
     @pytest.mark.parametrize("cores, columns, workers", [(64, 3, 3), (2, 7, 2), (1, 7, 1)])
     def test_worker_count_is_capped(self, paper_rates, monkeypatch, cores, columns, workers):
-        """By default, and with jobs=10_000, the map starts one worker per
-        usable CPU, but no more than there are columns; one worker maps in
-        this process.  The pool is replaced by a stand-in that records its
-        size and maps serially, so the test starts no process."""
+        """By default, and with jobs=10_000, the map starts one worker thread
+        per usable CPU, but no more than there are columns; one worker maps
+        in the calling thread.  The pool is replaced by a stand-in that
+        records its size and maps serially, so the test starts no thread."""
         sizes = []
 
         class RecordingPool:
@@ -286,7 +287,7 @@ class TestAtMap:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(experiments, "ThreadPoolExecutor", RecordingPool)
         monkeypatch.setattr(experiments, "_usable_cpus", lambda: cores)
         base = model_with(paper_rates, omega_p=OMEGA_P, omega_c=0.707)
         dp, dc = Grid1D(-2.0, 2.0, 5), Grid1D(-2.0, 2.0, columns)
@@ -295,6 +296,20 @@ class TestAtMap:
             capped = at_map(base, dp, dc, jobs=jobs)
             assert sizes == ([workers] if workers > 1 else [])
             assert np.array_equal(capped.values, at_map(base, dp, dc, jobs=1).values)
+
+    def test_failing_map_raises_the_same_error_for_any_worker_count(self, monkeypatch):
+        """With every rate zero the steady state is not unique: a pool
+        thread's SingularLiouvillian reaches the caller as the serial map's."""
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+        base = model_with(DecoherenceRates(0.0, 0.0), omega_p=OMEGA_P, omega_c=0.707)
+        grid = Grid1D(-2.0, 2.0, 9)
+        messages = []
+        for jobs in (1, 2):
+            with pytest.raises(SingularLiouvillian) as raised:
+                at_map(base, grid, grid, jobs=jobs)
+            messages.append(str(raised.value))
+        assert messages[0] == messages[1]
+        assert messages[0].startswith("steady state not unique at grid point 0")
 
     @pytest.mark.parametrize("count, usable", [(3, 3), (None, 1)])
     def test_usable_cpus_without_affinity_falls_back_to_cpu_count(

@@ -11,6 +11,8 @@ which is not a dependency.
 """
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -135,3 +137,18 @@ def test_check_sees_a_helper_left_behind_by_a_fold(module, name):
     sources = package_sources()
     sources[module] += f"\n\ndef {name}(*args):\n    return args\n"
     assert dead_definitions(sources) == [f"{module}.{name}"]
+
+
+def test_cli_import_loads_no_process_pool():
+    """``at_map`` maps in threads, so importing the CLI, which every
+    ``atsplit`` command does, loads no multiprocessing module."""
+    code = (
+        "import sys, atsplit.cli; print(sorted(m for m in sys.modules "
+        "if m.startswith(('multiprocessing', 'concurrent.futures.process'))))"
+    )
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert result.stdout == "[]\n"
