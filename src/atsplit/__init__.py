@@ -4,13 +4,10 @@ dark-state fidelity analysis."""
 
 from .analysis import (
     DarkStateOverlap,
-    DoubletFit,
     LorentzianModel,
-    SeparationMetrics,
-    SingletFit,
+    PeakFit,
     dark_state_fidelity,
     fit_peaks,
-    separation_metrics,
 )
 from .errors import (
     ConfigError,

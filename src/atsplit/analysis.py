@@ -33,7 +33,8 @@ class LorentzianModel:
     """Single Lorentzian peak: offset + amplitude*(w/2)^2/((x-c)^2+(w/2)^2).
 
     Evaluation at the center equals offset + amplitude and the
-    half-amplitude points sit exactly at center +- fwhm/2.
+    half-amplitude points sit exactly at center +- fwhm/2; (fwhm/2)**2
+    must be finite and nonzero, or the model could not be evaluated.
     """
 
     center: float
@@ -42,8 +43,9 @@ class LorentzianModel:
     offset: float = 0.0
 
     def __post_init__(self):
-        if self.fwhm <= 0.0:
-            raise ValueError(f"fwhm must be positive, got {self.fwhm}")
+        half = self.fwhm / 2.0
+        if not (half > 0.0 and 0.0 < half * half < math.inf):  # NaN fails too
+            raise ValueError(f"fwhm must be > 0 with finite nonzero (fwhm/2)**2, got {self.fwhm!r}")
         if self.amplitude < 0.0:
             raise ValueError(f"amplitude must be >= 0, got {self.amplitude}")
 
@@ -54,52 +56,26 @@ class LorentzianModel:
 
 
 @dataclass(frozen=True)
-class SingletFit:
-    """Result of a single-peak fit, with convergence diagnostics."""
+class PeakFit:
+    """Result of a one- or two-peak fit: ``peaks`` sorted by center, all with
+    the one fitted offset, and convergence diagnostics.
 
-    peak: LorentzianModel
-    residual_rms: float
-    converged: bool
-
-    def __post_init__(self):
-        if self.residual_rms < 0.0:
-            raise ValueError("residual_rms must be >= 0")
-
-
-@dataclass(frozen=True)
-class DoubletFit:
-    """Result of a two-peak fit with a shared offset.
-
-    ``midpoint`` of the two centers is the probe-detuning shift
-    diagnostic: a symmetric three-level doublet has midpoint zero, so a
-    significant shift signals physics beyond the three-level model.
+    For a doublet, the midpoint of the two centers is the probe-detuning
+    shift diagnostic: a symmetric three-level doublet has midpoint zero.
     """
 
-    left: LorentzianModel
-    right: LorentzianModel
+    peaks: tuple[LorentzianModel, ...]
     residual_rms: float
     converged: bool
 
     def __post_init__(self):
-        if not self.left.center < self.right.center:
-            raise ValueError(
-                f"left center {self.left.center} must be below right center "
-                f"{self.right.center}"
-            )
-        if self.left.offset != self.right.offset:
-            raise ValueError("doublet components must share one offset")
+        centers = [p.center for p in self.peaks]
+        if not all(a < b for a, b in zip(centers, centers[1:])):
+            raise ValueError(f"peak centers {centers} must be strictly increasing")
+        if len({p.offset for p in self.peaks}) > 1:
+            raise ValueError("peaks must share one offset")
         if self.residual_rms < 0.0:
             raise ValueError("residual_rms must be >= 0")
-
-    def __call__(self, x):
-        return self.left(x) + self.right(x) - self.left.offset
-
-
-class SeparationMetrics(NamedTuple):
-    separation: float      # right center - left center, MHz
-    mean_fwhm: float       # average of the two widths, MHz
-    ratio: float           # separation in units of mean_fwhm
-    midpoint_shift: float  # doublet midpoint, MHz
 
 
 class DarkStateOverlap(NamedTuple):
@@ -251,7 +227,7 @@ def fit_peaks(
     points: Sequence[tuple[float, float]] | np.ndarray,
     n_peaks: int,
     init: Sequence[float] | None = None,
-) -> SingletFit | DoubletFit:
+) -> PeakFit:
     """Nonlinear least-squares fit of one or two Lorentzians to (x, y) data.
 
     The model is a shared constant offset plus ``n_peaks`` Lorentzians.
@@ -264,7 +240,8 @@ def fit_peaks(
     cap is reached the best parameters so far are returned with
     ``converged=False``.  Data flat to within the propagator's 1e-9
     trace-drift allowance raise DegenerateData, and so does a best fit
-    with a negative amplitude: the data hold no peak of the kind fitted.
+    with a negative amplitude or a width ``LorentzianModel`` rejects: the
+    data hold no peak of the kind fitted.
     """
     if n_peaks not in (1, 2):
         raise ValueError(f"n_peaks must be 1 or 2, got {n_peaks}")
@@ -301,33 +278,20 @@ def fit_peaks(
 
     rms = math.sqrt(2.0 * cost / x.size)
     offset = float(params[-1])
-    peaks = [
-        LorentzianModel(
-            center=float(params[3 * k]),
-            fwhm=abs(float(params[3 * k + 1])),
-            amplitude=float(params[3 * k + 2]),
-            offset=offset,
-        )
-        for k in range(n_peaks)
-    ]
-    if n_peaks == 1:
-        return SingletFit(peak=peaks[0], residual_rms=rms, converged=converged)
+    try:
+        peaks = [
+            LorentzianModel(
+                center=float(params[3 * k]),
+                fwhm=abs(float(params[3 * k + 1])),
+                amplitude=float(params[3 * k + 2]),
+                offset=offset,
+            )
+            for k in range(n_peaks)
+        ]
+    except ValueError as exc:  # a width the model cannot evaluate
+        raise DegenerateData(f"fitted peak cannot be evaluated: {exc}") from None
     peaks.sort(key=lambda m: m.center)
-    return DoubletFit(left=peaks[0], right=peaks[1], residual_rms=rms, converged=converged)
-
-
-def separation_metrics(fit: DoubletFit) -> SeparationMetrics:
-    """Doublet separation, width, and centering diagnostics in MHz."""
-    if not fit.converged:
-        raise ValueError("separation metrics require a converged doublet fit")
-    separation = fit.right.center - fit.left.center
-    mean_fwhm = 0.5 * (fit.left.fwhm + fit.right.fwhm)
-    return SeparationMetrics(
-        separation=separation,
-        mean_fwhm=mean_fwhm,
-        ratio=separation / mean_fwhm,
-        midpoint_shift=0.5 * (fit.left.center + fit.right.center),
-    )
+    return PeakFit(peaks=tuple(peaks), residual_rms=rms, converged=converged)
 
 
 def _parabola_vertex(x, y, j) -> float:

@@ -11,7 +11,7 @@ Every float is serialized with repr, so a written value re-parses to the
 exact in-memory double and two runs of the same config are byte
 identical.  Wall time goes to stdout only, never into the files.
 
-Exit codes: 0 success, 2 config, schema or output-directory error, 3 solver
+Exit codes: 0 success, 2 config, schema or output-path error, 3 solver
 error, 4 a required fit did not converge or there was nothing to fit.
 """
 
@@ -31,7 +31,7 @@ import numpy as np
 import yaml
 
 from . import config as config_mod
-from .analysis import fit_peaks, peak_separation, separation_metrics
+from .analysis import fit_peaks, peak_separation
 from .config import ExperimentConfig
 from .errors import (
     ConfigError,
@@ -59,11 +59,17 @@ EXIT_FIT = 4
 
 
 def _atomic_write(path: Path, chunks: Iterable[str]) -> None:
-    """Write the chunks to a ``.tmp`` file beside ``path``, then rename it over ``path``."""
+    """Write the chunks to a ``.tmp`` file beside ``path``, then rename it over
+    ``path``; an OSError removes the ``.tmp`` file and raises ConfigError naming ``path``."""
     tmp = path.with_name(path.name + ".tmp")
-    with tmp.open("w") as f:
-        f.writelines(chunks)
-    os.replace(tmp, path)
+    try:
+        with tmp.open("w") as f:
+            f.writelines(chunks)
+        os.replace(tmp, path)
+    except OSError as exc:
+        if tmp.is_file():
+            tmp.unlink()
+        raise ConfigError(f"cannot write output file {path}: {exc}") from exc
 
 
 def _sweep_csv(sweep: SweepResult) -> Iterator[str]:
@@ -142,14 +148,15 @@ def _converged_fit(sweep: SweepResult, n_peaks: int, what: str, init=None):
 def _line_summary(sweep: SweepResult, what: str, line: str, f0_ghz: float) -> dict:
     """Summary of a converged one-peak fit to a line scan; ``line`` is f0_ghz + center, GHz."""
     fit = _converged_fit(sweep, 1, what)
+    (peak,) = fit.peaks
     return {
-        "center_mhz": float(fit.peak.center),
-        "fwhm_mhz": float(fit.peak.fwhm),
-        "amplitude": float(fit.peak.amplitude),
-        "offset": float(fit.peak.offset),
+        "center_mhz": float(peak.center),
+        "fwhm_mhz": float(peak.fwhm),
+        "amplitude": float(peak.amplitude),
+        "offset": float(peak.offset),
         "residual_rms": float(fit.residual_rms),
         "converged": bool(fit.converged),
-        line: f0_ghz + fit.peak.center * 1e-3,
+        line: f0_ghz + peak.center * 1e-3,
     }
 
 
@@ -214,17 +221,18 @@ def _run_at_slice(cfg: ExperimentConfig):
             offset_guess,
         ]
         fit = _converged_fit(sweep, 2, f"doublet at omega_c={omega_c:g} MHz", init)
-        metrics = separation_metrics(fit)
+        left, right = fit.peaks
+        mean_fwhm = 0.5 * (left.fwhm + right.fwhm)
         separation = peak_separation(sweep.axis1, sweep.values)
         slices.append(
             {
                 "omega_c_mhz": float(omega_c),
                 "separation_mhz": separation,
-                "fit_separation_mhz": float(metrics.separation),
+                "fit_separation_mhz": right.center - left.center,
                 "expected_separation_mhz": math.hypot(cfg.omega_p, omega_c),
-                "mean_fwhm_mhz": float(metrics.mean_fwhm),
-                "separation_over_fwhm": separation / metrics.mean_fwhm,
-                "midpoint_shift_mhz": float(metrics.midpoint_shift),
+                "mean_fwhm_mhz": mean_fwhm,
+                "separation_over_fwhm": separation / mean_fwhm,
+                "midpoint_shift_mhz": 0.5 * (left.center + right.center),
                 "residual_rms": float(fit.residual_rms),
                 "converged": bool(fit.converged),
             }

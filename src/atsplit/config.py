@@ -326,7 +326,10 @@ def resolve(raw: dict) -> ExperimentConfig:
     background = None
     if "background" in values:
         fields = ("center_mhz", "fwhm_mhz", "amplitude", "offset")
-        background = LorentzianModel(*(get(f"background.{k}") for k in fields))
+        try:  # the schema checks the amplitude, so only the width can fail here
+            background = LorentzianModel(*(get(f"background.{k}") for k in fields))
+        except ValueError as exc:
+            raise ConfigError(f"key 'background.fwhm_mhz': {exc}") from exc
 
     experiment = get("experiment")
     drive = [get(f"drive.{key}") for key in _DRIVE_KEYS]

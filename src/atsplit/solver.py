@@ -15,7 +15,7 @@ routine, ``_propagated``, turns either's increments into checked states.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -173,23 +173,24 @@ def steady_states(delta_p, delta_c, omega_p, omega_c, rates: DecoherenceRates) -
     Raises SingularLiouvillian when a constrained system is rank deficient
     (steady state not unique, e.g. no dissipation at all) or its residual
     exceeds the limit, and NonPhysicalResult when a state violates the
-    positivity floor; both name the grid point.
+    positivity floor; both name the point by its four drive values.
     """
     drives = _broadcast(delta_p, delta_c, omega_p, omega_c)
     rho = np.empty((drives[0].size, 3, 3), dtype=complex)
     for start in range(0, len(rho), _CHUNK):
         chunk = [d[start:start + _CHUNK] for d in drives]
-        rho[start:start + _CHUNK] = _solve_chunk(_generators(chunk, rates), chunk, start)
+        rho[start:start + _CHUNK] = _solve_chunk(_generators(chunk, rates), chunk)
     return rho
 
 
-def _solve_chunk(system: np.ndarray, drives: list[np.ndarray], offset: int) -> np.ndarray:
+def _solve_chunk(system: np.ndarray, drives: list[np.ndarray]) -> np.ndarray:
     """Checked steady states of one chunk (see ``steady_states``) from its
     freshly built generators, whose zero entry [0, 0] is set to 1 in place;
-    ``drives`` and ``offset`` name the failing grid point in errors."""
+    an error names the failing point by its ``drives`` values, not its index."""
 
     def at(k: int) -> str:
-        return f"at grid point {offset + k} (delta_p={drives[0][k]}, delta_c={drives[1][k]})"
+        names = (f.name for f in fields(DriveParams))
+        return "at " + ", ".join(f"{n}={float(d[k])!r}" for n, d in zip(names, drives))
 
     system[:, 0, 0] = 1.0
     try:

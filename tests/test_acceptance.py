@@ -268,6 +268,11 @@ def test_criterion_9_figure2_structure(paper_rates):
     )
 
 
+def _packed(fit):
+    """A fit's parameters as (center, fwhm, amplitude) per peak, then the offset."""
+    return [v for p in fit.peaks for v in (p.center, p.fwhm, p.amplitude)] + [fit.peaks[0].offset]
+
+
 def _relative_gaps(fit_params, truth):
     return [abs(fitted / true - 1.0) for fitted, true in zip(fit_params, truth)]
 
@@ -304,28 +309,14 @@ def test_criterion_10_fit_recovery():
         y = sum(p(x) for p in peaks) - (n_peaks - 1) * offset
 
         fit = fit_peaks(np.column_stack([x, y]), n_peaks)
-        if n_peaks == 1:
-            params = [fit.peak.center, fit.peak.fwhm, fit.peak.amplitude, fit.peak.offset]
-        else:
-            params = [
-                fit.left.center, fit.left.fwhm, fit.left.amplitude,
-                fit.right.center, fit.right.fwhm, fit.right.amplitude,
-                fit.left.offset,
-            ]
+        params = _packed(fit)
         assert fit.converged
         worst_clean = max(worst_clean, max(_relative_gaps(params, truth)))
 
         amp_scale = max(p.amplitude for p in peaks)
         noisy = y + rng.uniform(-0.01, 0.01, x.size) * amp_scale
         fit = fit_peaks(np.column_stack([x, noisy]), n_peaks)
-        if n_peaks == 1:
-            params = [fit.peak.center, fit.peak.fwhm, fit.peak.amplitude, fit.peak.offset]
-        else:
-            params = [
-                fit.left.center, fit.left.fwhm, fit.left.amplitude,
-                fit.right.center, fit.right.fwhm, fit.right.amplitude,
-                fit.left.offset,
-            ]
+        params = _packed(fit)
         worst_noisy = max(worst_noisy, max(_relative_gaps(params, truth)))
 
     ok = worst_clean <= 1e-6 and worst_noisy <= 0.02

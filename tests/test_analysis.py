@@ -5,13 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from atsplit import analysis
 from atsplit.analysis import (
-    DoubletFit,
     LorentzianModel,
+    PeakFit,
     dark_state_fidelity,
     fit_peaks,
     peak_separation,
-    separation_metrics,
 )
 from atsplit.errors import DegenerateData, NonPhysicalResult
 from atsplit.experiments import Grid1D, at_slice
@@ -37,24 +37,30 @@ class TestLorentzianModel:
             assert peak(x) == pytest.approx(0.05 + 0.3, rel=1e-15)
 
     def test_invalid_parameters(self):
-        with pytest.raises(ValueError, match="fwhm"):
-            LorentzianModel(center=0, fwhm=0.0, amplitude=1)
+        for fwhm in (0.0, -1.0, math.nan, 1.0e200, 4.9e-324):  # (fwhm/2)**2 inf or 0
+            with pytest.raises(ValueError, match="fwhm"):
+                LorentzianModel(center=0, fwhm=fwhm, amplitude=1)
         with pytest.raises(ValueError, match="amplitude"):
             LorentzianModel(center=0, fwhm=1.0, amplitude=-1)
 
 
-class TestDoubletFitType:
+class TestPeakFitType:
     def test_ordering_enforced(self):
         left = LorentzianModel(0.5, 0.3, 1.0, 0.0)
         right = LorentzianModel(-0.5, 0.3, 1.0, 0.0)
         with pytest.raises(ValueError, match="center"):
-            DoubletFit(left=left, right=right, residual_rms=0.0, converged=True)
+            PeakFit(peaks=(left, right), residual_rms=0.0, converged=True)
 
     def test_shared_offset_enforced(self):
         left = LorentzianModel(-0.5, 0.3, 1.0, 0.0)
         right = LorentzianModel(0.5, 0.3, 1.0, 0.1)
         with pytest.raises(ValueError, match="offset"):
-            DoubletFit(left=left, right=right, residual_rms=0.0, converged=True)
+            PeakFit(peaks=(left, right), residual_rms=0.0, converged=True)
+
+    def test_negative_residual_rejected(self):
+        peak = LorentzianModel(0.0, 0.3, 1.0, 0.0)
+        with pytest.raises(ValueError, match="residual_rms"):
+            PeakFit(peaks=(peak,), residual_rms=-1e-3, converged=True)
 
 
 class TestFitPeaks:
@@ -63,11 +69,12 @@ class TestFitPeaks:
         truth = LorentzianModel(center=0.3, fwhm=0.35, amplitude=0.8, offset=0.01)
         x = np.linspace(-3, 3, 401)
         fit = fit_peaks(np.column_stack([x, truth(x)]), 1)
-        assert fit.converged
-        assert fit.peak.center == pytest.approx(0.3, rel=1e-6)
-        assert fit.peak.fwhm == pytest.approx(0.35, rel=1e-6)
-        assert fit.peak.amplitude == pytest.approx(0.8, rel=1e-6)
-        assert fit.peak.offset == pytest.approx(0.01, rel=1e-6)
+        assert isinstance(fit, PeakFit) and fit.converged
+        (peak,) = fit.peaks
+        assert peak.center == pytest.approx(0.3, rel=1e-6)
+        assert peak.fwhm == pytest.approx(0.35, rel=1e-6)
+        assert peak.amplitude == pytest.approx(0.8, rel=1e-6)
+        assert peak.offset == pytest.approx(0.01, rel=1e-6)
         assert fit.residual_rms < 1e-10
 
     def test_doublet_recovery(self):
@@ -76,10 +83,11 @@ class TestFitPeaks:
         x = np.linspace(-4, 4, 501)
         y = left(x) + right(x) - 0.05
         fit = fit_peaks(np.column_stack([x, y]), 2)
-        assert fit.converged
-        assert fit.left.center == pytest.approx(-0.8, abs=1e-6)
-        assert fit.right.center == pytest.approx(0.65, abs=1e-6)
-        assert fit.left.offset == fit.right.offset
+        assert isinstance(fit, PeakFit) and fit.converged
+        left, right = fit.peaks
+        assert left.center == pytest.approx(-0.8, abs=1e-6)
+        assert right.center == pytest.approx(0.65, abs=1e-6)
+        assert left.offset == right.offset
 
     def test_random_doublets_recover(self):
         rng = np.random.default_rng(9)
@@ -97,13 +105,22 @@ class TestFitPeaks:
             y = left(x) + right(x) - off
             fit = fit_peaks(np.column_stack([x, y]), 2)
             assert fit.converged
-            assert fit.left.center == pytest.approx(c1, rel=1e-6, abs=1e-7)
-            assert fit.right.center == pytest.approx(c2, rel=1e-6, abs=1e-7)
+            left, right = fit.peaks
+            assert left.center == pytest.approx(c1, rel=1e-6, abs=1e-7)
+            assert right.center == pytest.approx(c2, rel=1e-6, abs=1e-7)
 
     def test_flat_data_rejected(self):
         x = np.linspace(0, 1, 50)
         with pytest.raises(DegenerateData):
             fit_peaks(np.column_stack([x, np.full_like(x, 0.25)]), 1)
+
+    def test_unevaluable_fitted_width_is_degenerate(self, monkeypatch):
+        """A best fit whose width overflows (fwhm/2)**2 is no peak, not a crash."""
+        best = (np.array([0.0, np.inf, 1.0, 0.0]), 0.0, True)  # (params, cost, converged)
+        monkeypatch.setattr(analysis, "_levenberg_marquardt", lambda *args: best)
+        x = np.linspace(-1.0, 1.0, 41)
+        with pytest.raises(DegenerateData, match="fitted peak cannot be evaluated: fwhm"):
+            fit_peaks(np.column_stack([x, 1.0 / (1.0 + x * x)]), 1)
 
     def test_too_few_points_rejected(self):
         x = np.linspace(0, 1, 19)
@@ -132,7 +149,7 @@ class TestFitPeaks:
         x = np.linspace(0, 4, 201)
         fit = fit_peaks(np.column_stack([x, truth(x)]), 1, init=[1.8, 0.3, 0.8, 0.0])
         assert fit.converged
-        assert fit.peak.center == pytest.approx(2.0, rel=1e-8)
+        assert fit.peaks[0].center == pytest.approx(2.0, rel=1e-8)
 
     def test_init_length_validated(self):
         x = np.linspace(0, 4, 201)
@@ -175,27 +192,6 @@ class TestFitPeaks:
             assert fit_peaks(np.column_stack([sweep.axis1, y]), 2).converged
             counts.append(len(calls))
         assert len(set(counts)) == 1, counts
-
-
-class TestSeparationMetrics:
-    def test_arithmetic(self):
-        """Symmetric doublet at +-5.6 with 0.35 widths: 11.2 MHz separation,
-        32 linewidths, centered."""
-        left = LorentzianModel(-5.6, 0.35, 0.5, 0.0)
-        right = LorentzianModel(5.6, 0.35, 0.5, 0.0)
-        fit = DoubletFit(left=left, right=right, residual_rms=0.0, converged=True)
-        metrics = separation_metrics(fit)
-        assert metrics.separation == pytest.approx(11.2)
-        assert metrics.mean_fwhm == pytest.approx(0.35)
-        assert metrics.ratio == pytest.approx(32.0)
-        assert metrics.midpoint_shift == pytest.approx(0.0)
-
-    def test_requires_convergence(self):
-        left = LorentzianModel(-1.0, 0.3, 0.5, 0.0)
-        right = LorentzianModel(1.0, 0.3, 0.5, 0.0)
-        fit = DoubletFit(left=left, right=right, residual_rms=0.1, converged=False)
-        with pytest.raises(ValueError, match="converged"):
-            separation_metrics(fit)
 
 
 class TestPeakSeparation:

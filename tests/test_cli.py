@@ -499,6 +499,16 @@ class TestExitCodeMapping:
         assert err.startswith("config error") and str(out) in err
         assert "Traceback" not in err
 
+    def test_output_file_blocked_by_a_directory_exits_2(self, config_file, tmp_path, capsys):
+        blocked = tmp_path / "probe_spec.csv"
+        blocked.mkdir()
+        args = ["run", str(config_file), "--out", str(tmp_path), *_set_args(_PROBE_SPEC[:2])]
+        assert run_cli(*args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot write output file {blocked}")
+        assert "Traceback" not in err
+        assert not (tmp_path / "probe_spec.csv.tmp").exists()
+
     def test_converged_fit_raises_fit_errors_naming_the_fit(self, monkeypatch):
         flat = SweepResult(np.arange(41.0), np.zeros(41), Observable.PA_SUM, "delta_p_mhz")
         with pytest.raises(DegenerateData, match="^test: y range below"):
@@ -569,6 +579,11 @@ INVALID_CONFIGS = [
                  "drive.omega_c_mhz", id="overflowing-at_slice-auto"),
     pytest.param(_COUPLER_SPEC + ["drive.omega_c_mhz=5.0e-324", "drive.delta_c_mhz=auto"],
                  "drive.omega_c_mhz", id="overflowing-pi-pulse"),
+    # Background widths whose (fwhm/2)**2 overflows, or underflows to 0.
+    pytest.param(_PROBE_SPEC[:2] + ["background.amplitude=0.1", "background.fwhm_mhz=1.0e+200"],
+                 "background.fwhm_mhz", id="overflowing-background-width"),
+    pytest.param(_PROBE_SPEC[:2] + ["background.amplitude=0.1", "background.fwhm_mhz=4.9e-324"],
+                 "background.fwhm_mhz", id="underflowing-background-width"),
 ]
 
 #: (--set overrides on BASE_CONFIG) giving each fitted sweep exactly the

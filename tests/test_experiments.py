@@ -81,7 +81,8 @@ class TestProbeSpectroscopy:
             )
             fit = fit_peaks(np.column_stack([sweep.axis1, sweep.values]), 1)
             assert fit.converged
-            widths.append(fit.peak.fwhm)
+            (peak,) = fit.peaks
+            widths.append(peak.fwhm)
         assert widths[1] > 1.5 * widths[0]
 
     def test_background_is_added_on_top(self, paper_rates):
@@ -309,7 +310,26 @@ class TestAtMap:
                 at_map(base, grid, grid, jobs=jobs)
             messages.append(str(raised.value))
         assert messages[0] == messages[1]
-        assert messages[0].startswith("steady state not unique at grid point 0")
+        assert messages[0].startswith(
+            "steady state not unique at delta_p=-2.0, delta_c=-2.0, omega_p=0.186, omega_c=0.707:"
+        )
+
+    def test_failing_point_in_a_later_span_is_named_by_its_drives(self, paper_rates, monkeypatch):
+        """Far-detuned coupler columns are too ill conditioned to solve.  The
+        first to fail, column 10 of 12, is point 1 of the last of four spans
+        for one worker but point 0 of a one-column span for two: the error
+        names it by its drive values, the same for both."""
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+        base = model_with(paper_rates, omega_p=OMEGA_P, omega_c=2.82)
+        dp, dc = Grid1D(-2.0, 2.0, 3), Grid1D(-1.0, 1.0e8, 12)
+        messages = []
+        for jobs in (1, 2):
+            with pytest.raises(SingularLiouvillian) as raised:
+                at_map(base, dp, dc, jobs=jobs)
+            messages.append(str(raised.value))
+        assert messages[0] == messages[1]
+        point = f"delta_p=-2.0, delta_c={float(dc.points[10])!r}, omega_p=0.186, omega_c=2.82:"
+        assert messages[0].startswith(f"steady state not unique at {point} 1-norm condition")
 
     @pytest.mark.parametrize("count, usable", [(3, 3), (None, 1)])
     def test_usable_cpus_without_affinity_falls_back_to_cpu_count(
@@ -384,9 +404,10 @@ class TestAtSlice:
             init=[-1.41, 0.33, 0.5, 1.41, 0.33, 0.5, 0.0],
         )
         assert fit.converged
-        assert fit.left.center == pytest.approx(-1.41, rel=0.02)
-        assert fit.right.center == pytest.approx(1.41, rel=0.02)
-        midpoint = 0.5 * (fit.left.center + fit.right.center)
+        left, right = fit.peaks
+        assert left.center == pytest.approx(-1.41, rel=0.02)
+        assert right.center == pytest.approx(1.41, rel=0.02)
+        midpoint = 0.5 * (left.center + right.center)
         assert abs(midpoint) <= 1e-3
 
     def test_doublet_background_sits_under_each_peak(self, paper_rates):

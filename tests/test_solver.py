@@ -2,6 +2,7 @@
 and fixed-step propagators, and the readout maps."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -321,17 +322,20 @@ class TestChunking:
     def test_error_in_later_chunk_names_global_index(self, monkeypatch, k, amplitude):
         """Dephasing alone leaves the populations of an undriven point
         undetermined: exactly singular without drive, ill conditioned with a
-        vanishing one."""
+        vanishing one.  The error names that point of a later chunk by its
+        four drive values."""
         monkeypatch.setattr(solver, "_CHUNK", 7)
         rates = DecoherenceRates(gamma_10=0.0, gamma_21=0.0, phi_1=0.02, phi_2=0.05)
-        wp, wc = np.full(40, 0.5), np.full(40, 1.5)
+        dp, wp, wc = np.linspace(-1.0, 1.0, 40), np.full(40, 0.5), np.full(40, 1.5)
         wp[k] = wc[k] = amplitude
-        with pytest.raises(SingularLiouvillian, match=f"grid point {k} "):
-            steady_states(np.linspace(-1.0, 1.0, 40), 0.3, wp, wc, rates)
+        point = (f"at delta_p={float(dp[k])!r}, delta_c=0.3, "
+                 f"omega_p={amplitude!r}, omega_c={amplitude!r}: ")
+        with pytest.raises(SingularLiouvillian, match=re.escape(point)):
+            steady_states(dp, 0.3, wp, wc, rates)
 
     def test_positivity_error_names_first_failing_point(self, paper_rates, monkeypatch):
         """The kernel's own floor gate names the first non-positive state of
-        a later chunk by its grid index, worded with its lowest eigenvalue."""
+        a later chunk by its drive values, worded with its lowest eigenvalue."""
         monkeypatch.setattr(solver, "_CHUNK", 7)
         states, calls = solver._states, []
 
@@ -343,8 +347,11 @@ class TestChunking:
             return rho
 
         monkeypatch.setattr(solver, "_states", corrupt_second_chunk)
-        with pytest.raises(NonPhysicalResult, match=r"grid point 10 .* eigenvalue -1\.000e-01"):
-            steady_states(np.linspace(-1.0, 1.0, 40), 0.0, 0.5, 1.5, paper_rates)
+        dp = np.linspace(-1.0, 1.0, 40)
+        point = f"delta_p={float(dp[10])!r}, delta_c=0.0, omega_p=0.5, omega_c=1.5"
+        message = f"steady state at {point} has eigenvalue -1.000e-01"
+        with pytest.raises(NonPhysicalResult, match=re.escape(message)):
+            steady_states(dp, 0.0, 0.5, 1.5, paper_rates)
 
 
 class TestEvolve:
