@@ -52,7 +52,9 @@ class LorentzianModel:
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         half_sq = (self.fwhm / 2.0) ** 2
-        return self.offset + self.amplitude * half_sq / ((x - self.center) ** 2 + half_sq)
+        with np.errstate(over="ignore"):  # inf far off the grid, where the value is the offset
+            distance_sq = (x - self.center) ** 2
+        return self.offset + self.amplitude * half_sq / (distance_sq + half_sq)
 
 
 @dataclass(frozen=True)
@@ -239,9 +241,10 @@ def fit_peaks(
     The returned object carries a ``converged`` flag; when the iteration
     cap is reached the best parameters so far are returned with
     ``converged=False``.  Data flat to within the propagator's 1e-9
-    trace-drift allowance raise DegenerateData, and so does a best fit
-    with a negative amplitude or a width ``LorentzianModel`` rejects: the
-    data hold no peak of the kind fitted.
+    trace-drift allowance, or whose sum of squares is not finite, raise
+    DegenerateData, and so does a best fit with a negative amplitude or a
+    width ``LorentzianModel`` rejects: the data hold no peak of the kind
+    fitted.
     """
     if n_peaks not in (1, 2):
         raise ValueError(f"n_peaks must be 1 or 2, got {n_peaks}")
@@ -257,6 +260,9 @@ def fit_peaks(
         raise ValueError("x values must be strictly increasing")
     if float(np.max(y) - np.min(y)) < _TRACE_DRIFT_LIMIT:
         raise DegenerateData(f"y range below {_TRACE_DRIFT_LIMIT:g}; nothing to fit")
+    with np.errstate(over="ignore"):  # the fit's cost and steps would leave the float range
+        if not math.isfinite(y @ y):
+            raise DegenerateData("sum of squared y values is not finite; too large to fit")
 
     if init is not None:
         p0 = np.asarray(init, dtype=float)

@@ -23,7 +23,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -125,13 +124,14 @@ def _plot_manifest(named_sweeps) -> str:
     return json.dumps({"plots": entries}, indent=2, sort_keys=True) + "\n"
 
 
-def _broadened_fwhm_mhz(cfg: ExperimentConfig) -> float:
-    """Power-broadened probe linewidth, used as the fit width guess."""
+def _broadened_fwhm_mhz(cfg: ExperimentConfig, span: float) -> float:
+    """Power-broadened probe linewidth, used as the fit width guess.  It grows
+    as 1/gamma_10, up to inf, so it is clipped to the grid's ``span``."""
     g1 = cfg.rates.gamma_10
     g2 = g1 / 2.0 + cfg.rates.phi_1
     w = TWO_PI * cfg.omega_p
     hwhm_angular = math.sqrt(g2 * g2 + w * w * g2 / g1) if g1 > 0 else g2
-    return max(2.0 * hwhm_angular / TWO_PI, 1e-3)
+    return min(max(2.0 * hwhm_angular / TWO_PI, 1e-3), span)
 
 
 def _converged_fit(sweep: SweepResult, n_peaks: int, what: str, init=None):
@@ -210,16 +210,11 @@ def _run_at_map(cfg: ExperimentConfig):
 def _run_at_slice(cfg: ExperimentConfig):
     base = _base_model(cfg, cfg.omega_c_values[0])
     sweeps = at_slice(base, cfg.delta_p, cfg.omega_c_values, cfg.background)
-    width_guess = _broadened_fwhm_mhz(cfg)
     outputs, slices = [], []
     for omega_c, sweep in zip(cfg.omega_c_values, sweeps):
-        amp_guess = float(sweep.values.max() - sweep.values.min())
-        offset_guess = float(sweep.values.min())
-        init = [
-            -omega_c / 2.0, width_guess, amp_guess,
-            +omega_c / 2.0, width_guess, amp_guess,
-            offset_guess,
-        ]
+        low, high = float(sweep.values.min()), float(sweep.values.max())
+        peak = [_broadened_fwhm_mhz(cfg, float(sweep.axis1[-1] - sweep.axis1[0])), high - low]
+        init = [-omega_c / 2.0, *peak, omega_c / 2.0, *peak, low]
         fit = _converged_fit(sweep, 2, f"doublet at omega_c={omega_c:g} MHz", init)
         left, right = fit.peaks
         mean_fwhm = 0.5 * (left.fwhm + right.fwhm)
@@ -290,18 +285,7 @@ def _summary_document(cfg: ExperimentConfig, results: dict, files: list[str]) ->
     return {
         "schema": config_mod.SCHEMA_VERSION,
         "experiment": cfg.experiment,
-        "parameters": {
-            "device": {
-                "omega01_ghz": cfg.device.omega01,
-                "omega12_ghz": cfg.device.omega12,
-                "alpha_mhz": cfg.device.alpha,
-            },
-            "rates_per_us": asdict(cfg.rates),
-            "drive": {
-                "omega_p_mhz": cfg.omega_p,
-                "omega_c_mhz": list(cfg.omega_c_values),
-            },
-        },
+        "parameters": config_mod.describe(cfg),
         "three_level_warnings": list(cfg.warnings),
         "results": results,
         "files": files,
@@ -309,21 +293,18 @@ def _summary_document(cfg: ExperimentConfig, results: dict, files: list[str]) ->
 
 
 def _cmd_run(args) -> int:
-    path = config_mod.resolve_config_path(args.config)
-    cfg = config_mod.load(path, args.set or [])
+    cfg = config_mod.load(config_mod.resolve_config_path(args.config), args.set or [])
     for warning in cfg.warnings:
         print(f"warning: {warning}")
 
     out_dir = Path(args.out or cfg.out_dir)
-    if out_dir.exists() and not out_dir.is_dir():
-        raise ConfigError(f"output directory {out_dir} exists and is not a directory")
-    started = time.perf_counter()
-    sweeps, results = run_experiment(cfg)
-
-    try:
+    try:  # before the solve, so an unusable path fails at once
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
+    started = time.perf_counter()
+    sweeps, results = run_experiment(cfg)
+
     files = [f"{name}.csv" for name, _ in sweeps]
     for filename, (_, sweep) in zip(files, sweeps):
         _atomic_write(out_dir / filename, _sweep_csv(sweep))
@@ -340,10 +321,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    path = config_mod.resolve_config_path(args.config)
-    cfg = config_mod.load(path, args.set or [])
-    for line in config_mod.resolved_lines(cfg):
-        print(line)
+    cfg = config_mod.load(config_mod.resolve_config_path(args.config), args.set or [])
+    document = {"schema": config_mod.SCHEMA_VERSION, "experiment": cfg.experiment,
+                "parameters": config_mod.describe(cfg), "output": {"directory": cfg.out_dir}}
+    print(yaml.safe_dump(document, sort_keys=False), end="")
     for warning in cfg.warnings:
         print(f"warning: {warning}")
     print("config ok")

@@ -48,6 +48,8 @@ _DRIVE_RULES = {
 _DRIVE_KEYS = ("omega_p_mhz", "omega_c_mhz", "delta_p_mhz", "delta_c_mhz")
 #: Peaks fitted to the one detuning grid of probe_spec, coupler_spec and at_slice.
 _FIT_PEAKS = {"probe_spec": 1, "coupler_spec": 1, "at_slice": 2}
+#: The background block's keys, in ``LorentzianModel``'s field order.
+_BACKGROUND_KEYS = ("center_mhz", "fwhm_mhz", "amplitude", "offset")
 
 #: Each rule tests the tuple of a drive key's values (several only for
 #: coupler amplitudes); None stands for ``auto``.
@@ -70,8 +72,8 @@ class ExperimentConfig:
     rates: DecoherenceRates
     omega_p: float
     omega_c_values: tuple[float, ...]
-    delta_p: float | Grid1D | None  # None: at_slice's per-slice auto grid, or 0
-    delta_c: float | Grid1D | None  # None: 0
+    delta_p: float | Grid1D | None  # None: at_slice's per-slice auto grid
+    delta_c: float | Grid1D
     pulse_duration: float | None
     durations: Grid1D | None
     background: LorentzianModel | None
@@ -325,21 +327,23 @@ def resolve(raw: dict) -> ExperimentConfig:
 
     background = None
     if "background" in values:
-        fields = ("center_mhz", "fwhm_mhz", "amplitude", "offset")
         try:  # the schema checks the amplitude, so only the width can fail here
-            background = LorentzianModel(*(get(f"background.{k}") for k in fields))
+            background = LorentzianModel(*(get(f"background.{k}") for k in _BACKGROUND_KEYS))
         except ValueError as exc:
             raise ConfigError(f"key 'background.fwhm_mhz': {exc}") from exc
 
     experiment = get("experiment")
     drive = [get(f"drive.{key}") for key in _DRIVE_KEYS]
-    omega_p, omega_c_values, delta_p, delta_c = drive
+    omega_p, omega_c_values = drive[:2]
     least = min_fit_points(_FIT_PEAKS[experiment]) if experiment in _FIT_PEAKS else 0
     for key, rule, value in zip(_DRIVE_KEYS, _DRIVE_RULES[experiment], drive):
         if rule and not _RULES[rule](value if isinstance(value, tuple) else (value,)):
             raise ConfigError(f"key 'drive.{key}' must be {rule} for {experiment}")
         if isinstance(value, Grid1D) and value.count < least:
             raise ConfigError(f"key 'drive.{key}.count' must be at least {least} for {experiment}")
+    # A detuning the experiment holds at 0 may be given as auto; it is 0.0.
+    delta_p, delta_c = (0.0 if rule == "0" else value
+                        for rule, value in zip(_DRIVE_RULES[experiment][2:], drive[2:]))
     if experiment == "rabi" and get("pulse.durations_us") is None:
         raise ConfigError("missing required key 'pulse.durations_us' for rabi")
 
@@ -359,8 +363,8 @@ def resolve(raw: dict) -> ExperimentConfig:
         slice_auto = experiment == "at_slice" and delta_p is None  # None: one grid per slice
         for omega in couplers:
             probe = default_slice_grid(omega) if slice_auto else delta_p
-            # A grid warns at its endpoint farthest from resonance; a None left is 0.
-            farthest = [max(d.start, d.stop, key=abs) if isinstance(d, Grid1D) else d or 0.0
+            # A grid warns at its endpoint farthest from resonance.
+            farthest = [max(d.start, d.stop, key=abs) if isinstance(d, Grid1D) else d
                         for d in (probe, delta_c)]
             warnings.extend(validate_three_level(DriveParams(*farthest, omega_p, omega), device))
     except ValueError as exc:
@@ -397,46 +401,34 @@ def load(path: Path, overrides: list[str] | None = None) -> ExperimentConfig:
     return resolve(raw)
 
 
-def resolved_lines(cfg: ExperimentConfig) -> list[str]:
-    """Human/machine-readable key = value listing of the resolved config."""
+def describe(cfg: ExperimentConfig) -> dict:
+    """The resolved parameters as plain data under config key names: what
+    ``summary.yaml`` records under ``parameters`` and ``validate`` prints.
 
-    def fmt(value):
+    A grid is its start/stop/count mapping; ``auto`` is left only for
+    at_slice's per-slice probe grid.  ``pulse`` and ``background`` appear
+    when set, ``eit`` for eit_scan only.
+    """
+
+    def plain(value):
         if isinstance(value, Grid1D):
-            return f"grid(start={value.start:g}, stop={value.stop:g}, count={value.count})"
-        if value is None:
-            return "auto"
-        if isinstance(value, float):
-            return f"{value:g}"
-        return str(value)
+            return dataclasses.asdict(value)
+        return "auto" if value is None else value
 
-    lines = [
-        f"schema = {SCHEMA_VERSION}",
-        f"experiment = {cfg.experiment}",
-        f"device.omega01_ghz = {cfg.device.omega01:.9g}",
-        f"device.omega12_ghz = {cfg.device.omega12:.9g}",
-        f"device.alpha_mhz = {cfg.device.alpha:.6f}",
-        f"rates.gamma_10 = {cfg.rates.gamma_10:.6f} /us",
-        f"rates.gamma_21 = {cfg.rates.gamma_21:.6f} /us",
-        f"rates.gamma_20 = {cfg.rates.gamma_20:.6f} /us",
-        f"rates.phi_1 = {cfg.rates.phi_1:.6f} /us",
-        f"rates.phi_2 = {cfg.rates.phi_2:.6f} /us",
-        f"drive.omega_p_mhz = {cfg.omega_p:g}",
-        "drive.omega_c_mhz = " + ", ".join(f"{v:g}" for v in cfg.omega_c_values),
-        f"drive.delta_p_mhz = {fmt(cfg.delta_p)}",
-        f"drive.delta_c_mhz = {fmt(cfg.delta_c)}",
-    ]
-    if cfg.pulse_duration is not None:
-        lines.append(f"pulse.duration_us = {cfg.pulse_duration:g}")
-    if cfg.durations is not None:
-        lines.append(f"pulse.durations_us = {fmt(cfg.durations)}")
+    parameters = {
+        "device": {"omega01_ghz": cfg.device.omega01, "omega12_ghz": cfg.device.omega12,
+                   "alpha_mhz": cfg.device.alpha},
+        "rates_per_us": dataclasses.asdict(cfg.rates),
+        "drive": {"omega_p_mhz": cfg.omega_p, "omega_c_mhz": list(cfg.omega_c_values),
+                  "delta_p_mhz": plain(cfg.delta_p), "delta_c_mhz": plain(cfg.delta_c)},
+    }
+    pulse = {key: plain(value) for key, value in
+             (("duration_us", cfg.pulse_duration), ("durations_us", cfg.durations))
+             if value is not None}
+    if pulse:
+        parameters["pulse"] = pulse
     if cfg.background is not None:
-        lines.append(
-            "background = "
-            f"center {cfg.background.center:g} MHz, fwhm {cfg.background.fwhm:g} MHz, "
-            f"amplitude {cfg.background.amplitude:g}, offset {cfg.background.offset:g}"
-        )
+        parameters["background"] = dict(zip(_BACKGROUND_KEYS, dataclasses.astuple(cfg.background)))
     if cfg.experiment == "eit_scan":
-        lines.append(f"eit.n_max = {cfg.eit_n_max}")
-        lines.append(f"eit.ratio_grid = {fmt(cfg.eit_ratio_grid)}")
-    lines.append(f"output.directory = {cfg.out_dir}")
-    return lines
+        parameters["eit"] = {"n_max": cfg.eit_n_max, "ratio_grid": plain(cfg.eit_ratio_grid)}
+    return parameters

@@ -36,6 +36,16 @@ class TestLorentzianModel:
         for x in (-1.2 - 0.2, -1.2 + 0.2):
             assert peak(x) == pytest.approx(0.05 + 0.3, rel=1e-15)
 
+    @pytest.mark.filterwarnings("error")
+    def test_center_far_off_the_grid_leaves_the_offset(self):
+        """(x - center)**2 overflows to inf there, without a warning; the
+        value is the offset, and ordinary inputs give the same bits."""
+        x = np.linspace(-1.0, 1.0, 5)
+        far = LorentzianModel(center=1.0e160, fwhm=0.3, amplitude=0.1, offset=0.25)
+        assert np.array_equal(far(x), np.full(5, 0.25))
+        peak = LorentzianModel(center=0.3, fwhm=0.5, amplitude=0.8, offset=0.1)
+        assert np.array_equal(peak(x), 0.1 + 0.8 * 0.0625 / ((x - 0.3) ** 2 + 0.0625))
+
     def test_invalid_parameters(self):
         for fwhm in (0.0, -1.0, math.nan, 1.0e200, 4.9e-324):  # (fwhm/2)**2 inf or 0
             with pytest.raises(ValueError, match="fwhm"):
@@ -113,6 +123,14 @@ class TestFitPeaks:
         x = np.linspace(0, 1, 50)
         with pytest.raises(DegenerateData):
             fit_peaks(np.column_stack([x, np.full_like(x, 0.25)]), 1)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1.0e300, 1.7e308])
+    def test_data_whose_sum_of_squares_overflows_is_degenerate(self, scale):
+        x = np.linspace(-2.0, 2.0, 41)
+        y = scale * LorentzianModel(center=0.0, fwhm=0.5, amplitude=1.0)(x)
+        with pytest.raises(DegenerateData, match="sum of squared y values is not finite"):
+            fit_peaks(np.column_stack([x, y]), 1)
 
     def test_unevaluable_fitted_width_is_degenerate(self, monkeypatch):
         """A best fit whose width overflows (fwhm/2)**2 is no peak, not a crash."""

@@ -54,8 +54,8 @@ class TestValidateCommand:
     def test_bundled_paper_config_validates(self, capsys):
         assert run_cli("validate", "paper.cfg") == 0
         out = capsys.readouterr().out
-        assert "rates.gamma_10 = 0.025641 /us" in out
-        assert "config ok" in out
+        assert "  rates_per_us:\n    gamma_10: 0.02564102564102564\n" in out
+        assert out.splitlines()[-1] == "config ok"
 
     def test_resolves_bundled_name(self):
         assert resolve_config_path("paper.cfg") == bundled_config_path("paper.cfg")
@@ -490,6 +490,20 @@ class TestExitCodeMapping:
         assert err.startswith("config error") and str(taken) in err
         assert taken.read_text() == "a file\n"
 
+    def test_output_path_under_a_file_exits_2_before_solving(
+        self, config_file, tmp_path, capsys, monkeypatch
+    ):
+        def no_solve(cfg):
+            raise AssertionError("solved before creating the output directory")
+
+        monkeypatch.setitem(cli._RUNNERS, "at_slice", no_solve)
+        taken = tmp_path / "taken"
+        taken.write_text("a file\n")
+        out = taken / "out"
+        assert run_cli("run", str(config_file), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot create output directory {out}")
+
     def test_uncreatable_output_directory_exits_2(self, config_file, tmp_path, capsys):
         taken = tmp_path / "taken"
         taken.write_text("a file\n")
@@ -508,6 +522,38 @@ class TestExitCodeMapping:
         assert err.startswith(f"config error: cannot write output file {blocked}")
         assert "Traceback" not in err
         assert not (tmp_path / "probe_spec.csv.tmp").exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("gamma_10", ["1.0e-300", "5.0e-324"])
+    def test_tiny_gamma_10_fits_a_slice_without_warnings(self, config_file, tmp_path, gamma_10):
+        """The power-broadened width guess grows as 1/gamma_10 and overflows;
+        each slice clips it to its own grid's span."""
+        overrides = ["drive.delta_p_mhz={start: -4.0, stop: 4.0, count: 41}",
+                     f"rates.gamma_10={gamma_10}"]
+        args = ["run", str(config_file), "--out", str(tmp_path / "out"), *_set_args(overrides)]
+        assert run_cli(*args) in (0, 4)
+
+    @pytest.mark.filterwarnings("error")
+    def test_background_far_off_the_grid_adds_nothing(self, config_file, tmp_path):
+        """Its (x - center)**2 overflows to inf: the background is exactly 0."""
+        written = []
+        for extra in ([], ["background.fwhm_mhz=0.3", "background.amplitude=0.1",
+                           "background.center_mhz=1.0e+160"]):
+            out = tmp_path / str(len(written))
+            args = ["run", str(config_file), "--out", str(out), *_set_args(_PROBE_SPEC + extra)]
+            assert run_cli(*args) == 0
+            written.append((out / "probe_spec.csv").read_bytes())
+        assert written[0] == written[1]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("amplitude", ["1.0e+300", "1.7e+308"])
+    def test_overflowing_probe_line_exits_4_naming_it(self, config_file, tmp_path, capsys,
+                                                      amplitude):
+        overrides = _PROBE_SPEC + ["background.fwhm_mhz=0.3", f"background.amplitude={amplitude}"]
+        args = ["run", str(config_file), "--out", str(tmp_path / "out"), *_set_args(overrides)]
+        assert run_cli(*args) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("fit error: probe line: sum of squared y values is not finite")
 
     def test_converged_fit_raises_fit_errors_naming_the_fit(self, monkeypatch):
         flat = SweepResult(np.arange(41.0), np.zeros(41), Observable.PA_SUM, "delta_p_mhz")
@@ -670,6 +716,13 @@ class TestConfigLoading:
         cfg = load(config_file, ["drive.delta_p_mhz=auto"])
         assert cfg.delta_p is None
 
+    def test_held_detuning_given_as_auto_resolves_to_zero(self, config_file):
+        cfg = load(config_file, ["drive.delta_c_mhz=auto"])
+        assert type(cfg.delta_c) is float and cfg.delta_c == 0.0
+        cfg = load(config_file, ["experiment=fidelity_scan", "drive.delta_p_mhz=auto",
+                                 "drive.delta_c_mhz=auto"])
+        assert (cfg.delta_p, cfg.delta_c) == (0.0, 0.0)
+
     def test_rate_overrides_apply(self, config_file):
         cfg = load(config_file, ["rates.gamma_21=0.001"])
         assert cfg.rates.gamma_21 == 0.001
@@ -722,6 +775,19 @@ class TestPaperSet:
         for name, overrides in runs.items():
             cfg = load(bundled_config_path("paper.cfg"), overrides)
             assert (cfg.experiment, cfg.warnings) == (name, ())
+
+    def test_validate_prints_what_each_run_records(self, runs, default_run, capsys):
+        """validate's YAML above ``config ok`` holds the schema, experiment
+        and parameters of the run's summary.yaml, plus the output directory;
+        ``auto`` is left only for at_slice's per-slice probe grid."""
+        for name, overrides in runs.items():
+            assert run_cli("validate", "paper.cfg", *_set_args(overrides)) == 0
+            text = capsys.readouterr().out
+            printed = yaml.safe_load(text.removesuffix("config ok\n"))
+            summary = yaml.safe_load((default_run / name / "summary.yaml").read_text())
+            assert printed.pop("output") == {"directory": "results"}
+            assert printed == {key: summary[key] for key in ("schema", "experiment", "parameters")}
+            assert ("auto" in text) == (name == "at_slice")
 
     def test_one_worker_writes_the_same_files(self, paper_set, default_run, tmp_path,
                                               monkeypatch, capsys):
