@@ -13,10 +13,8 @@ from .errors import (
     ConfigError,
     DegenerateData,
     NoConvergence,
-    NonPhysicalCoherence,
     NonPhysicalResult,
     SingularLiouvillian,
-    StepTooLarge,
 )
 from .experiments import (
     Grid1D,

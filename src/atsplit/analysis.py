@@ -18,10 +18,12 @@ import numpy as np
 
 from .errors import DegenerateData, NonPhysicalResult
 from .model import check_density_matrix
-from .solver import _TRACE_DRIFT_LIMIT
 
 _MAX_ITERATIONS = 500
 _REL_STEP_TOL = 1e-10
+#: Data whose y range is below this are flat: nothing to fit.  Roundoff on a
+#: line relaxed to its ground state stays far below it (about 1e-12).
+_FLAT_LIMIT = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -240,11 +242,10 @@ def fit_peaks(
 
     The returned object carries a ``converged`` flag; when the iteration
     cap is reached the best parameters so far are returned with
-    ``converged=False``.  Data flat to within the propagator's 1e-9
-    trace-drift allowance, or whose sum of squares is not finite, raise
-    DegenerateData, and so does a best fit with a negative amplitude or a
-    width ``LorentzianModel`` rejects: the data hold no peak of the kind
-    fitted.
+    ``converged=False``.  Data with a y range below 1e-9, or whose sum of
+    squares is not finite, raise DegenerateData, and so does a best fit
+    with a negative amplitude or a width ``LorentzianModel`` rejects: the
+    data hold no peak of the kind fitted.
     """
     if n_peaks not in (1, 2):
         raise ValueError(f"n_peaks must be 1 or 2, got {n_peaks}")
@@ -258,8 +259,8 @@ def fit_peaks(
         raise ValueError(f"need at least {least} points for a {n_peaks}-peak fit, got {x.size}")
     if not np.all(np.diff(x) > 0.0):
         raise ValueError("x values must be strictly increasing")
-    if float(np.max(y) - np.min(y)) < _TRACE_DRIFT_LIMIT:
-        raise DegenerateData(f"y range below {_TRACE_DRIFT_LIMIT:g}; nothing to fit")
+    if float(np.max(y) - np.min(y)) < _FLAT_LIMIT:
+        raise DegenerateData(f"y range below {_FLAT_LIMIT:g}; nothing to fit")
     with np.errstate(over="ignore"):  # the fit's cost and steps would leave the float range
         if not math.isfinite(y @ y):
             raise DegenerateData("sum of squared y values is not finite; too large to fit")

@@ -184,7 +184,10 @@ def _run_coupler_spec(cfg: ExperimentConfig):
 
 def _run_rabi(cfg: ExperimentConfig):
     sweep = rabi_trace(_base_model(cfg, 0.0), cfg.durations)
-    k = int(np.argmax(sweep.values))
+    v = sweep.values
+    # The first interior local maximum; a trace with none reports its largest value.
+    peaks = np.flatnonzero((v[1:-1] > v[:-2]) & (v[1:-1] >= v[2:])) + 1
+    k = int(peaks[0]) if peaks.size else int(np.argmax(v))
     info = {
         "first_maximum_us": float(sweep.axis1[k]),
         "maximum_population": float(sweep.values[k]),

@@ -15,13 +15,12 @@ import copy
 import dataclasses
 import sys
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 
 import yaml
 
 from .analysis import LorentzianModel, min_fit_points
-from .errors import ConfigError, NonPhysicalCoherence
+from .errors import ConfigError
 from .experiments import Grid1D, default_map_grid, default_slice_grid
 from .model import (
     TRANSMON_RATIO_21,
@@ -85,7 +84,7 @@ class ExperimentConfig:
 
 def bundled_config_path(name: str) -> Path:
     """Path of a config shipped inside the package (e.g. ``paper.cfg``)."""
-    return Path(str(resources.files("atsplit") / "data" / name))
+    return Path(__file__).parent / "data" / name
 
 
 def resolve_config_path(argument: str) -> Path:
@@ -315,15 +314,16 @@ def resolve(raw: dict) -> ExperimentConfig:
         device = DeviceSpec(get("device.omega01_ghz"), get("device.omega12_ghz"))
     except ValueError as exc:
         raise ConfigError(f"block 'device': {exc}") from exc
+    explicit = {f"rates.{f.name}": f.name for f in dataclasses.fields(DecoherenceRates)}
     try:
         rates = rates_from_coherence_times(
             get("rates.t1_us"), get("rates.t2_star_us"), ratio_21=get("rates.ratio_21")
         )
-    except NonPhysicalCoherence as exc:
+        rates = dataclasses.replace(
+            rates, **{explicit[k]: v for k, v in values.items() if k in explicit}
+        )
+    except ValueError as exc:
         raise ConfigError(f"block 'rates': {exc}") from exc
-    explicit = {f"rates.{f.name}": f.name for f in dataclasses.fields(rates)}
-    overrides = {explicit[k]: v for k, v in values.items() if k in explicit}
-    rates = dataclasses.replace(rates, **overrides)
 
     background = None
     if "background" in values:

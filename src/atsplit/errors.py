@@ -10,10 +10,6 @@ class ConfigError(ValueError):
     violates a physics invariant at load time."""
 
 
-class NonPhysicalCoherence(ValueError):
-    """Coherence times imply a negative pure-dephasing rate (T2* > 2*T1)."""
-
-
 class SingularLiouvillian(ArithmeticError):
     """The trace-constrained steady-state system is rank deficient, i.e.
     the steady state is not unique (typically: no dissipation)."""
@@ -22,10 +18,6 @@ class SingularLiouvillian(ArithmeticError):
 class NonPhysicalResult(ArithmeticError):
     """A computed state violates density-matrix invariants (Hermiticity,
     unit trace, or positivity beyond the documented floors)."""
-
-
-class StepTooLarge(ValueError):
-    """Requested integration step exceeds the stability/accuracy bound."""
 
 
 class DegenerateData(ValueError):

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NonPhysicalCoherence, NonPhysicalResult
+from .errors import NonPhysicalResult
 
 TWO_PI = 2.0 * math.pi
 
@@ -180,8 +180,8 @@ class DecoherenceRates:
     def __post_init__(self):
         for name in ("gamma_10", "gamma_21", "gamma_20", "phi_1", "phi_2"):
             value = getattr(self, name)
-            if value < 0.0:
-                raise ValueError(f"rate {name} must be >= 0, got {value}")
+            if not 0.0 <= value < math.inf:  # NaN fails too
+                raise ValueError(f"rate {name} must be finite and >= 0, got {value}")
 
     def as_tuple(self) -> tuple[float, float, float, float, float]:
         return (self.gamma_10, self.gamma_21, self.gamma_20, self.phi_1, self.phi_2)
@@ -259,13 +259,13 @@ def rates_from_coherence_times(
     from these two numbers and is set equal to phi_1 (a config overrides it
     with ``rates.phi_2``).
 
-    Raises NonPhysicalCoherence when t2_star > 2*t1, which would require
-    negative pure dephasing.
+    Raises ValueError when t2_star > 2*t1, which would require negative
+    pure dephasing, or when a rate is not finite (t2_star near 5e-324).
     """
     if t1 <= 0.0 or t2_star <= 0.0:
         raise ValueError(f"coherence times must be positive, got t1={t1}, t2_star={t2_star}")
     if t2_star > 2.0 * t1:
-        raise NonPhysicalCoherence(
+        raise ValueError(
             f"t2_star={t2_star} us exceeds 2*t1={2.0 * t1} us; "
             "pure dephasing rate would be negative"
         )

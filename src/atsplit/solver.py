@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import NonPhysicalResult, SingularLiouvillian, StepTooLarge
+from .errors import NonPhysicalResult, SingularLiouvillian
 from .model import (
     TWO_PI,
     DecoherenceRates,
@@ -171,15 +171,17 @@ def steady_states(delta_p, delta_c, omega_p, omega_c, rates: DecoherenceRates) -
     (``below_eig_floor``), with eigvalsh only to word an error.
 
     Raises SingularLiouvillian when a constrained system is rank deficient
-    (steady state not unique, e.g. no dissipation at all) or its residual
-    exceeds the limit, and NonPhysicalResult when a state violates the
-    positivity floor; both name the point by its four drive values.
+    (steady state not unique, e.g. no dissipation at all), overflows to
+    inf or NaN, or its residual exceeds the limit, and NonPhysicalResult
+    when a state violates the positivity floor; both name the point by its
+    four drive values.
     """
     drives = _broadcast(delta_p, delta_c, omega_p, omega_c)
     rho = np.empty((drives[0].size, 3, 3), dtype=complex)
-    for start in range(0, len(rho), _CHUNK):
-        chunk = [d[start:start + _CHUNK] for d in drives]
-        rho[start:start + _CHUNK] = _solve_chunk(_generators(chunk, rates), chunk)
+    with np.errstate(over="ignore", invalid="ignore"):  # the condition gate rejects inf and NaN
+        for start in range(0, len(rho), _CHUNK):
+            chunk = [d[start:start + _CHUNK] for d in drives]
+            rho[start:start + _CHUNK] = _solve_chunk(_generators(chunk, rates), chunk)
     return rho
 
 
@@ -262,9 +264,8 @@ def _exp_increments(generators: np.ndarray, t: np.ndarray) -> np.ndarray:
     norm = np.einsum("nij->nj", abs(generators)).max(axis=1)
     s = np.maximum(np.frexp(t)[1] + np.frexp(norm)[1] + 2, 0)  # t ||R||_1 / 2**s < 2**-2
     x = _taylor_increments(np.ldexp(t, -s)[:, None, None] * generators, 12)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(s.max(initial=0)):
-            x = np.where((s > k)[:, None, None], 2.0 * x + x @ x, x)
+    for k in range(s.max(initial=0)):
+        x = np.where((s > k)[:, None, None], 2.0 * x + x @ x, x)
     return x
 
 
@@ -311,7 +312,7 @@ def evolve(
 ) -> Trajectory:
     """Fixed-step 4th-order propagation of the master equation.
 
-    ``dt`` is the maximum step (StepTooLarge above 1/(50 * f_max), f_max the
+    ``dt`` is the maximum step (ValueError above 1/(50 * f_max), f_max the
     model's largest cyclic frequency scale); the actual step divides t_final
     evenly.  States are recorded every ``record_every`` steps plus the first
     and last, each as its own power of the one step, and checked in one
@@ -325,7 +326,7 @@ def evolve(
     f_max = max_cyclic_frequency(model)
     bound = 1.0 / (50.0 * f_max) if f_max > 0.0 else math.inf
     if not (0.0 < dt < math.inf and dt <= bound * (1.0 + 1e-12)):
-        raise StepTooLarge(
+        raise ValueError(
             f"dt={dt} us must be positive, finite and at most"
             f" 1/(50*f_max)={bound:.6g} us for f_max={f_max:.6g} MHz"
         )
@@ -349,7 +350,8 @@ def final_states(
     the drive arrays and t_final broadcast together, under one rate set.
     Each is exact to roundoff (``_exp_increments``) and independent of the
     batch it was computed in.  A drive value or t_final that is not
-    finite, or a negative t_final, raises ValueError naming the point."""
+    finite, or a negative t_final, raises ValueError naming the point; a
+    map that overflows, NonPhysicalResult naming the state."""
     *drives, t_final = _broadcast(delta_p, delta_c, omega_p, omega_c, t_final)
     if (t_final < 0.0).any():
         k = int(np.argmax(t_final < 0.0))
@@ -358,4 +360,5 @@ def final_states(
     def increments(chunk: slice) -> np.ndarray:
         return _exp_increments(_generators([d[chunk] for d in drives], rates), t_final[chunk])
 
-    return _propagated(increments, len(t_final), rho0, "final")
+    with np.errstate(over="ignore", invalid="ignore"):  # _propagated rejects inf and NaN
+        return _propagated(increments, len(t_final), rho0, "final")

@@ -1,6 +1,7 @@
 """Tests for the command-line workbench: config validation, experiment
 dispatch, output files, determinism, and exit codes."""
 
+import ast
 import csv
 import importlib.util
 import os
@@ -241,6 +242,22 @@ drive:
         summary = yaml.safe_load((out / "summary.yaml").read_text())
         assert summary["results"]["coupler_line"]["f12_ghz"] == pytest.approx(4.116609, abs=1e-5)
 
+    def test_rabi_reports_the_first_maximum_of_an_undamped_trace(self, tmp_path):
+        """With every rate 0 the trace reaches 1 at each odd multiple of the
+        half period 2.688 us; on a 0.05 us grid the first lies at 2.7 us."""
+        args = ["run", "paper.cfg", "--out", str(tmp_path), *_set_args(
+            ["experiment=rabi", "drive.omega_c_mhz=0.0",
+             "pulse.durations_us={start: 0.0, stop: 20.0, count: 401}",
+             "rates.gamma_10=0.0", "rates.gamma_21=0.0", "rates.phi_1=0.0", "rates.phi_2=0.0"])]
+        assert run_cli(*args) == 0
+        rabi = yaml.safe_load((tmp_path / "summary.yaml").read_text())["results"]["rabi"]
+        assert rabi["first_maximum_us"] == 2.7
+        assert rabi["half_period_us"] == pytest.approx(2.688, abs=1e-3)
+        with open(tmp_path / "rabi.csv", newline="") as handle:
+            rows = [[float(x) for x in row] for row in list(csv.reader(handle))[1:]]
+        assert rows[54] == [2.7, rabi["maximum_population"]]
+        assert rabi["maximum_population"] == pytest.approx(1.0, abs=1e-4)
+
     def test_rabi(self, tmp_path):
         text = """\
 schema: 1
@@ -399,6 +416,41 @@ class TestWarningsSeeWhatRuns:
 
 
 class TestExitCodeMapping:
+    def test_main_maps_every_error_type(self):
+        """Each class in ``errors.py`` is named in an ``except`` clause of
+        ``cli.main``, so none is defined that the CLI does not map."""
+        source = Path(cli.__file__).with_name("errors.py").read_text()
+        defined = {node.name for node in ast.parse(source).body if isinstance(node, ast.ClassDef)}
+        main = next(node for node in ast.parse(Path(cli.__file__).read_text()).body
+                    if isinstance(node, ast.FunctionDef) and node.name == "main")
+        caught = {name.id for handler in ast.walk(main) if isinstance(handler, ast.ExceptHandler)
+                  for name in ast.walk(handler.type) if isinstance(name, ast.Name)}
+        assert len(defined) == 5
+        assert defined <= caught
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_infinite_dephasing_rate_exits_2_naming_the_rates_block(self, config_file, tmp_path,
+                                                                   capsys, command):
+        """T2* = 5e-324 us makes phi_1 = 1/T2* - 1/(2 T1) infinite."""
+        out = [] if command == "validate" else ["--out", str(tmp_path / "out")]
+        args = [command, str(config_file), *out, "--set", "rates.t2_star_us=5.0e-324"]
+        assert run_cli(*args) == 2
+        assert capsys.readouterr().err == (
+            "config error: block 'rates': rate phi_1 must be finite and >= 0, got inf\n"
+        )
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_dephasing_rate_exits_3(self, config_file, tmp_path, capsys):
+        """T2* = 1e-300 us gives phi_1 = 1e300, finite; the generators'
+        products overflow, and the condition gate rejects the first point."""
+        args = ["run", str(config_file), "--out", str(tmp_path / "out"),
+                "--set", "rates.t2_star_us=1.0e-300"]
+        assert run_cli(*args) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("solver error: steady state not unique at delta_p=-6.0,")
+        assert err.endswith("1-norm condition inf\n")
+
     def test_solver_error_exits_3(self, config_file, capsys, monkeypatch):
         def boom(cfg):
             raise SingularLiouvillian("testing propagation")
@@ -792,8 +844,7 @@ class TestPaperSet:
     def test_one_worker_writes_the_same_files(self, paper_set, default_run, tmp_path,
                                               monkeypatch, capsys):
         """The seven runs write byte-identical trees whether the 2D map uses
-        a worker thread per usable CPU or maps every span in the calling
-        thread."""
+        a worker thread per usable CPU or a pool of one."""
         monkeypatch.setattr(experiments, "_usable_cpus", lambda: 1)
         assert paper_set.main([str(tmp_path / "serial")]) == 0
         default, serial = (

@@ -142,9 +142,13 @@ class TestCouplerSpectroscopy:
         coupler_spectroscopy(model_with(paper_rates, omega_c=2.0), Grid1D(-3.0, 3.0, 41), 0.25)
         assert calls == {"final_states": 1, "evolve": 0}
 
-    @pytest.mark.parametrize("duration", [-0.1, float("nan")])
-    def test_invalid_duration_rejected(self, paper_rates, duration):
-        with pytest.raises(ValueError, match="pulse_duration"):
+    @pytest.mark.parametrize(
+        "duration, match",
+        [pytest.param(-0.1, r"^t_final=-0\.1 at point 0 must be >= 0$", id="-0.1"),
+         pytest.param(float("nan"), r"^values \[.*, nan\] at point 0 must be finite$", id="nan")],
+    )
+    def test_invalid_duration_rejected(self, paper_rates, duration, match):
+        with pytest.raises(ValueError, match=match):
             coupler_spectroscopy(model_with(paper_rates, omega_c=2.0), Grid1D(-1, 1, 5), duration)
 
     def test_requires_probe_off(self, paper_rates):
@@ -269,10 +273,11 @@ class TestAtMap:
 
     @pytest.mark.parametrize("cores, columns, workers", [(64, 3, 3), (2, 7, 2), (1, 7, 1)])
     def test_worker_count_is_capped(self, paper_rates, monkeypatch, cores, columns, workers):
-        """By default, and with jobs=10_000, the map starts one worker thread
-        per usable CPU, but no more than there are columns; one worker maps
-        in the calling thread.  The pool is replaced by a stand-in that
-        records its size and maps serially, so the test starts no thread."""
+        """By default, and with jobs=10_000, the map starts a pool of one
+        worker thread per usable CPU, but no more than there are columns,
+        and a pool of one for one CPU.  The pool is replaced by a stand-in
+        that records its size and maps serially, so the test starts no
+        thread."""
         sizes = []
 
         class RecordingPool:
@@ -295,7 +300,7 @@ class TestAtMap:
         for jobs in (None, 10_000):
             sizes.clear()
             capped = at_map(base, dp, dc, jobs=jobs)
-            assert sizes == ([workers] if workers > 1 else [])
+            assert sizes == [workers]
             assert np.array_equal(capped.values, at_map(base, dp, dc, jobs=1).values)
 
     def test_failing_map_raises_the_same_error_for_any_worker_count(self, monkeypatch):

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from atsplit.errors import NonPhysicalCoherence, NonPhysicalResult
+from atsplit.errors import NonPhysicalResult
 from atsplit.model import (
     EIG_FLOOR,
     TWO_PI,
@@ -179,7 +179,7 @@ class TestRatesFromCoherenceTimes:
         assert rates.phi_1 == 0.0
 
     def test_t2_star_above_twice_t1_rejected(self):
-        with pytest.raises(NonPhysicalCoherence):
+        with pytest.raises(ValueError, match="pure dephasing rate would be negative"):
             rates_from_coherence_times(10.0, 25.0, 1.0)
 
     def test_nonpositive_times_rejected(self):

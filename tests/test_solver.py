@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from atsplit import solver
-from atsplit.errors import NonPhysicalResult, SingularLiouvillian, StepTooLarge
+from atsplit.errors import NonPhysicalResult, SingularLiouvillian
 from atsplit.experiments import Observable, readout_signal
 from atsplit.model import (
     TWO_PI,
@@ -377,9 +377,9 @@ class TestEvolve:
     def test_step_bound_enforced(self, paper_rates):
         model = ThreeLevelModel(DriveParams(omega_p=10.0), paper_rates)
         bound = 1.0 / (50.0 * max_cyclic_frequency(model))
-        with pytest.raises(StepTooLarge):
+        with pytest.raises(ValueError, match="must be positive, finite and at most"):
             evolve(model, ket_bra(0, 0), 1.0, 2.0 * bound)
-        with pytest.raises(StepTooLarge):
+        with pytest.raises(ValueError, match="must be positive, finite and at most"):
             evolve(model, ket_bra(0, 0), 1.0, 0.0)
         evolve(model, ket_bra(0, 0), 1.0, bound)  # at the bound is fine
 
@@ -463,9 +463,9 @@ class TestEvolve:
     @pytest.mark.parametrize(
         "t_final, dt, error, match",
         [
-            (1.0, math.nan, StepTooLarge, "dt"),
-            (1.0, math.inf, StepTooLarge, "dt"),
-            (1.0, -0.01, StepTooLarge, "dt"),
+            (1.0, math.nan, ValueError, "^dt="),
+            (1.0, math.inf, ValueError, "^dt="),
+            (1.0, -0.01, ValueError, "^dt="),
             (math.nan, 0.01, ValueError, "t_final must be finite"),
             (math.inf, 0.01, ValueError, "t_final must be finite"),
             (-math.inf, 0.01, ValueError, "t_final must be finite"),
