@@ -169,7 +169,7 @@ def _base_model(cfg: ExperimentConfig, omega_c: float):
 
 
 def _run_probe_spec(cfg: ExperimentConfig):
-    sweep = probe_spectroscopy(_base_model(cfg, 0.0), cfg.delta_p, cfg.background)
+    sweep = probe_spectroscopy(_base_model(cfg, 0.0), cfg.delta_p)
     info = _line_summary(sweep, "probe line", "f01_ghz", cfg.device.omega01)
     return [("probe_spec", sweep)], {"probe_line": info}
 
@@ -212,7 +212,7 @@ def _run_at_map(cfg: ExperimentConfig):
 
 def _run_at_slice(cfg: ExperimentConfig):
     base = _base_model(cfg, cfg.omega_c_values[0])
-    sweeps = at_slice(base, cfg.delta_p, cfg.omega_c_values, cfg.background)
+    sweeps = at_slice(base, cfg.delta_p, cfg.omega_c_values)
     outputs, slices = [], []
     for omega_c, sweep in zip(cfg.omega_c_values, sweeps):
         low, high = float(sweep.values.min()), float(sweep.values.max())

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import yaml
 
-from .analysis import LorentzianModel, min_fit_points
+from .analysis import min_fit_points
 from .errors import ConfigError
 from .experiments import Grid1D, default_map_grid, default_slice_grid
 from .model import (
@@ -47,8 +47,6 @@ _DRIVE_RULES = {
 _DRIVE_KEYS = ("omega_p_mhz", "omega_c_mhz", "delta_p_mhz", "delta_c_mhz")
 #: Peaks fitted to the one detuning grid of probe_spec, coupler_spec and at_slice.
 _FIT_PEAKS = {"probe_spec": 1, "coupler_spec": 1, "at_slice": 2}
-#: The background block's keys, in ``LorentzianModel``'s field order.
-_BACKGROUND_KEYS = ("center_mhz", "fwhm_mhz", "amplitude", "offset")
 
 #: Each rule tests the tuple of a drive key's values (several only for
 #: coupler amplitudes); None stands for ``auto``.
@@ -75,7 +73,6 @@ class ExperimentConfig:
     delta_c: float | Grid1D
     pulse_duration: float | None
     durations: Grid1D | None
-    background: LorentzianModel | None
     eit_n_max: int
     eit_ratio_grid: Grid1D
     out_dir: str
@@ -245,11 +242,6 @@ _SCHEMA = {
     "rates.t1_us": (_number("> 0"), _REQUIRED),
     "rates.t2_star_us": (_number("> 0"), _REQUIRED),
     "rates.ratio_21": (_number(">= 0"), TRANSMON_RATIO_21),
-    "rates.gamma_10": (_number(">= 0"), None),  # explicit rate overrides
-    "rates.gamma_21": (_number(">= 0"), None),
-    "rates.gamma_20": (_number(">= 0"), None),
-    "rates.phi_1": (_number(">= 0"), None),
-    "rates.phi_2": (_number(">= 0"), None),
     "drive": (_block, _REQUIRED),
     "drive.omega_p_mhz": (_number(">= 0"), _REQUIRED),
     "drive.omega_c_mhz": (_couplers, (0.0,)),
@@ -258,11 +250,6 @@ _SCHEMA = {
     "pulse": (_block, None),
     "pulse.duration_us": (_number(">= 0"), None),
     "pulse.durations_us": (_grid(">= 0"), None),
-    "background": (_block, None),
-    "background.center_mhz": (_number(), 0.0),
-    "background.fwhm_mhz": (_number("> 0"), _REQUIRED),
-    "background.amplitude": (_number(">= 0"), _REQUIRED),
-    "background.offset": (_number(), 0.0),
     "eit": (_block, None),
     "eit.n_max": (_count, 9),
     "eit.ratio_grid": (_grid(">= 0"), Grid1D(0.25, 60.25, 81)),
@@ -314,23 +301,12 @@ def resolve(raw: dict) -> ExperimentConfig:
         device = DeviceSpec(get("device.omega01_ghz"), get("device.omega12_ghz"))
     except ValueError as exc:
         raise ConfigError(f"block 'device': {exc}") from exc
-    explicit = {f"rates.{f.name}": f.name for f in dataclasses.fields(DecoherenceRates)}
     try:
         rates = rates_from_coherence_times(
             get("rates.t1_us"), get("rates.t2_star_us"), ratio_21=get("rates.ratio_21")
         )
-        rates = dataclasses.replace(
-            rates, **{explicit[k]: v for k, v in values.items() if k in explicit}
-        )
     except ValueError as exc:
         raise ConfigError(f"block 'rates': {exc}") from exc
-
-    background = None
-    if "background" in values:
-        try:  # the schema checks the amplitude, so only the width can fail here
-            background = LorentzianModel(*(get(f"background.{k}") for k in _BACKGROUND_KEYS))
-        except ValueError as exc:
-            raise ConfigError(f"key 'background.fwhm_mhz': {exc}") from exc
 
     experiment = get("experiment")
     drive = [get(f"drive.{key}") for key in _DRIVE_KEYS]
@@ -385,7 +361,6 @@ def resolve(raw: dict) -> ExperimentConfig:
         delta_c=delta_c,
         pulse_duration=pulse_duration,
         durations=get("pulse.durations_us"),
-        background=background,
         eit_n_max=get("eit.n_max"),
         eit_ratio_grid=get("eit.ratio_grid"),
         out_dir=get("output.directory"),
@@ -406,8 +381,8 @@ def describe(cfg: ExperimentConfig) -> dict:
     ``summary.yaml`` records under ``parameters`` and ``validate`` prints.
 
     A grid is its start/stop/count mapping; ``auto`` is left only for
-    at_slice's per-slice probe grid.  ``pulse`` and ``background`` appear
-    when set, ``eit`` for eit_scan only.
+    at_slice's per-slice probe grid.  ``pulse`` appears when set, ``eit``
+    for eit_scan only.
     """
 
     def plain(value):
@@ -427,8 +402,6 @@ def describe(cfg: ExperimentConfig) -> dict:
              if value is not None}
     if pulse:
         parameters["pulse"] = pulse
-    if cfg.background is not None:
-        parameters["background"] = dict(zip(_BACKGROUND_KEYS, dataclasses.astuple(cfg.background)))
     if cfg.experiment == "eit_scan":
         parameters["eit"] = {"n_max": cfg.eit_n_max, "ratio_grid": plain(cfg.eit_ratio_grid)}
     return parameters

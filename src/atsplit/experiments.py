@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .analysis import LorentzianModel, dark_state_fidelity
+from .analysis import dark_state_fidelity
 from .errors import NonPhysicalResult
 from .model import DecoherenceRates, ThreeLevelModel, ket_bra
 # evolve is imported for bench/trace_cli.py, which spans experiments.evolve.
@@ -125,24 +125,16 @@ class SweepResult:
 # Experiments
 # ---------------------------------------------------------------------------
 
-def probe_spectroscopy(
-    base: ThreeLevelModel,
-    dp_grid: Grid1D,
-    background: LorentzianModel | None = None,
-) -> SweepResult:
+def probe_spectroscopy(base: ThreeLevelModel, dp_grid: Grid1D) -> SweepResult:
     """Steady-state probe line scan with the coupler off.
 
-    Sweeps the probe detuning and records the rho11 + rho22 readout,
-    optionally adding a fluctuator background Lorentzian on top of the
-    signal.
+    Sweeps the probe detuning and records the rho11 + rho22 readout.
     """
     if base.drive.omega_c != 0.0:
         raise ValueError("probe spectroscopy requires omega_c = 0")
     dp = dp_grid.points
     rho = steady_states(dp, base.drive.delta_c, base.drive.omega_p, 0.0, base.rates)
     values = readout_signal(rho, Observable.PA_SUM)
-    if background is not None:
-        values = values + background(dp)
     return SweepResult(
         axis1=dp, values=values, observable=Observable.PA_SUM, axis1_name="delta_p_mhz"
     )
@@ -258,14 +250,11 @@ def at_slice(
     base: ThreeLevelModel,
     dp_grid: Grid1D | None,
     omega_c_list: Sequence[float],
-    background: LorentzianModel | None = None,
 ) -> list[SweepResult]:
     """Doublet slices at zero coupler detuning, one sweep per coupler power.
 
     With ``dp_grid=None`` each slice uses ``default_slice_grid`` for its
-    coupler strength.  The optional fluctuator background adds one copy of
-    its Lorentzian under each doublet peak, centered at
-    ``background.center +- omega_c/2``, and its offset once.
+    coupler strength.
     """
     if base.drive.delta_c != 0.0:
         raise ValueError("at_slice requires delta_c = 0")
@@ -276,17 +265,10 @@ def at_slice(
         grid = dp_grid if dp_grid is not None else default_slice_grid(omega_c)
         dp = grid.points
         rho = steady_states(dp, 0.0, base.drive.omega_p, omega_c, base.rates)
-        values = readout_signal(rho, Observable.PA_SUM)
-        if background is not None:
-            left, right = (
-                replace(background, center=background.center + side * omega_c / 2.0, offset=0.0)
-                for side in (-1.0, 1.0)
-            )
-            values = values + (background.offset + left(dp) + right(dp))
         results.append(
             SweepResult(
                 axis1=dp,
-                values=values,
+                values=readout_signal(rho, Observable.PA_SUM),
                 observable=Observable.PA_SUM,
                 axis1_name="delta_p_mhz",
             )

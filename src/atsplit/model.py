@@ -52,9 +52,9 @@ def ket_bra(i: int, j: int) -> np.ndarray:
     return m
 
 
-#: Hermiticity tolerance and eigenvalue floor of a density matrix; the
-#: steady-state kernel gates on the same floor, also with ``below_eig_floor``.
-_HERM_TOL = 1e-12
+#: Hermiticity and trace tolerances and eigenvalue floor of a density matrix;
+#: the steady-state kernel gates on the same floor, also with ``below_eig_floor``.
+_HERM_TOL = _TRACE_TOL = 1e-12
 EIG_FLOOR = -1e-10
 
 
@@ -78,11 +78,11 @@ def below_eig_floor(rho: np.ndarray) -> np.ndarray:
     return ~(lowest >= 0.0) | (p == 0.0) & (n1 + n2 > 0.0)
 
 
-def check_density_matrix(rho: np.ndarray, trace_tol: float = 1e-12) -> np.ndarray:
+def check_density_matrix(rho: np.ndarray) -> np.ndarray:
     """Validate one 3x3 density matrix or an (n, 3, 3) stack of them.
 
     Requires finite entries (first, so no inf - inf warns), Hermiticity
-    within ``_HERM_TOL``, trace within ``trace_tol`` of one, then no
+    within ``_HERM_TOL``, trace within ``_TRACE_TOL`` of one, then no
     eigenvalue of the Hermitian part below ``EIG_FLOOR`` (``below_eig_floor``;
     the negative floor absorbs roundoff on pure states).  An error on a
     stack names the first failing state; eigvalsh runs only on it, to word it.
@@ -103,7 +103,7 @@ def check_density_matrix(rho: np.ndarray, trace_tol: float = 1e-12) -> np.ndarra
     defect = np.abs(stack - adjoint).max(axis=(1, 2))
     reject(~(defect <= _HERM_TOL), lambda k: defect[k], "not Hermitian: defect {:.3e}")
     trace = np.trace(stack, axis1=1, axis2=2)
-    reject(~(np.abs(trace - 1.0) <= trace_tol), lambda k: trace[k], "trace {:.15g} != 1")
+    reject(~(np.abs(trace - 1.0) <= _TRACE_TOL), lambda k: trace[k], "trace {:.15g} != 1")
     hermitian = 0.5 * (stack + adjoint)
     reject(below_eig_floor(hermitian), lambda k: np.linalg.eigvalsh(hermitian[k])[0],
            "has eigenvalue {:.3e}")
@@ -126,9 +126,9 @@ class DeviceSpec:
     omega12: float
 
     def __post_init__(self):
-        if self.alpha <= 0.0:
+        if not 0.0 < self.alpha < math.inf:  # NaN fails too
             raise ValueError(
-                f"anharmonicity must be positive, got {self.alpha} MHz "
+                f"anharmonicity must be positive and finite, got {self.alpha} MHz "
                 f"(omega01={self.omega01} GHz, omega12={self.omega12} GHz)"
             )
 
@@ -256,8 +256,7 @@ def rates_from_coherence_times(
     gamma_10 = 1/T1 and phi_1 = 1/T2* - 1/(2*T1).  The 2-1 relaxation is
     ratio_21 * gamma_10 (default from the transmon matrix elements) and
     gamma_20 = 0.  The |2> dephasing rate is not independently measurable
-    from these two numbers and is set equal to phi_1 (a config overrides it
-    with ``rates.phi_2``).
+    from these two numbers and is set equal to phi_1.
 
     Raises ValueError when t2_star > 2*t1, which would require negative
     pure dephasing, or when a rate is not finite (t2_star near 5e-324).

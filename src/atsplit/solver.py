@@ -42,9 +42,6 @@ _RESIDUAL_LIMIT = 1e-10
 #: stay bounded for any grid size.
 _CHUNK = 1024
 
-#: Allowed trace drift over a full time evolution.
-_TRACE_DRIFT_LIMIT = 1e-9
-
 
 def vectorize(rho: np.ndarray) -> np.ndarray:
     """Column-stack a 3x3 matrix into a length-9 vector."""
@@ -288,7 +285,8 @@ def _propagated(increments, n: int, rho0, what: str) -> np.ndarray:
     ``increments(chunk)`` the X of a slice of points.  Points go ``_CHUNK``
     at a time, so memory stays bounded; where c0 + X[k] c0 is exactly c0 (as
     for X[k] = 0) the state is rho0 itself.  The states are checked in one
-    call with the 1e-9 trace-drift allowance."""
+    call, the trace to 1e-12 like any input: row 0 of every X is zero, so
+    c_0, and with it the trace, is conserved exactly."""
     rho0 = check_density_matrix(rho0)
     c, c0 = np.empty((n, 9, 1)), _coherence_vector(rho0)[:, None]
     for start in range(0, n, _CHUNK):
@@ -297,7 +295,7 @@ def _propagated(increments, n: int, rho0, what: str) -> np.ndarray:
     states = _states(c[:, :, 0])
     states[(c == c0).all(axis=(1, 2))] = rho0
     try:
-        check_density_matrix(states, trace_tol=_TRACE_DRIFT_LIMIT)
+        check_density_matrix(states)
     except NonPhysicalResult as exc:
         raise NonPhysicalResult(f"trajectory left the physical set: {what} {exc}") from exc
     return states
@@ -316,8 +314,8 @@ def evolve(
     model's largest cyclic frequency scale); the actual step divides t_final
     evenly.  States are recorded every ``record_every`` steps plus the first
     and last, each as its own power of the one step, and checked in one
-    call with a 1e-9 trace-drift allowance; an error names the first
-    failing state's index.  More than 2**62 steps raise ValueError.
+    call; an error names the first failing state's index.  More than 2**62
+    steps raise ValueError.
     """
     if record_every < 1:
         raise ValueError(f"record_every must be >= 1, got {record_every}")

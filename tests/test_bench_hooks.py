@@ -1,13 +1,18 @@
 """The benchmark tracer (``bench/trace_cli.py``) wraps program functions by
-module and attribute name.  Renaming or deleting one of them must fail
-here rather than silently break ``bench/run.py --trace 1``."""
+module and attribute name, and the micro-benchmarks (``bench/micro.py``)
+import from the package.  Renaming or deleting one of them must fail here
+rather than silently break ``bench/run.py --trace 1``."""
 
+import ast
 import importlib.util
 from pathlib import Path
 
 import pytest
 
-TRACE_CLI = Path(__file__).resolve().parent.parent / "bench" / "trace_cli.py"
+import atsplit
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+TRACE_CLI = BENCH / "trace_cli.py"
 
 
 def _load_trace_cli():
@@ -26,3 +31,20 @@ _HOOKS = [(namespace, attr) for namespace, attr, _ in _trace_cli.SPANNED + _trac
 )
 def test_traced_name_exists(namespace, attr):
     assert callable(getattr(namespace, attr, None)), f"{namespace.__name__}.{attr} is gone"
+
+
+_MICRO_IMPORTS = sorted(
+    alias.name
+    for node in ast.walk(ast.parse((BENCH / "micro.py").read_text()))
+    if isinstance(node, ast.ImportFrom) and node.module == "atsplit"
+    for alias in node.names
+)
+
+
+def test_micro_imports_something_from_atsplit():
+    assert "at_slice" in _MICRO_IMPORTS
+
+
+@pytest.mark.parametrize("name", _MICRO_IMPORTS)
+def test_micro_import_exists(name):
+    assert hasattr(atsplit, name), f"atsplit.{name} is gone"

@@ -3,6 +3,7 @@ dispatch, output files, determinism, and exit codes."""
 
 import ast
 import csv
+import dataclasses
 import importlib.util
 import os
 import shutil
@@ -14,9 +15,10 @@ import pytest
 import yaml
 
 from atsplit import cli, experiments
+from atsplit import config as config_mod
 from atsplit.config import EXPERIMENTS, bundled_config_path, load, resolve_config_path
 from atsplit.errors import ConfigError, DegenerateData, NoConvergence, SingularLiouvillian
-from atsplit.experiments import Observable, SweepResult, readout_signal
+from atsplit.experiments import Observable, SweepResult
 from atsplit.model import DeviceSpec, DriveParams, validate_three_level
 from atsplit.solver import steady_states
 
@@ -243,12 +245,13 @@ drive:
         assert summary["results"]["coupler_line"]["f12_ghz"] == pytest.approx(4.116609, abs=1e-5)
 
     def test_rabi_reports_the_first_maximum_of_an_undamped_trace(self, tmp_path):
-        """With every rate 0 the trace reaches 1 at each odd multiple of the
-        half period 2.688 us; on a 0.05 us grid the first lies at 2.7 us."""
+        """T1 = 1e12 us and T2* = 2 T1 leave rates of 1e-12 and no dephasing:
+        the trace reaches 1 at each odd multiple of the half period 2.688 us;
+        on a 0.05 us grid the first lies at 2.7 us."""
         args = ["run", "paper.cfg", "--out", str(tmp_path), *_set_args(
             ["experiment=rabi", "drive.omega_c_mhz=0.0",
              "pulse.durations_us={start: 0.0, stop: 20.0, count: 401}",
-             "rates.gamma_10=0.0", "rates.gamma_21=0.0", "rates.phi_1=0.0", "rates.phi_2=0.0"])]
+             "rates.t1_us=1.0e+12", "rates.t2_star_us=2.0e+12"])]
         assert run_cli(*args) == 0
         rabi = yaml.safe_load((tmp_path / "summary.yaml").read_text())["results"]["rabi"]
         assert rabi["first_maximum_us"] == 2.7
@@ -320,6 +323,11 @@ _PROBE_SPEC = ["experiment=probe_spec", "drive.omega_c_mhz=0.0",
 _COUPLER_SPEC = ["experiment=coupler_spec", "drive.omega_p_mhz=0.0", "drive.delta_p_mhz=0.0"]
 _EIT = ["experiment=eit_scan", "drive.omega_c_mhz=0.0", "drive.delta_p_mhz=0.0"]
 _HUGE_GRID = "{start: -1.0e+308, stop: 1.0e+308, count: 201}"
+
+#: Keys the schema once accepted: explicit rates and a fluctuator background.
+REMOVED_KEYS = ["rates.gamma_10", "rates.gamma_21", "rates.gamma_20", "rates.phi_1",
+                "rates.phi_2", "background", "background.center_mhz", "background.fwhm_mhz",
+                "background.amplitude", "background.offset"]
 
 
 def _set_args(overrides):
@@ -415,6 +423,15 @@ class TestWarningsSeeWhatRuns:
         assert printed == expected
 
 
+def _pin_rates(monkeypatch, **pinned):
+    """Make every config load replace the named rates of its derived rate
+    set, for rate sets that T1, T2* and ratio_21 cannot express."""
+    derive = config_mod.rates_from_coherence_times
+    monkeypatch.setattr(config_mod, "rates_from_coherence_times",
+                        lambda *args, **kwargs: dataclasses.replace(derive(*args, **kwargs),
+                                                                    **pinned))
+
+
 class TestExitCodeMapping:
     def test_main_maps_every_error_type(self):
         """Each class in ``errors.py`` is named in an ``except`` clause of
@@ -439,6 +456,33 @@ class TestExitCodeMapping:
         assert capsys.readouterr().err == (
             "config error: block 'rates': rate phi_1 must be finite and >= 0, got inf\n"
         )
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_infinite_anharmonicity_exits_2_naming_the_device_block(self, config_file, tmp_path,
+                                                                   capsys, command):
+        """omega01 = 1.7e308 GHz is finite, but alpha = (omega01 - omega12) * 1e3 is inf."""
+        out = tmp_path / "out"
+        where = [] if command == "validate" else ["--out", str(out)]
+        args = [command, str(config_file), *where, "--set", "device.omega01_ghz=1.7e+308"]
+        assert run_cli(*args) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: block 'device': anharmonicity must be positive and finite, got inf MHz"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("key", REMOVED_KEYS)
+    def test_removed_key_exits_2_naming_it(self, config_file, tmp_path, capsys, command, key):
+        """Every rate derives from T1, T2* and ratio_21, and nothing is added
+        to the readout: the explicit rates and the background block are gone."""
+        out = tmp_path / "out"
+        where = [] if command == "validate" else ["--out", str(out)]
+        value = "{fwhm_mhz: 0.3, amplitude: 0.1}" if key == "background" else "0.1"
+        assert run_cli(command, str(config_file), *where, "--set", f"{key}={value}") == 2
+        unknown = key if key.startswith("rates.") else "background"  # the block is unknown
+        assert capsys.readouterr().err == f"config error: unknown key '{unknown}'\n"
+        assert not out.exists()
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_dephasing_rate_exits_3(self, config_file, tmp_path, capsys):
@@ -493,13 +537,24 @@ class TestExitCodeMapping:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("phi_1, omega_c", [("1.0", "0.707"), ("2.0", "1.41")])
-    def test_doublet_fitted_by_a_negative_peak_exits_4(self, tmp_path, capsys, phi_1, omega_c):
-        """Strong dephasing washes a weak doublet out, and its best fit has
-        a negative amplitude: a fit error naming the slice, not a traceback."""
-        args = ["run", "paper.cfg", "--out", str(tmp_path), "--set", f"rates.phi_1={phi_1}"]
+    def test_doublet_fitted_by_a_negative_peak_exits_4(self, tmp_path, capsys, monkeypatch,
+                                                      phi_1, omega_c):
+        """Strong |1> dephasing washes a weak doublet out, and its best fit
+        has a negative amplitude: a fit error naming the slice, not a
+        traceback.  The config sets phi_2 = phi_1, so phi_1 alone is pinned."""
+        _pin_rates(monkeypatch, phi_1=float(phi_1))
+        args = ["run", "paper.cfg", "--out", str(tmp_path)]
         assert run_cli(*args) == 4
         err = capsys.readouterr().err
         assert err.startswith(f"fit error: doublet at omega_c={omega_c} MHz: fitted amplitude -")
+        assert "Traceback" not in err
+
+    def test_doublet_washed_out_by_a_short_t2_star_exits_4(self, tmp_path, capsys):
+        """The same failure reached from the config alone: T2* = 0.15 us."""
+        args = ["run", "paper.cfg", "--out", str(tmp_path), "--set", "rates.t2_star_us=0.15"]
+        assert run_cli(*args) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("fit error: doublet at omega_c=1.41 MHz: fitted amplitude -")
         assert "Traceback" not in err
 
     def test_overflowing_pulse_map_exits_3_without_warnings(self, config_file, tmp_path, capsys):
@@ -577,35 +632,24 @@ class TestExitCodeMapping:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("gamma_10", ["1.0e-300", "5.0e-324"])
-    def test_tiny_gamma_10_fits_a_slice_without_warnings(self, config_file, tmp_path, gamma_10):
+    def test_tiny_gamma_10_fits_a_slice_without_warnings(self, config_file, tmp_path,
+                                                        monkeypatch, gamma_10):
         """The power-broadened width guess grows as 1/gamma_10 and overflows;
-        each slice clips it to its own grid's span."""
-        overrides = ["drive.delta_p_mhz={start: -4.0, stop: 4.0, count: 41}",
-                     f"rates.gamma_10={gamma_10}"]
+        each slice clips it to its own grid's span.  No finite T1 gives
+        gamma_10 = 5e-324, so gamma_10 is pinned."""
+        _pin_rates(monkeypatch, gamma_10=float(gamma_10))
+        overrides = ["drive.delta_p_mhz={start: -4.0, stop: 4.0, count: 41}"]
         args = ["run", str(config_file), "--out", str(tmp_path / "out"), *_set_args(overrides)]
         assert run_cli(*args) in (0, 4)
 
     @pytest.mark.filterwarnings("error")
-    def test_background_far_off_the_grid_adds_nothing(self, config_file, tmp_path):
-        """Its (x - center)**2 overflows to inf: the background is exactly 0."""
-        written = []
-        for extra in ([], ["background.fwhm_mhz=0.3", "background.amplitude=0.1",
-                           "background.center_mhz=1.0e+160"]):
-            out = tmp_path / str(len(written))
-            args = ["run", str(config_file), "--out", str(out), *_set_args(_PROBE_SPEC + extra)]
-            assert run_cli(*args) == 0
-            written.append((out / "probe_spec.csv").read_bytes())
-        assert written[0] == written[1]
-
-    @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("amplitude", ["1.0e+300", "1.7e+308"])
-    def test_overflowing_probe_line_exits_4_naming_it(self, config_file, tmp_path, capsys,
-                                                      amplitude):
-        overrides = _PROBE_SPEC + ["background.fwhm_mhz=0.3", f"background.amplitude={amplitude}"]
+    def test_tiny_gamma_10_from_t1_fits_a_slice_without_warnings(self, config_file, tmp_path):
+        """T1 = 1e300 us gives gamma_10 = 1e-300 (gamma_21 = 1.0 through the
+        ratio) from the config alone; the width guess grows to 5.2e148 MHz."""
+        overrides = ["drive.delta_p_mhz={start: -4.0, stop: 4.0, count: 41}",
+                     "rates.t1_us=1.0e+300", "rates.ratio_21=1.0e+300"]
         args = ["run", str(config_file), "--out", str(tmp_path / "out"), *_set_args(overrides)]
-        assert run_cli(*args) == 4
-        err = capsys.readouterr().err
-        assert err.startswith("fit error: probe line: sum of squared y values is not finite")
+        assert run_cli(*args) in (0, 4)
 
     def test_converged_fit_raises_fit_errors_naming_the_fit(self, monkeypatch):
         flat = SweepResult(np.arange(41.0), np.zeros(41), Observable.PA_SUM, "delta_p_mhz")
@@ -677,11 +721,6 @@ INVALID_CONFIGS = [
                  "drive.omega_c_mhz", id="overflowing-at_slice-auto"),
     pytest.param(_COUPLER_SPEC + ["drive.omega_c_mhz=5.0e-324", "drive.delta_c_mhz=auto"],
                  "drive.omega_c_mhz", id="overflowing-pi-pulse"),
-    # Background widths whose (fwhm/2)**2 overflows, or underflows to 0.
-    pytest.param(_PROBE_SPEC[:2] + ["background.amplitude=0.1", "background.fwhm_mhz=1.0e+200"],
-                 "background.fwhm_mhz", id="overflowing-background-width"),
-    pytest.param(_PROBE_SPEC[:2] + ["background.amplitude=0.1", "background.fwhm_mhz=4.9e-324"],
-                 "background.fwhm_mhz", id="underflowing-background-width"),
 ]
 
 #: (--set overrides on BASE_CONFIG) giving each fitted sweep exactly the
@@ -715,45 +754,6 @@ class TestInvalidConfigs:
         assert "config ok" in capsys.readouterr().out
 
 
-_BACKGROUND = ["background.fwhm_mhz=0.3", "background.amplitude=0.02"]
-
-#: (--set overrides on BASE_CONFIG, the CSV to check, the background peaks'
-#: shifts from background.center_mhz in MHz).  The signal-level background
-#: may take the values outside [0, 1]; the first two rows once crashed.
-BACKGROUND_RUNS = [
-    pytest.param(_PROBE_SPEC + ["background.fwhm_mhz=0.2", "background.amplitude=2.0"],
-                 "probe_spec.csv", (0.0,), id="probe_spec-amplitude-2"),
-    pytest.param(_BACKGROUND + ["background.offset=-0.5"],
-                 "at_slice_omega_c_2.82.csv", (-1.41, 1.41), id="at_slice-negative-offset"),
-    pytest.param(_BACKGROUND + ["background.center_mhz=0.4"],
-                 "at_slice_omega_c_2.82.csv", (-1.41, 1.41), id="at_slice-shifted-center"),
-]
-
-
-class TestBackgroundRuns:
-    @pytest.mark.parametrize("overrides, csv_name, shifts", BACKGROUND_RUNS)
-    def test_csv_is_readout_plus_background(
-        self, config_file, tmp_path, capsys, overrides, csv_name, shifts
-    ):
-        out = tmp_path / "out"
-        args = ["run", str(config_file), "--out", str(out)]
-        for item in overrides:
-            args += ["--set", item]
-        assert run_cli(*args) == 0
-        assert "Traceback" not in capsys.readouterr().err
-        cfg = load(config_file, overrides)
-        x, values = np.loadtxt(out / csv_name, delimiter=",", skiprows=1).T
-        rho = steady_states(x, 0.0, cfg.omega_p, cfg.omega_c_values[0], cfg.rates)
-        bg = cfg.background
-        half_sq = (bg.fwhm / 2.0) ** 2
-        background = bg.offset + sum(
-            bg.amplitude * half_sq / ((x - bg.center - shift) ** 2 + half_sq)
-            for shift in shifts
-        )
-        expected = readout_signal(rho, Observable.PA_SUM) + background
-        np.testing.assert_allclose(values, expected, rtol=1e-13, atol=1e-15)
-
-
 class TestConfigLoading:
     def test_overrides_reject_bad_syntax(self, config_file):
         with pytest.raises(ConfigError, match="key=value"):
@@ -774,11 +774,6 @@ class TestConfigLoading:
         cfg = load(config_file, ["experiment=fidelity_scan", "drive.delta_p_mhz=auto",
                                  "drive.delta_c_mhz=auto"])
         assert (cfg.delta_p, cfg.delta_c) == (0.0, 0.0)
-
-    def test_rate_overrides_apply(self, config_file):
-        cfg = load(config_file, ["rates.gamma_21=0.001"])
-        assert cfg.rates.gamma_21 == 0.001
-        assert cfg.rates.gamma_10 == pytest.approx(1 / 39)
 
     def test_experiment_requirements_checked(self, config_file):
         with pytest.raises(ConfigError, match="probe_spec"):

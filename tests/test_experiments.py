@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from atsplit import experiments, solver
-from atsplit.analysis import LorentzianModel, fit_peaks
+from atsplit.analysis import fit_peaks
 from atsplit.experiments import (
     Grid1D,
     Observable,
@@ -84,17 +84,6 @@ class TestProbeSpectroscopy:
             (peak,) = fit.peaks
             widths.append(peak.fwhm)
         assert widths[1] > 1.5 * widths[0]
-
-    def test_background_is_added_on_top(self, paper_rates):
-        grid = Grid1D(-1.0, 1.0, 51)
-        background = LorentzianModel(center=-0.4, fwhm=0.2, amplitude=0.05, offset=0.0)
-        plain = probe_spectroscopy(model_with(paper_rates, omega_p=OMEGA_P), grid)
-        with_bg = probe_spectroscopy(
-            model_with(paper_rates, omega_p=OMEGA_P), grid, background
-        )
-        np.testing.assert_allclose(
-            with_bg.values - plain.values, background(grid.points), atol=1e-14
-        )
 
     def test_requires_coupler_off(self, paper_rates):
         with pytest.raises(ValueError, match="omega_c"):
@@ -414,36 +403,6 @@ class TestAtSlice:
         assert right.center == pytest.approx(1.41, rel=0.02)
         midpoint = 0.5 * (left.center + right.center)
         assert abs(midpoint) <= 1e-3
-
-    def test_doublet_background_sits_under_each_peak(self, paper_rates):
-        base = model_with(paper_rates, omega_p=OMEGA_P)
-        grid = Grid1D(-6.0, 6.0, 241)
-        background = LorentzianModel(center=0.0, fwhm=0.3, amplitude=0.04)
-        plain = at_slice(base, grid, [2.82])[0]
-        with_bg = at_slice(base, grid, [2.82], background)[0]
-        added = with_bg.values - plain.values
-        x = grid.points
-        assert added[np.argmin(np.abs(x - 1.41))] == pytest.approx(
-            np.max(added), rel=1e-6
-        )
-        assert added[np.argmin(np.abs(x + 1.41))] == pytest.approx(
-            np.max(added), rel=1e-6
-        )
-
-    def test_background_pair_follows_its_center(self, paper_rates):
-        """One background copy sits at center - omega_c/2, one at
-        center + omega_c/2, and the offset is added once."""
-        base = model_with(paper_rates, omega_p=OMEGA_P)
-        grid = Grid1D(-6.0, 6.0, 241)
-        background = LorentzianModel(center=0.5, fwhm=0.3, amplitude=0.04, offset=0.25)
-        plain = at_slice(base, grid, [2.82])[0]
-        with_bg = at_slice(base, grid, [2.82], background)[0]
-        x = grid.points
-        half_sq = 0.15**2
-        expected = 0.25 + sum(
-            0.04 * half_sq / ((x - center) ** 2 + half_sq) for center in (-0.91, 1.91)
-        )
-        np.testing.assert_allclose(with_bg.values - plain.values, expected, atol=1e-14)
 
     def test_requires_zero_coupler_detuning(self, paper_rates):
         with pytest.raises(ValueError, match="delta_c"):

@@ -34,6 +34,11 @@ class TestDeviceSpec:
         with pytest.raises(ValueError, match="anharmonicity"):
             DeviceSpec(omega01=4.0, omega12=4.2)
 
+    @pytest.mark.parametrize("omega01", [1.7e308, math.inf, math.nan])
+    def test_anharmonicity_that_is_not_finite_rejected(self, omega01):
+        with pytest.raises(ValueError, match="anharmonicity must be positive and finite"):
+            DeviceSpec(omega01=omega01, omega12=4.116609)
+
 
 class TestDriveParams:
     def test_negative_amplitude_rejected(self):

@@ -24,11 +24,10 @@ NUMERIC_KEYS = [
 #: The experiments a key or block is swept on, where not all seven.  No
 #: solve reads the device block: it sets only the three-level warnings, the
 #: same arithmetic for every experiment.  Only coupler_spec reads the pulse
-#: duration, and only probe_spec and at_slice the background.
+#: duration.
 READERS = {
     "device": ("at_slice",),
     "pulse.duration_us": ("coupler_spec",),
-    "background": ("probe_spec", "at_slice"),
 }
 
 HEAD = """\
@@ -54,26 +53,22 @@ BODIES = {
                 "eit: {n_max: 0, ratio_grid: {start: 0.5, stop: 20.5, count: 5}}",
 }
 
-#: Added whenever a background key is swept, so the block is complete.
-BACKGROUND = "background: {fwhm_mhz: 0.3, amplitude: 0.1}\n"
 
-
-def test_sweeps_the_nineteen_numeric_keys_and_every_experiment():
-    assert len(NUMERIC_KEYS) == 19
+def test_sweeps_the_ten_numeric_keys_and_every_experiment():
+    assert len(NUMERIC_KEYS) == 10
     assert "drive.delta_c_mhz" in NUMERIC_KEYS and "eit.n_max" not in NUMERIC_KEYS
     assert sorted(BODIES) == sorted(config.EXPERIMENTS)
 
 
 @pytest.fixture(scope="module")
 def config_files(tmp_path_factory):
-    """(experiment, with background) -> path of its base config."""
+    """experiment -> path of its base config."""
     root = tmp_path_factory.mktemp("sweep")
     files = {}
     for name, body in BODIES.items():
-        for background in (False, True):
-            path = root / f"{name}{'_background' * background}.cfg"
-            path.write_text(f"{HEAD}experiment: {name}\n{body}\n{BACKGROUND * background}")
-            files[name, background] = path
+        path = root / f"{name}.cfg"
+        path.write_text(f"{HEAD}experiment: {name}\n{body}\n")
+        files[name] = path
     return files
 
 
@@ -83,7 +78,7 @@ def test_extreme_values_exit_with_a_documented_code(key, config_files, tmp_path,
     block = key.partition(".")[0]
     failures = []
     for name in READERS.get(key, READERS.get(block, config.EXPERIMENTS)):
-        path = config_files[name, block == "background"]
+        path = config_files[name]
         for value in VALUES:
             args = ["run", str(path), "--out", str(tmp_path), "--set", f"{key}={value}"]
             try:

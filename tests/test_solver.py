@@ -354,6 +354,11 @@ class TestChunking:
             steady_states(dp, 0.0, 0.5, 1.5, paper_rates)
 
 
+def _drifted(states):
+    """``solver._states`` with every trace moved by 1e-11."""
+    return lambda c: states(c) * (1.0 + 1e-11)
+
+
 class TestEvolve:
     def test_t1_decay(self, paper_rates):
         model = ThreeLevelModel(DriveParams(), paper_rates)
@@ -415,9 +420,11 @@ class TestEvolve:
         np.testing.assert_allclose(population, expected, atol=1e-6)
 
     def test_recorded_states_are_checked(self, paper_rates, monkeypatch):
+        """Propagated states get the 1e-12 trace tolerance of inputs: a
+        drift of 1e-11 fails.  State 0 is rho0 itself, so state 1 is named."""
+        monkeypatch.setattr(solver, "_states", _drifted(solver._states))
         model = ThreeLevelModel(DriveParams(omega_p=0.186), paper_rates)
-        monkeypatch.setattr(solver, "_TRACE_DRIFT_LIMIT", -1.0)
-        with pytest.raises(NonPhysicalResult, match="recorded density matrix 0 of 11 trace"):
+        with pytest.raises(NonPhysicalResult, match="recorded density matrix 1 of 11 trace"):
             evolve(model, ket_bra(0, 0), 1.0, 0.01, record_every=10)
 
     def test_error_names_the_failing_state(self, paper_rates, monkeypatch):
@@ -442,7 +449,7 @@ class TestEvolve:
             t_final = 20.0 / model.rates.min_nonzero_rate()
             dt = 1.0 / (50.0 * max_cyclic_frequency(model))
             traj = evolve(model, random_density_matrix(rng), t_final, dt, record_every=10**9)
-            assert abs(traj.final_state().trace() - 1.0) < 1e-9
+            assert abs(traj.final_state().trace() - 1.0) < 1e-12
 
     def test_step_count_beyond_int64_rejected(self, paper_rates):
         """Exponents are 64-bit, so a count that would wrap is refused."""
@@ -627,7 +634,7 @@ class TestFinalStates:
         assert calls == [(3, 3), (30, 3, 3)]
 
     def test_drifted_final_state_is_named(self, monkeypatch):
-        monkeypatch.setattr(solver, "_TRACE_DRIFT_LIMIT", -1.0)
+        monkeypatch.setattr(solver, "_states", _drifted(solver._states))
         models = shared_rate_models(np.random.default_rng(13), 4)
         with pytest.raises(NonPhysicalResult, match="final density matrix 0 of 4 trace"):
             batch_final_states(models, ket_bra(1, 1), 0.5)
