@@ -2,8 +2,9 @@
 
 Each experiment produces a SweepResult: realized grid axes plus one real
 observable per grid point.  Grid points are independent solves, so the
-values never depend on evaluation order; the 2D map fans column spans
-out over a worker thread per usable CPU and reassembles them by index.
+values never depend on evaluation order; every steady-state experiment
+fans contiguous spans of its points out over a worker thread per usable
+CPU (``_steady_sweep``) and reassembles the values by index.
 
 Steady-state experiments replace the long drive pulse of the physical
 measurement with the exact steady-state solve (the pulse length in the
@@ -133,11 +134,10 @@ def probe_spectroscopy(base: ThreeLevelModel, dp_grid: Grid1D) -> SweepResult:
     if base.drive.omega_c != 0.0:
         raise ValueError("probe spectroscopy requires omega_c = 0")
     dp = dp_grid.points
-    rho = steady_states(dp, base.drive.delta_c, base.drive.omega_p, 0.0, base.rates)
-    values = readout_signal(rho, Observable.PA_SUM)
-    return SweepResult(
-        axis1=dp, values=values, observable=Observable.PA_SUM, axis1_name="delta_p_mhz"
-    )
+    values = _steady_sweep(Observable.PA_SUM, base.rates, dp, base.drive.delta_c,
+                           base.drive.omega_p, 0.0)
+    return SweepResult(axis1=dp, values=values, observable=Observable.PA_SUM,
+                       axis1_name="delta_p_mhz")
 
 
 def coupler_spectroscopy(
@@ -193,6 +193,40 @@ def _usable_cpus() -> int:
     return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
+def _steady_sweep(
+    observable: Observable, rates: DecoherenceRates, *drives, jobs: int | None = None
+) -> np.ndarray:
+    """Observable values at the steady states of the broadcast drives (the
+    ``DriveParams`` fields), in their broadcast shape.
+
+    The last axis is split into contiguous spans, four per worker, on a pool
+    of one thread per usable CPU, at most ``jobs`` and one per index (the
+    kernel's numpy calls release the GIL).  A span returns only its values:
+    the linear readout, or for FIDELITY the dark-state fidelity at each
+    point's own angle arctan2(omega_p, omega_c).  Values are joined by index,
+    so they are identical for any worker count.
+    """
+    drives = [np.asarray(d, dtype=float) for d in drives]
+    shape = np.broadcast_shapes(*(d.shape for d in drives))
+    n = shape[-1]
+    if n == 0:
+        return np.empty(shape)
+
+    def span(index: np.ndarray) -> np.ndarray:
+        # Scalar drives pass as they are: steady_states broadcasts them without a copy.
+        part = [d if d.ndim == 0 else np.broadcast_to(d, shape)[..., index].ravel() for d in drives]
+        rho = steady_states(*part, rates)
+        if observable is Observable.FIDELITY:
+            values = dark_state_fidelity(rho, np.broadcast_to(np.arctan2(*part[2:]), len(rho)))
+            return values.fidelity.reshape(*shape[:-1], -1)
+        return readout_signal(rho, observable).reshape(*shape[:-1], -1)
+
+    workers = max(1, min(n, _usable_cpus(), n if jobs is None else int(jobs)))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        spans = pool.map(span, np.array_split(np.arange(n), min(workers * 4, n)))
+        return np.concatenate(list(spans), axis=-1)
+
+
 def at_map(
     base: ThreeLevelModel,
     dp_grid: Grid1D,
@@ -203,35 +237,16 @@ def at_map(
 
     At weak coupling the map shows the bare probe line crossed by the
     two-photon sideband along delta_p + delta_c = 0; at strong coupling
-    the lines anticross into the fully separated doublet.  Column spans,
-    four per worker, go to a pool of one worker thread per usable CPU, at
-    most ``jobs`` and one per column (the kernel's numpy calls release the
-    GIL).  Values are put together by index, so they are identical for any
-    worker count.
+    the lines anticross into the fully separated doublet.  ``_steady_sweep``
+    solves it in spans of whole columns on at most ``jobs`` threads.
     """
     if base.drive.omega_p <= 0.0 or base.drive.omega_c <= 0.0:
         raise ValueError("at_map requires both drive amplitudes > 0")
     dp, dc = dp_grid.points, dc_grid.points
-
-    def columns(block: np.ndarray) -> np.ndarray:
-        rho = steady_states(np.repeat(dp, block.size), np.tile(block, dp.size),
-                            base.drive.omega_p, base.drive.omega_c, base.rates)
-        return readout_signal(rho, Observable.PA_SUM).reshape(dp.size, block.size)
-
-    workers = max(1, min(dc.size, _usable_cpus(), dc.size if jobs is None else int(jobs)))
-    spans = np.array_split(dc, min(workers * 4, dc.size))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        blocks = list(pool.map(columns, spans))
-
-    values = np.concatenate(blocks, axis=1)
-    return SweepResult(
-        axis1=dp,
-        axis2=dc,
-        values=values,
-        observable=Observable.PA_SUM,
-        axis1_name="delta_p_mhz",
-        axis2_name="delta_c_mhz",
-    )
+    values = _steady_sweep(Observable.PA_SUM, base.rates, dp[:, None], dc,
+                           base.drive.omega_p, base.drive.omega_c, jobs=jobs)
+    return SweepResult(axis1=dp, axis2=dc, values=values, observable=Observable.PA_SUM,
+                       axis1_name="delta_p_mhz", axis2_name="delta_c_mhz")
 
 
 def default_slice_grid(omega_c: float) -> Grid1D:
@@ -254,26 +269,20 @@ def at_slice(
     """Doublet slices at zero coupler detuning, one sweep per coupler power.
 
     With ``dp_grid=None`` each slice uses ``default_slice_grid`` for its
-    coupler strength.
+    coupler strength.  Every slice grid has the same count, so the slices
+    are the rows of one ``_steady_sweep``.
     """
     if base.drive.delta_c != 0.0:
         raise ValueError("at_slice requires delta_c = 0")
-    results = []
     for omega_c in omega_c_list:
         if omega_c <= 0.0:
             raise ValueError(f"coupler amplitudes must be > 0, got {omega_c}")
-        grid = dp_grid if dp_grid is not None else default_slice_grid(omega_c)
-        dp = grid.points
-        rho = steady_states(dp, 0.0, base.drive.omega_p, omega_c, base.rates)
-        results.append(
-            SweepResult(
-                axis1=dp,
-                values=readout_signal(rho, Observable.PA_SUM),
-                observable=Observable.PA_SUM,
-                axis1_name="delta_p_mhz",
-            )
-        )
-    return results
+    dp = np.array([(dp_grid if dp_grid is not None else default_slice_grid(omega_c)).points
+                   for omega_c in omega_c_list])
+    values = _steady_sweep(Observable.PA_SUM, base.rates, dp, 0.0, base.drive.omega_p,
+                           np.asarray(omega_c_list, dtype=float)[:, None])
+    return [SweepResult(axis1=axis, values=row, observable=Observable.PA_SUM,
+                        axis1_name="delta_p_mhz") for axis, row in zip(dp, values)]
 
 
 def fidelity_vs_coupler(
@@ -290,19 +299,9 @@ def fidelity_vs_coupler(
     omega_c = np.asarray(list(omega_c_list), dtype=float)
     if np.any(omega_c < 0.0) or (base.drive.omega_p == 0.0 and np.any(omega_c == 0.0)):
         raise ValueError("need omega_p^2 + omega_c^2 > 0 at every point")
-    return _fidelity_sweep(base.drive.omega_p, omega_c, base.rates, omega_c, "omega_c_mhz")
-
-
-def _fidelity_sweep(
-    omega_p: float, omega_c: np.ndarray, rates: DecoherenceRates, axis: np.ndarray, axis_name: str
-) -> SweepResult:
-    """Resonant steady-state dark-state fidelity at each coupler amplitude;
-    the mixing angle follows each point's drive ratio."""
-    rho = steady_states(0.0, 0.0, omega_p, omega_c, rates)
-    values = dark_state_fidelity(rho, np.arctan2(omega_p, omega_c)).fidelity
-    return SweepResult(
-        axis1=axis, values=values, observable=Observable.FIDELITY, axis1_name=axis_name
-    )
+    values = _steady_sweep(Observable.FIDELITY, base.rates, 0.0, 0.0, base.drive.omega_p, omega_c)
+    return SweepResult(axis1=omega_c, values=values, observable=Observable.FIDELITY,
+                       axis1_name="omega_c_mhz")
 
 
 def eit_regime_scan(
@@ -325,13 +324,10 @@ def eit_regime_scan(
     if np.any(ratios < 0.0):
         raise ValueError("drive ratios must be >= 0")
     omega_p = base.drive.omega_p
-    return [
-        _fidelity_sweep(
-            omega_p,
-            ratios * omega_p,
-            replace(base.rates, gamma_21=base.rates.gamma_21 * 0.5**n),
-            ratios,
-            "omega_c_over_omega_p",
-        )
-        for n in range(n_max + 1)
-    ]
+    sweeps = []
+    for n in range(n_max + 1):
+        rates = replace(base.rates, gamma_21=base.rates.gamma_21 * 0.5**n)
+        values = _steady_sweep(Observable.FIDELITY, rates, 0.0, 0.0, omega_p, ratios * omega_p)
+        sweeps.append(SweepResult(axis1=ratios, values=values, observable=Observable.FIDELITY,
+                                  axis1_name="omega_c_over_omega_p"))
+    return sweeps

@@ -3,6 +3,7 @@ consistency between independent evaluation paths, and the published
 qualitative features."""
 
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -254,12 +255,6 @@ class TestAtMap:
             value = max(0.0, rho[1, 1].real + rho[2, 2].real)
             assert value == small_map.values[i, j]
 
-    def test_parallel_jobs_give_identical_values(self, paper_rates, small_map):
-        base = model_with(paper_rates, omega_p=OMEGA_P, omega_c=0.707)
-        grid = Grid1D(-2.0, 2.0, 41)
-        parallel = at_map(base, grid, grid, jobs=2)
-        assert np.array_equal(parallel.values, small_map.values)
-
     @pytest.mark.parametrize("cores, columns, workers", [(64, 3, 3), (2, 7, 2), (1, 7, 1)])
     def test_worker_count_is_capped(self, paper_rates, monkeypatch, cores, columns, workers):
         """By default, and with jobs=10_000, the map starts a pool of one
@@ -338,9 +333,11 @@ class TestAtMap:
             at_map(model_with(paper_rates, omega_p=0.1), Grid1D(-1, 1, 11), Grid1D(-1, 1, 11))
 
     def test_serial_memory_is_bounded(self, paper_rates):
-        """The steady-state kernel works in fixed chunks, so a 301x301 map
-        needs its 13 MB of returned density matrices plus a few MB of work
-        arrays; one unchunked batch would peak near 530 MB."""
+        """The steady-state kernel works in fixed chunks and each column span
+        returns only its values, so a 301x301 map needs its 0.7 MB of values
+        plus a few MB of work arrays (about 6 MB in all).  Holding the map's
+        density matrices would take 13 MB; one unchunked batch would peak
+        near 530 MB."""
         grid = default_map_grid(2.82)
         grid = Grid1D(grid.start, grid.stop, 301)
         tracemalloc.start()
@@ -349,7 +346,7 @@ class TestAtMap:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 64 * 2**20
+        assert peak < 12 * 2**20
 
 
 class TestAtSlice:
@@ -473,3 +470,50 @@ class TestEitRegimeScan:
         scan = eit_regime_scan(base, 1100, Grid1D(1.0, 2.0, 2))
         assert len(scan) == 1101
         assert all(np.isfinite(curve.values).all() for curve in scan)
+
+
+#: Each steady-state experiment on a grid that two workers split into
+#: several spans, as the list of its sweeps.
+STEADY_SWEEPS = {
+    "probe_spectroscopy": lambda base: [probe_spectroscopy(base, Grid1D(-2.0, 2.0, 41))],
+    "at_map": lambda base: [at_map(base.with_drive(omega_c=0.707), Grid1D(-2.0, 2.0, 21),
+                                   Grid1D(-2.0, 2.0, 41))],
+    "at_slice": lambda base: at_slice(base, None, FIG3_COUPLERS),
+    "fidelity_vs_coupler": lambda base: [fidelity_vs_coupler(base, FIG3_COUPLERS)],
+    "eit_regime_scan": lambda base: eit_regime_scan(base, 3, Grid1D(0.0, 4.0, 21)),
+}
+
+
+class TestWorkerCount:
+    @pytest.mark.parametrize("experiment", sorted(STEADY_SWEEPS))
+    def test_one_or_two_workers_give_identical_values(self, paper_rates, monkeypatch,
+                                                      experiment):
+        """Every steady-state experiment fans its points out over a pool of
+        one thread per usable CPU; each point is solved on its own, so one
+        worker and two give the same bits."""
+        pools = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(experiments, "ThreadPoolExecutor", RecordingPool)
+        base = model_with(paper_rates, omega_p=OMEGA_P)
+        runs = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
+            runs.append(STEADY_SWEEPS[experiment](base))
+            assert pools and set(pools) == {cpus}
+            pools.clear()
+        serial, parallel = runs
+        assert len(serial) == len(parallel) > 0
+        for one, two in zip(serial, parallel):
+            assert np.array_equal(one.axis1, two.axis1)
+            assert np.array_equal(one.values, two.values)
+
+    def test_empty_coupler_lists_give_empty_results(self, paper_rates):
+        base = model_with(paper_rates, omega_p=OMEGA_P)
+        assert at_slice(base, None, []) == []
+        assert at_slice(base, Grid1D(-2.0, 2.0, 41), []) == []
+        assert fidelity_vs_coupler(base, []).values.shape == (0,)

@@ -140,8 +140,9 @@ def test_check_sees_a_helper_left_behind_by_a_fold(module, name):
 
 
 def test_cli_import_loads_no_process_pool():
-    """``at_map`` maps in threads, so importing the CLI, which every
-    ``atsplit`` command does, loads no multiprocessing module."""
+    """Steady-state sweeps map their spans in threads, so importing the
+    CLI, which every ``atsplit`` command does, loads no multiprocessing
+    module."""
     code = (
         "import sys, atsplit.cli; print(sorted(m for m in sys.modules "
         "if m.startswith(('multiprocessing', 'concurrent.futures.process'))))"
