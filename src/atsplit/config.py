@@ -96,13 +96,14 @@ def resolve_config_path(argument: str) -> Path:
 
 
 def load_raw(path: Path) -> dict:
-    """Parse the YAML config file into a raw dict."""
+    """Parse the YAML config file into a raw dict.  PyYAML decodes the bytes
+    itself, so bytes that are not valid text fail as YAML, naming the file."""
     try:
-        text = path.read_text()
+        data = path.read_bytes()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.safe_load(data)
     except yaml.YAMLError as exc:
         raise ConfigError(f"config file {path} is not valid YAML: {exc}") from exc
     if not isinstance(raw, dict):

@@ -123,14 +123,20 @@ def _generators(drives, rates: DecoherenceRates) -> np.ndarray:
     return (params @ _GENERATORS).reshape(-1, 9, 9)
 
 
+def _at(k: int, arrays) -> str:
+    """Point k of broadcast drive arrays (then t_final) named by its values,
+    not its index, so an error reads the same for any batch or span."""
+    names = [f.name for f in fields(DriveParams)] + ["t_final"]
+    return "at " + ", ".join(f"{n}={float(a[k])!r}" for n, a in zip(names, arrays))
+
+
 def _broadcast(*values) -> list[np.ndarray]:
     """1-D float views of arrays or scalars, broadcast to one length.  A
     point with a value that is not finite raises ValueError naming it."""
     arrays = np.broadcast_arrays(*np.atleast_1d(*(np.asarray(v, dtype=float) for v in values)))
     bad = ~np.logical_and.reduce([np.isfinite(a) for a in arrays])
     if bad.any():
-        k = int(np.argmax(bad))
-        raise ValueError(f"values {[float(a[k]) for a in arrays]} at point {k} must be finite")
+        raise ValueError(f"values must be finite {_at(int(np.argmax(bad)), arrays)}")
     return arrays
 
 
@@ -160,7 +166,7 @@ def steady_states(delta_p, delta_c, omega_p, omega_c, rates: DecoherenceRates) -
 
     Drive arguments are 1-D arrays or scalars of the ``DriveParams`` fields,
     broadcast together; returns an (n, 3, 3) stack of density matrices.  A
-    drive value that is not finite raises ValueError naming the point.
+    drive value that is not finite raises ValueError.
     Points are solved ``_CHUNK`` at a time, each independently, so a value
     never depends on the batch it was solved in.  Each real generator, its
     zero row 0 replaced by c_0 = 1, is inverted directly (exact to machine
@@ -170,8 +176,8 @@ def steady_states(delta_p, delta_c, omega_p, omega_c, rates: DecoherenceRates) -
     Raises SingularLiouvillian when a constrained system is rank deficient
     (steady state not unique, e.g. no dissipation at all), overflows to
     inf or NaN, or its residual exceeds the limit, and NonPhysicalResult
-    when a state violates the positivity floor; both name the point by its
-    four drive values.
+    when a state violates the positivity floor.  Every error names the
+    point by its four drive values (``_at``), never by an index.
     """
     drives = _broadcast(delta_p, delta_c, omega_p, omega_c)
     rho = np.empty((drives[0].size, 3, 3), dtype=complex)
@@ -184,19 +190,13 @@ def steady_states(delta_p, delta_c, omega_p, omega_c, rates: DecoherenceRates) -
 
 def _solve_chunk(system: np.ndarray, drives: list[np.ndarray]) -> np.ndarray:
     """Checked steady states of one chunk (see ``steady_states``) from its
-    freshly built generators, whose zero entry [0, 0] is set to 1 in place;
-    an error names the failing point by its ``drives`` values, not its index."""
-
-    def at(k: int) -> str:
-        names = (f.name for f in fields(DriveParams))
-        return "at " + ", ".join(f"{n}={float(d[k])!r}" for n, d in zip(names, drives))
-
+    freshly built generators, whose zero entry [0, 0] is set to 1 in place."""
     system[:, 0, 0] = 1.0
     try:
         inverse = np.linalg.inv(system)
     except np.linalg.LinAlgError:  # an exactly zero pivot, where slogdet's sign is 0
         k = int(np.argmin(np.abs(np.linalg.slogdet(system)[0])))
-        raise SingularLiouvillian(f"steady state not unique {at(k)}: singular") from None
+        raise SingularLiouvillian(f"steady state not unique {_at(k, drives)}: singular") from None
     # With t the trace functional, the column-stacked system A (L with row 0
     # replaced by t) is E (L + t t^T/3), E = I - e0 e0^T - t t^T/3 + (4/3) e0 t^T
     # with kappa_2(E) = 3, and L + t t^T/3 is unitarily similar to this B.  So
@@ -209,7 +209,7 @@ def _solve_chunk(system: np.ndarray, drives: list[np.ndarray]) -> np.ndarray:
     if rejected.any():
         k = int(np.argmax(rejected))
         raise SingularLiouvillian(
-            f"steady state not unique {at(k)}: 1-norm condition {kappa[k]:.3e}"
+            f"steady state not unique {_at(k, drives)}: 1-norm condition {kappa[k]:.3e}"
         )
 
     # Column 0 of the inverse solves for right-hand side e_0, so its c_0 is 1.
@@ -220,14 +220,14 @@ def _solve_chunk(system: np.ndarray, drives: list[np.ndarray]) -> np.ndarray:
     if residuals.max() > _RESIDUAL_LIMIT:
         k = int(np.argmax(residuals))
         raise SingularLiouvillian(
-            f"steady-state residual {residuals[k]:.3e} {at(k)} exceeds {_RESIDUAL_LIMIT}"
+            f"steady-state residual {residuals[k]:.3e} {_at(k, drives)} exceeds {_RESIDUAL_LIMIT}"
         )
     rho = _states(c)
     failed = below_eig_floor(rho)
     if failed.any():
         k = int(np.argmax(failed))
         lowest = np.linalg.eigvalsh(rho[k])[0]
-        raise NonPhysicalResult(f"steady state {at(k)} has eigenvalue {lowest:.3e}")
+        raise NonPhysicalResult(f"steady state {_at(k, drives)} has eigenvalue {lowest:.3e}")
     return rho
 
 
@@ -348,12 +348,13 @@ def final_states(
     the drive arrays and t_final broadcast together, under one rate set.
     Each is exact to roundoff (``_exp_increments``) and independent of the
     batch it was computed in.  A drive value or t_final that is not
-    finite, or a negative t_final, raises ValueError naming the point; a
-    map that overflows, NonPhysicalResult naming the state."""
+    finite, or a negative t_final, raises ValueError naming the point by
+    its drive values and t_final; a map that overflows, NonPhysicalResult
+    naming the state by its index."""
     *drives, t_final = _broadcast(delta_p, delta_c, omega_p, omega_c, t_final)
     if (t_final < 0.0).any():
         k = int(np.argmax(t_final < 0.0))
-        raise ValueError(f"t_final={t_final[k]} at point {k} must be >= 0")
+        raise ValueError(f"t_final must be >= 0 {_at(k, [*drives, t_final])}")
 
     def increments(chunk: slice) -> np.ndarray:
         return _exp_increments(_generators([d[chunk] for d in drives], rates), t_final[chunk])

@@ -187,6 +187,49 @@ class TestFitPeaks:
         assert not fit.converged
         assert fit.residual_rms >= 0.0
 
+    def test_singular_damped_step_raises_damping_and_retries(self, monkeypatch):
+        """A step solve that raises LinAlgError once is retried with more
+        damping, and the fit still recovers the peak."""
+        solve, raised = np.linalg.solve, []
+
+        def fails_once(*args):
+            if not raised:
+                raised.append(True)
+                raise np.linalg.LinAlgError("singular matrix")
+            return solve(*args)
+
+        monkeypatch.setattr(np.linalg, "solve", fails_once)
+        truth = LorentzianModel(center=0.3, fwhm=0.35, amplitude=0.8, offset=0.01)
+        x = np.linspace(-3, 3, 401)
+        fit = fit_peaks(np.column_stack([x, truth(x)]), 1)
+        assert raised and fit.converged
+        assert fit.peaks[0].center == pytest.approx(0.3, rel=1e-6)
+        assert fit.peaks[0].fwhm == pytest.approx(0.35, rel=1e-6)
+
+    def test_monotone_data_start_at_their_maximum(self):
+        """Half a line, rising to its center at the last point, has no
+        interior maximum: the start is taken at the largest value."""
+        truth = LorentzianModel(center=0.0, fwhm=0.6, amplitude=0.8, offset=0.05)
+        x = np.linspace(-3.0, 0.0, 61)
+        assert analysis._local_maxima(truth(x)) == []
+        (peak,) = fit_peaks(np.column_stack([x, truth(x)]), 1).peaks
+        assert peak.center == pytest.approx(0.0, abs=1e-6)
+        assert peak.fwhm == pytest.approx(0.6, rel=1e-6)
+        assert peak.amplitude == pytest.approx(0.8, rel=1e-6)
+
+    def test_merged_doublet_is_split_from_its_one_maximum(self):
+        """Lines at +-0.1 with width 1.0 form a single maximum; the two-peak
+        start splits it symmetrically and the fit recovers both lines."""
+        x = np.linspace(-4.0, 4.0, 401)
+        y = LorentzianModel(-0.1, 1.0, 1.0)(x) + LorentzianModel(0.1, 1.0, 1.0)(x)
+        assert len(analysis._local_maxima(y)) == 1
+        fit = fit_peaks(np.column_stack([x, y]), 2)
+        assert fit.converged
+        for peak, center in zip(fit.peaks, (-0.1, 0.1)):
+            assert peak.center == pytest.approx(center, abs=1e-6)
+            assert peak.fwhm == pytest.approx(1.0, abs=1e-6)
+            assert peak.amplitude == pytest.approx(1.0, abs=1e-6)
+
     @pytest.mark.parametrize("omega_c", [2.82, 11.2])
     def test_iteration_count_ignores_roundoff_in_the_data(self, paper_model, omega_c, monkeypatch):
         """Eight perturbations of the slice by 1e-15 relative take the same

@@ -6,6 +6,7 @@ import csv
 import dataclasses
 import importlib.util
 import os
+import re
 import shutil
 import tracemalloc
 from pathlib import Path
@@ -697,6 +698,11 @@ INVALID_CONFIGS = [
                  id="couplers-equal-under-g"),
     pytest.param(["schema=true"], "schema", id="schema-true"),
     pytest.param(["output.formats=[csv, summary]"], "output.formats", id="formats-removed"),
+    pytest.param(["drive.omega_p_mhz=[1.0"], "drive.omega_p_mhz", id="override-not-yaml"),
+    pytest.param(["pulse.durations_us=3"], "pulse.durations_us", id="grid-not-a-mapping"),
+    pytest.param(["drive.omega_c_mhz=[]"], "drive.omega_c_mhz", id="no-couplers"),
+    pytest.param(["experiment=foo"], "experiment", id="unknown-experiment"),
+    pytest.param(["drive=3"], "drive", id="block-not-a-mapping"),
     # Fitted sweeps shorter than the fit's minimum (5 points per parameter).
     pytest.param(_PROBE_SPEC[:2] + ["drive.delta_p_mhz={start: -1.0, stop: 1.0, count: 5}"],
                  "drive.delta_p_mhz.count", id="short-probe_spec-grid"),
@@ -754,6 +760,35 @@ class TestInvalidConfigs:
 
 
 class TestConfigLoading:
+    @pytest.mark.parametrize(
+        "data, command, match",
+        [pytest.param(b"schema: 1\nexperiment: \xff\n", "validate", "is not valid YAML",
+                      id="not-utf8-validate"),
+         pytest.param(b"schema: 1\nexperiment: \xff\n", "run", "is not valid YAML",
+                      id="not-utf8-run"),
+         pytest.param(b"drive: [1.0\n", "validate", "is not valid YAML", id="invalid-yaml"),
+         pytest.param(b"- schema\n- 1\n", "validate", "must contain a mapping",
+                      id="list-at-top-level")],
+    )
+    def test_unparsable_file_exits_2_naming_it(self, tmp_path, capsys, data, command, match):
+        path, out = tmp_path / "bad.cfg", tmp_path / "out"
+        path.write_bytes(data)
+        args = [command, str(path)] + (["--out", str(out)] if command == "run" else [])
+        assert run_cli(*args) == 2
+        err = capsys.readouterr().err
+        assert f"config file {path} {match}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_directory_cannot_be_read(self, tmp_path):
+        match = f"^cannot read config file {re.escape(str(tmp_path))}: "
+        with pytest.raises(ConfigError, match=match):
+            config_mod.load_raw(tmp_path)
+
+    def test_resolve_needs_a_mapping(self):
+        with pytest.raises(ConfigError, match="^config must be a mapping$"):
+            config_mod.resolve([])
+
     def test_overrides_reject_bad_syntax(self, config_file):
         with pytest.raises(ConfigError, match="key=value"):
             load(config_file, ["oops"])

@@ -134,8 +134,10 @@ class TestCouplerSpectroscopy:
 
     @pytest.mark.parametrize(
         "duration, match",
-        [pytest.param(-0.1, r"^t_final=-0\.1 at point 0 must be >= 0$", id="-0.1"),
-         pytest.param(float("nan"), r"^values \[.*, nan\] at point 0 must be finite$", id="nan")],
+        [pytest.param(-0.1, r"^t_final must be >= 0 at delta_p=0\.0, delta_c=-1\.0, omega_p=0\.0, "
+                      r"omega_c=2\.0, t_final=-0\.1$", id="-0.1"),
+         pytest.param(float("nan"), r"^values must be finite at delta_p=0\.0, delta_c=-1\.0, "
+                      r"omega_p=0\.0, omega_c=2\.0, t_final=nan$", id="nan")],
     )
     def test_invalid_duration_rejected(self, paper_rates, duration, match):
         with pytest.raises(ValueError, match=match):
@@ -463,6 +465,18 @@ class TestEitRegimeScan:
         with pytest.raises(ValueError, match="omega_p"):
             eit_regime_scan(model_with(paper_rates), 2, Grid1D(0.5, 2.0, 5))
 
+    @pytest.mark.parametrize(
+        "n_max, drive, ratios, match",
+        [pytest.param(-1, {}, (0.5, 2.0), "n_max must be >= 0, got -1", id="negative-n_max"),
+         pytest.param(2, {"delta_p": 0.1}, (0.5, 2.0), "delta_p = delta_c = 0", id="delta_p"),
+         pytest.param(2, {"delta_c": -0.1}, (0.5, 2.0), "delta_p = delta_c = 0", id="delta_c"),
+         pytest.param(2, {}, (-1.0, 2.0), "drive ratios must be >= 0", id="negative-ratio")],
+    )
+    def test_invalid_arguments_rejected(self, paper_rates, n_max, drive, ratios, match):
+        base = model_with(paper_rates, omega_p=OMEGA_P, **drive)
+        with pytest.raises(ValueError, match=match):
+            eit_regime_scan(base, n_max, Grid1D(*ratios, 5))
+
     def test_scale_underflows_to_zero_instead_of_overflowing(self, paper_rates):
         """Past n = 1023, 2**n overflows a float; the scale 0.5**n instead
         reaches gamma_21 = 0, whose steady state still solves."""
@@ -511,6 +525,23 @@ class TestWorkerCount:
         for one, two in zip(serial, parallel):
             assert np.array_equal(one.axis1, two.axis1)
             assert np.array_equal(one.values, two.values)
+
+    def test_bad_point_is_named_the_same_for_any_worker_count(self, paper_rates, monkeypatch):
+        """An infinite coupler at index 13 of 20 is point 3 of its span for
+        one worker and point 1 for two; the error names it by its drive
+        values instead, so both read the same."""
+        base = model_with(paper_rates, omega_p=OMEGA_P)
+        couplers = np.linspace(0.5, 10.0, 20)
+        couplers[13] = np.inf
+        messages = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
+            with pytest.raises(ValueError) as raised:
+                fidelity_vs_coupler(base, couplers)
+            messages.append(str(raised.value))
+        assert messages[0] == messages[1] == (
+            "values must be finite at delta_p=0.0, delta_c=0.0, omega_p=0.186, omega_c=inf"
+        )
 
     def test_empty_coupler_lists_give_empty_results(self, paper_rates):
         base = model_with(paper_rates, omega_p=OMEGA_P)

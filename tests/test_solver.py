@@ -30,6 +30,7 @@ from atsplit.solver import (
 )
 
 TRACE_ROWS = (0, 4, 8)
+DRIVE_NAMES = ("delta_p", "delta_c", "omega_p", "omega_c")
 
 
 def random_model(rng) -> ThreeLevelModel:
@@ -144,7 +145,8 @@ class TestSteadyState:
         as a non-unique steady state)."""
         drives = np.tile([[0.3], [-0.2], [0.186], [2.82]], 20)
         drives[row, 13] = value
-        with pytest.raises(ValueError, match=r"at point 13\b"):
+        point = ", ".join(f"{name}={float(v)!r}" for name, v in zip(DRIVE_NAMES, drives[:, 13]))
+        with pytest.raises(ValueError, match=f"^values must be finite at {re.escape(point)}$"):
             steady_states(*drives, paper_rates)
 
     def test_invariants_on_random_models(self):
@@ -333,6 +335,15 @@ class TestChunking:
         with pytest.raises(SingularLiouvillian, match=re.escape(point)):
             steady_states(dp, 0.3, wp, wc, rates)
 
+    def test_residual_gate_names_the_point(self, paper_rates, monkeypatch):
+        """With the residual ceiling at 0.0 roundoff alone fails the gate,
+        which names the point by its drive values and gives the limit."""
+        monkeypatch.setattr(solver, "_RESIDUAL_LIMIT", 0.0)
+        point = "delta_p=0.3, delta_c=-0.2, omega_p=0.186, omega_c=2.82"
+        match = rf"^steady-state residual \d\.\d{{3}}e-\d+ at {re.escape(point)} exceeds 0\.0$"
+        with pytest.raises(SingularLiouvillian, match=match):
+            steady_states(0.3, -0.2, 0.186, 2.82, paper_rates)
+
     def test_positivity_error_names_first_failing_point(self, paper_rates, monkeypatch):
         """The kernel's own floor gate names the first non-positive state of
         a later chunk by its drive values, worded with its lowest eigenvalue."""
@@ -483,6 +494,10 @@ class TestEvolve:
         with pytest.raises(error, match=match):
             evolve(model, ket_bra(0, 0), t_final, dt)
 
+    def test_trajectory_requires_one_state_per_time(self):
+        with pytest.raises(ValueError, match="equal length"):
+            Trajectory(times=np.arange(3.0), states=np.zeros((2, 3, 3), dtype=complex))
+
     def test_trajectory_requires_increasing_times(self):
         states = np.zeros((2, 3, 3), dtype=complex)
         with pytest.raises(ValueError, match="strictly increasing"):
@@ -608,7 +623,9 @@ class TestFinalStates:
         drives = np.array([m.drive.as_tuple() for m in shared_rate_models(rng, 20)]).T
         args = np.concatenate([drives, np.full((1, 20), 0.5)])
         args[row, 13] = value
-        with pytest.raises(ValueError, match=r"at point 13\b"):
+        names = [*DRIVE_NAMES, "t_final"]
+        point = ", ".join(f"{name}={float(v)!r}" for name, v in zip(names, args[:, 13]))
+        with pytest.raises(ValueError, match=f"^values must be finite at {re.escape(point)}$"):
             solver.final_states(*args[:4], paper_rates, ket_bra(1, 1), args[4])
 
     def test_overflowing_squarings_raise_the_named_error(self, paper_rates):
