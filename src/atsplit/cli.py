@@ -284,19 +284,16 @@ def run_experiment(cfg: ExperimentConfig):
 # Output writing
 # ---------------------------------------------------------------------------
 
-def _summary_document(cfg: ExperimentConfig, results: dict, files: list[str]) -> dict:
-    return {
-        "schema": config_mod.SCHEMA_VERSION,
-        "experiment": cfg.experiment,
-        "parameters": config_mod.describe(cfg),
-        "three_level_warnings": list(cfg.warnings),
-        "results": results,
-        "files": files,
-    }
+def _load(args) -> tuple[ExperimentConfig, dict]:
+    """The config named by the arguments, and the head of what ``run`` writes
+    to ``summary.yaml`` and ``validate`` prints: schema, experiment, parameters."""
+    cfg = config_mod.load(config_mod.resolve_config_path(args.config), args.set or [])
+    return cfg, {"schema": config_mod.SCHEMA_VERSION, "experiment": cfg.experiment,
+                 "parameters": config_mod.describe(cfg)}
 
 
 def _cmd_run(args) -> int:
-    cfg = config_mod.load(config_mod.resolve_config_path(args.config), args.set or [])
+    cfg, head = _load(args)
     for warning in cfg.warnings:
         print(f"warning: {warning}")
 
@@ -313,7 +310,8 @@ def _cmd_run(args) -> int:
         _atomic_write(out_dir / filename, _sweep_csv(sweep))
     _atomic_write(out_dir / "plots.json", [_plot_manifest(sweeps)])
     files.append("plots.json")
-    document = _summary_document(cfg, results, files)
+    document = {**head, "three_level_warnings": list(cfg.warnings), "results": results,
+                "files": files}
     _atomic_write(out_dir / "summary.yaml", [yaml.safe_dump(document, sort_keys=True)])
     files.append("summary.yaml")
 
@@ -324,10 +322,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    cfg = config_mod.load(config_mod.resolve_config_path(args.config), args.set or [])
-    document = {"schema": config_mod.SCHEMA_VERSION, "experiment": cfg.experiment,
-                "parameters": config_mod.describe(cfg), "output": {"directory": cfg.out_dir}}
-    print(yaml.safe_dump(document, sort_keys=False), end="")
+    cfg, head = _load(args)
+    print(yaml.safe_dump({**head, "output": {"directory": cfg.out_dir}}, sort_keys=False), end="")
     for warning in cfg.warnings:
         print(f"warning: {warning}")
     print("config ok")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -85,9 +86,10 @@ def bundled_config_path(name: str) -> Path:
 
 
 def resolve_config_path(argument: str) -> Path:
-    """Interpret a CLI config argument: a real file wins, then bundled names."""
+    """Interpret a CLI config argument: an existing path wins (``load_raw``
+    reports one it cannot read, such as a directory), then bundled names."""
     path = Path(argument)
-    if path.is_file():
+    if path.exists():
         return path
     bundled = bundled_config_path(argument)
     if bundled.is_file():
@@ -95,15 +97,31 @@ def resolve_config_path(argument: str) -> Path:
     raise ConfigError(f"config file not found: {argument}")
 
 
+class _Loader(yaml.SafeLoader):
+    """SafeLoader that refuses a key given twice in one mapping, where PyYAML
+    would keep the last value; merge keys (``<<``) still merge."""
+
+    def construct_mapping(self, node, deep=False):
+        keys = []
+        for key_node, _ in node.value:
+            if key_node.tag != "tag:yaml.org,2002:merge":
+                keys.append(self.construct_object(key_node, deep))
+                if keys[-1] in keys[:-1]:
+                    raise yaml.constructor.ConstructorError(
+                        None, None, f"found duplicate key {keys[-1]!r}", key_node.start_mark)
+        return super().construct_mapping(node, deep)
+
+
 def load_raw(path: Path) -> dict:
-    """Parse the YAML config file into a raw dict.  PyYAML decodes the bytes
-    itself, so bytes that are not valid text fail as YAML, naming the file."""
+    """Parse the YAML config file into a raw dict; a key given twice in one
+    mapping is an error.  PyYAML decodes the bytes itself, so bytes that are
+    not valid text fail as YAML, naming the file."""
     try:
         data = path.read_bytes()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     try:
-        raw = yaml.safe_load(data)
+        raw = yaml.load(data, Loader=_Loader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"config file {path} is not valid YAML: {exc}") from exc
     if not isinstance(raw, dict):
@@ -122,7 +140,7 @@ def apply_overrides(raw: dict, overrides: list[str]) -> dict:
         if not all(keys):
             raise ConfigError(f"override {item!r} has an empty key component")
         try:
-            value = yaml.safe_load(text)
+            value = yaml.load(text, Loader=_Loader)
         except yaml.YAMLError as exc:
             raise ConfigError(f"override value for {dotted!r} is not valid YAML: {exc}") from exc
         node = out
@@ -141,13 +159,27 @@ def apply_overrides(raw: dict, overrides: list[str]) -> dict:
 
 _REQUIRED = object()  # default of a key that has none
 
+#: A number in exponent form: mantissa, e, exponent sign and digits.
+_EXPONENT = re.compile(r"([-+]?(?:[0-9]+\.?[0-9]*|\.[0-9]+))([eE])([-+]?)([0-9]+)")
+
+
+def _why_text(value) -> str:
+    """The reason and the fix when YAML 1.1 read ``value``, a number in
+    exponent form lacking a decimal point or an exponent sign, as text."""
+    match = _EXPONENT.fullmatch(value) if isinstance(value, str) else None
+    if not match or "." in match[1] and match[3]:  # a quoted float, not a YAML rule
+        return ""
+    mantissa = match[1] if "." in match[1] else match[1] + ".0"
+    return (f" (YAML reads a number in exponent form as text unless it has a decimal point"
+            f" and an exponent sign: write {mantissa}{match[2]}{match[3] or '+'}{match[4]})")
+
 
 def _number(bound: str = ""):
     """Parser for a finite number, optionally ``">= 0"`` or ``"> 0"``."""
 
     def parse(value, key: str) -> float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"key '{key}' must be a number, got {value!r}")
+            raise ConfigError(f"key '{key}' must be a number, got {value!r}{_why_text(value)}")
         if not abs(value) <= sys.float_info.max:  # nan, +-inf, or an int beyond float range
             raise ConfigError(f"key '{key}' must be finite, got {value!r}")
         if (bound == ">= 0" and value < 0) or (bound == "> 0" and value <= 0):
@@ -189,7 +221,8 @@ def _detuning(value, key: str) -> float | Grid1D | None:
         return _grid()(value, key)
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         return _number()(value, key)
-    raise ConfigError(f"key '{key}' must be a number, a start/stop/count mapping, or 'auto'")
+    raise ConfigError(f"key '{key}' must be a number, a start/stop/count mapping,"
+                      f" or 'auto'{_why_text(value)}")
 
 
 def _couplers(value, key: str) -> tuple[float, ...]:

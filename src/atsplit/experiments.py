@@ -309,8 +309,8 @@ def eit_regime_scan(
 ) -> list[SweepResult]:
     """Fidelity-versus-drive-ratio curves with the 2-1 relaxation scaled down.
 
-    Curve n uses gamma_21 * 0.5^n (0 once the product underflows) with
-    everything else fixed; the ratio axis is omega_c / omega_p.
+    Curve n is ``fidelity_vs_coupler`` at omega_c = ratio * omega_p with
+    gamma_21 * 0.5^n (0 once it underflows), on the ratio axis.
     Successively longer |2> lifetimes open the population-trapping
     (EIT-like) window, raising the fidelity even at small drive ratios.
     """
@@ -318,16 +318,12 @@ def eit_regime_scan(
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     if base.drive.omega_p <= 0.0:
         raise ValueError("eit_regime_scan requires omega_p > 0")
-    if base.drive.delta_p != 0.0 or base.drive.delta_c != 0.0:
-        raise ValueError("dark-state fidelity is defined at delta_p = delta_c = 0")
     ratios = ratio_grid.points
     if np.any(ratios < 0.0):
         raise ValueError("drive ratios must be >= 0")
-    omega_p = base.drive.omega_p
     sweeps = []
     for n in range(n_max + 1):
-        rates = replace(base.rates, gamma_21=base.rates.gamma_21 * 0.5**n)
-        values = _steady_sweep(Observable.FIDELITY, rates, 0.0, 0.0, omega_p, ratios * omega_p)
-        sweeps.append(SweepResult(axis1=ratios, values=values, observable=Observable.FIDELITY,
-                                  axis1_name="omega_c_over_omega_p"))
+        scaled = replace(base.rates, gamma_21=base.rates.gamma_21 * 0.5**n)
+        curve = fidelity_vs_coupler(replace(base, rates=scaled), ratios * base.drive.omega_p)
+        sweeps.append(replace(curve, axis1=ratios, axis1_name="omega_c_over_omega_p"))
     return sweeps

@@ -78,6 +78,13 @@ def below_eig_floor(rho: np.ndarray) -> np.ndarray:
     return ~(lowest >= 0.0) | (p == 0.0) & (n1 + n2 > 0.0)
 
 
+def reject(failed: np.ndarray, error: type[Exception], words) -> None:
+    """Raise ``error(words(k))`` at the first point k where the mask ``failed``
+    holds: the one rule by which every per-point gate names its failure."""
+    if failed.any():
+        raise error(words(int(np.argmax(failed))))
+
+
 def check_density_matrix(rho: np.ndarray) -> np.ndarray:
     """Validate one 3x3 density matrix or an (n, 3, 3) stack of them.
 
@@ -93,20 +100,20 @@ def check_density_matrix(rho: np.ndarray) -> np.ndarray:
     stack = rho.reshape(-1, 3, 3)
     adjoint = stack.conj().transpose(0, 2, 1)
 
-    def reject(failed: np.ndarray, value, what: str) -> None:  # value(k) words state k
-        if failed.any():
-            k = int(np.argmax(failed))
-            name = "density matrix" if rho.ndim == 2 else f"density matrix {k} of {len(stack)}"
-            raise NonPhysicalResult(f"{name} {what.format(value(k))}")
+    def name(k: int) -> str:
+        return "density matrix" if rho.ndim == 2 else f"density matrix {k} of {len(stack)}"
 
-    reject(~np.isfinite(stack).all(axis=(1, 2)), lambda k: None, "not finite")
+    reject(~np.isfinite(stack).all(axis=(1, 2)), NonPhysicalResult,
+           lambda k: f"{name(k)} not finite")
     defect = np.abs(stack - adjoint).max(axis=(1, 2))
-    reject(~(defect <= _HERM_TOL), lambda k: defect[k], "not Hermitian: defect {:.3e}")
+    reject(~(defect <= _HERM_TOL), NonPhysicalResult,
+           lambda k: f"{name(k)} not Hermitian: defect {defect[k]:.3e}")
     trace = np.trace(stack, axis1=1, axis2=2)
-    reject(~(np.abs(trace - 1.0) <= _TRACE_TOL), lambda k: trace[k], "trace {:.15g} != 1")
+    reject(~(np.abs(trace - 1.0) <= _TRACE_TOL), NonPhysicalResult,
+           lambda k: f"{name(k)} trace {trace[k]:.15g} != 1")
     hermitian = 0.5 * (stack + adjoint)
-    reject(below_eig_floor(hermitian), lambda k: np.linalg.eigvalsh(hermitian[k])[0],
-           "has eigenvalue {:.3e}")
+    reject(below_eig_floor(hermitian), NonPhysicalResult,
+           lambda k: f"{name(k)} has eigenvalue {np.linalg.eigvalsh(hermitian[k])[0]:.3e}")
     return rho
 
 

@@ -29,6 +29,7 @@ from .model import (
     build_hamiltonian,
     check_density_matrix,
     collapse_operators,
+    reject,
 )
 
 #: Condition-number threshold beyond which the trace-constrained system is
@@ -134,9 +135,8 @@ def _broadcast(*values) -> list[np.ndarray]:
     """1-D float views of arrays or scalars, broadcast to one length.  A
     point with a value that is not finite raises ValueError naming it."""
     arrays = np.broadcast_arrays(*np.atleast_1d(*(np.asarray(v, dtype=float) for v in values)))
-    bad = ~np.logical_and.reduce([np.isfinite(a) for a in arrays])
-    if bad.any():
-        raise ValueError(f"values must be finite {_at(int(np.argmax(bad)), arrays)}")
+    reject(~np.logical_and.reduce([np.isfinite(a) for a in arrays]), ValueError,
+           lambda k: f"values must be finite {_at(k, arrays)}")
     return arrays
 
 
@@ -177,7 +177,7 @@ def steady_states(delta_p, delta_c, omega_p, omega_c, rates: DecoherenceRates) -
     (steady state not unique, e.g. no dissipation at all), overflows to
     inf or NaN, or its residual exceeds the limit, and NonPhysicalResult
     when a state violates the positivity floor.  Every error names the
-    point by its four drive values (``_at``), never by an index.
+    first failing point by its four drive values (``_at``), never by an index.
     """
     drives = _broadcast(delta_p, delta_c, omega_p, omega_c)
     rho = np.empty((drives[0].size, 3, 3), dtype=complex)
@@ -205,29 +205,19 @@ def _solve_chunk(system: np.ndarray, drives: list[np.ndarray]) -> np.ndarray:
     # which einsum finds faster than np.linalg.norm(x, 1, (1, 2)) on 9x9 stacks.
     column_sums = [np.einsum("nij->nj", abs(x)) for x in (system, inverse)]
     kappa = column_sums[0].max(axis=1) * column_sums[1].max(axis=1)
-    rejected = ~(kappa <= _COND_LIMIT / 27.0)  # NaN counts as rejected
-    if rejected.any():
-        k = int(np.argmax(rejected))
-        raise SingularLiouvillian(
-            f"steady state not unique {_at(k, drives)}: 1-norm condition {kappa[k]:.3e}"
-        )
+    reject(~(kappa <= _COND_LIMIT / 27.0), SingularLiouvillian,  # NaN counts as rejected
+           lambda k: f"steady state not unique {_at(k, drives)}: 1-norm condition {kappa[k]:.3e}")
 
     # Column 0 of the inverse solves for right-hand side e_0, so its c_0 is 1.
     c = inverse[:, :, 0] / math.sqrt(3.0)
     # Rows 1..8 of B are the generator's (its row 0 is zero), and the basis
     # change is unitary: this equals ||L vec(rho)||.
     residuals = np.linalg.norm(np.einsum("nab,nb->na", system[:, 1:], c), axis=1)
-    if residuals.max() > _RESIDUAL_LIMIT:
-        k = int(np.argmax(residuals))
-        raise SingularLiouvillian(
-            f"steady-state residual {residuals[k]:.3e} {_at(k, drives)} exceeds {_RESIDUAL_LIMIT}"
-        )
+    reject(residuals > _RESIDUAL_LIMIT, SingularLiouvillian, lambda k: (
+        f"steady-state residual {residuals[k]:.3e} {_at(k, drives)} exceeds {_RESIDUAL_LIMIT}"))
     rho = _states(c)
-    failed = below_eig_floor(rho)
-    if failed.any():
-        k = int(np.argmax(failed))
-        lowest = np.linalg.eigvalsh(rho[k])[0]
-        raise NonPhysicalResult(f"steady state {_at(k, drives)} has eigenvalue {lowest:.3e}")
+    reject(below_eig_floor(rho), NonPhysicalResult, lambda k: (
+        f"steady state {_at(k, drives)} has eigenvalue {np.linalg.eigvalsh(rho[k])[0]:.3e}"))
     return rho
 
 
@@ -352,9 +342,8 @@ def final_states(
     its drive values and t_final; a map that overflows, NonPhysicalResult
     naming the state by its index."""
     *drives, t_final = _broadcast(delta_p, delta_c, omega_p, omega_c, t_final)
-    if (t_final < 0.0).any():
-        k = int(np.argmax(t_final < 0.0))
-        raise ValueError(f"t_final must be >= 0 {_at(k, [*drives, t_final])}")
+    reject(t_final < 0.0, ValueError,
+           lambda k: f"t_final must be >= 0 {_at(k, [*drives, t_final])}")
 
     def increments(chunk: slice) -> np.ndarray:
         return _exp_increments(_generators([d[chunk] for d in drives], rates), t_final[chunk])

@@ -759,6 +759,10 @@ class TestInvalidConfigs:
         assert "config ok" in capsys.readouterr().out
 
 
+#: BASE_CONFIG with t1_us given twice; PyYAML alone would keep 30.0.
+_REPEATED_T1 = BASE_CONFIG.replace("  t1_us: 39.0\n", "  t1_us: 39.0\n  t1_us: 30.0\n").encode()
+
+
 class TestConfigLoading:
     @pytest.mark.parametrize(
         "data, command, match",
@@ -768,7 +772,11 @@ class TestConfigLoading:
                       id="not-utf8-run"),
          pytest.param(b"drive: [1.0\n", "validate", "is not valid YAML", id="invalid-yaml"),
          pytest.param(b"- schema\n- 1\n", "validate", "must contain a mapping",
-                      id="list-at-top-level")],
+                      id="list-at-top-level"),
+         pytest.param(_REPEATED_T1, "validate", "is not valid YAML: found duplicate key 't1_us'",
+                      id="repeated-key-validate"),
+         pytest.param(_REPEATED_T1, "run", "is not valid YAML: found duplicate key 't1_us'",
+                      id="repeated-key-run")],
     )
     def test_unparsable_file_exits_2_naming_it(self, tmp_path, capsys, data, command, match):
         path, out = tmp_path / "bad.cfg", tmp_path / "out"
@@ -784,6 +792,50 @@ class TestConfigLoading:
         match = f"^cannot read config file {re.escape(str(tmp_path))}: "
         with pytest.raises(ConfigError, match=match):
             config_mod.load_raw(tmp_path)
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_directory_as_config_exits_2_naming_it(self, tmp_path, capsys, command):
+        """A directory exists, so it is not reported as missing: reading it fails."""
+        out = tmp_path / "out"
+        args = [command, str(tmp_path)] + (["--out", str(out)] if command == "run" else [])
+        assert run_cli(*args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot read config file {tmp_path}: ")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_repeated_override_keeps_the_last_and_merge_keys_merge(self, tmp_path):
+        """Only a key written twice in one mapping is refused: a repeated
+        ``--set`` still wins with its last value, and a YAML merge key (<<)
+        may be overridden by an explicit key."""
+        path = tmp_path / "merge.cfg"
+        text = BASE_CONFIG.replace("delta_p_mhz: {", "delta_p_mhz: &grid {")
+        path.write_text(text + "eit: {ratio_grid: {<<: *grid, start: 0.5}}\n")
+        cfg = load(path, ["rates.t1_us=30.0", "rates.t1_us=39.0"])
+        assert cfg.rates.gamma_10 == 1.0 / 39.0
+        assert cfg.eit_ratio_grid == experiments.Grid1D(0.5, 6.0, 161)
+
+    @pytest.mark.parametrize(
+        "text, overrides, key, written, fixed",
+        [pytest.param(BASE_CONFIG.replace("t1_us: 39.0", "t1_us: 4e1"), [], "rates.t1_us",
+                      "'4e1'", "4.0e+1", id="file-value"),
+         pytest.param(BASE_CONFIG, ["drive.delta_c_mhz=-1E3"], "drive.delta_c_mhz",
+                      "or 'auto'", "-1.0E+3", id="set-value")],
+    )
+    def test_exponent_read_as_text_says_why_and_how_to_write_it(
+            self, tmp_path, capsys, text, overrides, key, written, fixed):
+        """YAML 1.1 reads 4e1 (no decimal point) and 4.0e1 (no exponent sign)
+        as text.  The rejection stays, and now gives the reason and a fix
+        that YAML reads as the intended number."""
+        path = tmp_path / "exponent.cfg"
+        path.write_text(text)
+        assert run_cli("validate", str(path), *_set_args(overrides)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: key '{key}' must be a number")
+        reason = ("YAML reads a number in exponent form as text unless it has a decimal point"
+                  f" and an exponent sign: write {fixed})\n")
+        assert err.endswith(f"{written} ({reason}")
+        assert yaml.safe_load(fixed) == float(fixed)
 
     def test_resolve_needs_a_mapping(self):
         with pytest.raises(ConfigError, match="^config must be a mapping$"):

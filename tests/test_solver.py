@@ -344,6 +344,16 @@ class TestChunking:
         with pytest.raises(SingularLiouvillian, match=match):
             steady_states(0.3, -0.2, 0.186, 2.82, paper_rates)
 
+    def test_residual_gate_names_the_first_failing_point_not_the_worst(self, paper_rates,
+                                                                       monkeypatch):
+        """Like every gate, the residual gate names the first point above its
+        limit.  Point 0's roundoff residual is nonzero but below that of the
+        50 MHz coupler at point 1."""
+        monkeypatch.setattr(solver, "_RESIDUAL_LIMIT", 0.0)
+        point = "delta_p=0.3, delta_c=-0.2, omega_p=0.186, omega_c=2.82"
+        with pytest.raises(SingularLiouvillian, match=f" at {re.escape(point)} exceeds"):
+            steady_states([0.3, -2.0], -0.2, 0.186, [2.82, 50.0], paper_rates)
+
     def test_positivity_error_names_first_failing_point(self, paper_rates, monkeypatch):
         """The kernel's own floor gate names the first non-positive state of
         a later chunk by its drive values, worded with its lowest eigenvalue."""
