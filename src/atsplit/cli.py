@@ -71,23 +71,33 @@ def _atomic_write(path: Path, chunks: Iterable[str]) -> None:
         raise ConfigError(f"cannot write output file {path}: {exc}") from exc
 
 
+#: Rows of a 1-D sweep per chunk of its CSV text: few enough writes, and
+#: text of a bounded size.
+_CSV_BLOCK = 4096
+
+
 def _sweep_csv(sweep: SweepResult) -> Iterator[str]:
     """CSV text of a sweep in chunks: a header row naming the columns, then
-    the rows (axis1, [axis2,] value) of one axis1 value per chunk, so a map
-    is formatted one row of values at a time, never held whole as text.
+    the rows (axis1, [axis2,] value), ``_CSV_BLOCK`` rows per chunk for a
+    1-D sweep and one axis1 value per chunk for a map, so a sweep is never
+    held whole as text.
 
     Every float is written with repr, the shortest decimal that round-trips
     to the exact double; names and floats never need quoting.  Each axis
     value is formatted once, not once per row it appears in.
     """
     names = [sweep.axis1_name, sweep.observable.value]
-    if sweep.axis2 is None:
-        values, tails = sweep.values[:, np.newaxis], [","]
-    else:
+    if sweep.axis2 is not None:
         names.insert(1, sweep.axis2_name)
-        values, tails = sweep.values, [f",{y!r}," for y in sweep.axis2.tolist()]
     yield ",".join(names) + "\n"
-    for x, row in zip(sweep.axis1.tolist(), values):
+    if sweep.axis2 is None:
+        for start in range(0, len(sweep.axis1), _CSV_BLOCK):
+            block = slice(start, start + _CSV_BLOCK)
+            yield "".join([f"{x!r},{v!r}\n" for x, v in
+                           zip(sweep.axis1[block].tolist(), sweep.values[block].tolist())])
+        return
+    tails = [f",{y!r}," for y in sweep.axis2.tolist()]
+    for x, row in zip(sweep.axis1.tolist(), sweep.values):
         head = repr(x)
         yield "".join([head + tail + repr(v) + "\n" for tail, v in zip(tails, row.tolist())])
 

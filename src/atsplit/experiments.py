@@ -18,7 +18,6 @@ pulses are modeled as ideal instantaneous swaps.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Sequence
@@ -194,20 +193,27 @@ def _usable_cpus() -> int:
 
 
 def _steady_sweep(
-    observable: Observable, rates: DecoherenceRates, *drives, jobs: int | None = None
+    observable: Observable, rates, *drives, jobs: int | None = None
 ) -> np.ndarray:
     """Observable values at the steady states of the broadcast drives (the
-    ``DriveParams`` fields), in their broadcast shape.
+    ``DriveParams`` fields), in their broadcast shape.  ``rates`` is one
+    ``DecoherenceRates``, or an array of its ``as_tuple`` rows whose leading
+    axes broadcast with the drives, such as one rate set per row.
 
     The last axis is split into contiguous spans, four per worker, on a pool
     of one thread per usable CPU, at most ``jobs`` and one per index (the
     kernel's numpy calls release the GIL).  A span returns only its values:
     the linear readout, or for FIDELITY the dark-state fidelity at each
-    point's own angle arctan2(omega_p, omega_c).  Values are joined by index,
-    so they are identical for any worker count.
+    point's own angle arctan2(omega_p, omega_c), defined only where both
+    detunings are zero.  Values are joined by index, so they are identical
+    for any worker count.
     """
     drives = [np.asarray(d, dtype=float) for d in drives]
-    shape = np.broadcast_shapes(*(d.shape for d in drives))
+    if observable is Observable.FIDELITY and (np.any(drives[0] != 0.0) or np.any(drives[1] != 0.0)):
+        raise ValueError("dark-state fidelity is defined at delta_p = delta_c = 0")
+    per_point = not isinstance(rates, DecoherenceRates)
+    shape = np.broadcast_shapes(np.shape(rates)[:-1] if per_point else (),
+                                *(d.shape for d in drives))
     n = shape[-1]
     if n == 0:
         return np.empty(shape)
@@ -215,11 +221,17 @@ def _steady_sweep(
     def span(index: np.ndarray) -> np.ndarray:
         # Scalar drives pass as they are: steady_states broadcasts them without a copy.
         part = [d if d.ndim == 0 else np.broadcast_to(d, shape)[..., index].ravel() for d in drives]
-        rho = steady_states(*part, rates)
+        rows = rates
+        if per_point:
+            rows = np.broadcast_to(rates, (*shape, 5))[..., index, :].reshape(-1, 5)
+        rho = steady_states(*part, rows)
         if observable is Observable.FIDELITY:
             values = dark_state_fidelity(rho, np.broadcast_to(np.arctan2(*part[2:]), len(rho)))
             return values.fidelity.reshape(*shape[:-1], -1)
         return readout_signal(rho, observable).reshape(*shape[:-1], -1)
+
+    # Imported here, so that runs without a steady-state sweep never load it.
+    from concurrent.futures import ThreadPoolExecutor
 
     workers = max(1, min(n, _usable_cpus(), n if jobs is None else int(jobs)))
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -292,14 +304,13 @@ def fidelity_vs_coupler(
 
     Both drives on resonance; the mixing angle follows each coupler
     amplitude.  Valid only at zero detunings, where the dark state is an
-    exact eigenstate.
+    exact eigenstate (``_steady_sweep`` refuses any other).
     """
-    if base.drive.delta_p != 0.0 or base.drive.delta_c != 0.0:
-        raise ValueError("dark-state fidelity is defined at delta_p = delta_c = 0")
     omega_c = np.asarray(list(omega_c_list), dtype=float)
     if np.any(omega_c < 0.0) or (base.drive.omega_p == 0.0 and np.any(omega_c == 0.0)):
         raise ValueError("need omega_p^2 + omega_c^2 > 0 at every point")
-    values = _steady_sweep(Observable.FIDELITY, base.rates, 0.0, 0.0, base.drive.omega_p, omega_c)
+    values = _steady_sweep(Observable.FIDELITY, base.rates, base.drive.delta_p,
+                           base.drive.delta_c, base.drive.omega_p, omega_c)
     return SweepResult(axis1=omega_c, values=values, observable=Observable.FIDELITY,
                        axis1_name="omega_c_mhz")
 
@@ -310,7 +321,8 @@ def eit_regime_scan(
     """Fidelity-versus-drive-ratio curves with the 2-1 relaxation scaled down.
 
     Curve n is ``fidelity_vs_coupler`` at omega_c = ratio * omega_p with
-    gamma_21 * 0.5^n (0 once it underflows), on the ratio axis.
+    gamma_21 * 0.5^n (0 once it underflows), on the ratio axis; the curves
+    are the rows of one ``_steady_sweep``, one rate set per row.
     Successively longer |2> lifetimes open the population-trapping
     (EIT-like) window, raising the fidelity even at small drive ratios.
     """
@@ -321,9 +333,9 @@ def eit_regime_scan(
     ratios = ratio_grid.points
     if np.any(ratios < 0.0):
         raise ValueError("drive ratios must be >= 0")
-    sweeps = []
-    for n in range(n_max + 1):
-        scaled = replace(base.rates, gamma_21=base.rates.gamma_21 * 0.5**n)
-        curve = fidelity_vs_coupler(replace(base, rates=scaled), ratios * base.drive.omega_p)
-        sweeps.append(replace(curve, axis1=ratios, axis1_name="omega_c_over_omega_p"))
-    return sweeps
+    rates = np.array([replace(base.rates, gamma_21=base.rates.gamma_21 * 0.5**n).as_tuple()
+                      for n in range(n_max + 1)])
+    values = _steady_sweep(Observable.FIDELITY, rates[:, None], base.drive.delta_p,
+                           base.drive.delta_c, base.drive.omega_p, ratios * base.drive.omega_p)
+    return [SweepResult(axis1=ratios, values=row, observable=Observable.FIDELITY,
+                        axis1_name="omega_c_over_omega_p") for row in values]

@@ -7,9 +7,10 @@ The master equation, defined once on 3x3 matrices, becomes a real 9x9
 generator whose row 0 is exactly zero, so c_0 = tr(rho)/sqrt(3) is conserved
 exactly.  ``build_liouvillian`` gives it under column stacking instead.
 The batch solvers ``steady_states`` and ``final_states`` both take drive
-arrays and one rate set.  ``final_states`` applies exp(t R) by scaling and
-squaring; ``evolve`` is fixed-step RK4, kept as an independent oracle.  One
-routine, ``_propagated``, turns either's increments into checked states.
+arrays and one rate set (``steady_states`` also one per point).
+``final_states`` applies exp(t R) by scaling and squaring; ``evolve`` is
+fixed-step RK4, kept as an independent oracle.  One routine,
+``_propagated``, turns either's increments into checked states.
 """
 
 from __future__ import annotations
@@ -114,13 +115,14 @@ def _generator_table() -> np.ndarray:
 _GENERATORS = _generator_table()
 
 
-def _generators(drives, rates: DecoherenceRates) -> np.ndarray:
+def _generators(drives, rates) -> np.ndarray:
     """Real 9x9 generators, one per point of four equal-length drive arrays
-    under one rate set.  The product is stacked, one vector per point, so a
-    generator never depends on the batch it was built in."""
+    under the five rates of ``DecoherenceRates.as_tuple``, or one row of them
+    per point.  The product is stacked, one vector per point, so a generator
+    never depends on the batch it was built in."""
     params = np.empty((len(drives[0]), 1, 9))
     params[:, 0, :4] = np.transpose(drives)
-    params[:, 0, 4:] = rates.as_tuple()
+    params[:, 0, 4:] = rates
     return (params @ _GENERATORS).reshape(-1, 9, 9)
 
 
@@ -152,7 +154,7 @@ def _coherence_vector(rho: np.ndarray) -> np.ndarray:
 
 def build_liouvillian(model: ThreeLevelModel) -> np.ndarray:
     """9x9 generator L with vec(d rho/dt) = L . vec(rho), in rad/us."""
-    generator = _generators(np.array([model.drive.as_tuple()]).T, model.rates)[0]
+    generator = _generators(np.array([model.drive.as_tuple()]).T, model.rates.as_tuple())[0]
     return _VEC_BASIS @ generator @ _VEC_BASIS.conj().T
 
 
@@ -161,16 +163,19 @@ def steady_state(model: ThreeLevelModel) -> np.ndarray:
     return steady_states(*model.drive.as_tuple(), model.rates)[0]
 
 
-def steady_states(delta_p, delta_c, omega_p, omega_c, rates: DecoherenceRates) -> np.ndarray:
-    """Steady states for a batch of drive settings sharing one rate set.
+def steady_states(delta_p, delta_c, omega_p, omega_c, rates) -> np.ndarray:
+    """Steady states for a batch of drive settings.
 
     Drive arguments are 1-D arrays or scalars of the ``DriveParams`` fields,
-    broadcast together; returns an (n, 3, 3) stack of density matrices.  A
-    drive value that is not finite raises ValueError.
+    broadcast together; returns an (n, 3, 3) stack of density matrices.
+    ``rates`` is one ``DecoherenceRates`` for every point, or an (n, 5)
+    array of its ``as_tuple`` rows, one per point.  A drive value that is
+    not finite, or a rate that is not finite and >= 0, raises ValueError.
     Points are solved ``_CHUNK`` at a time, each independently, so a value
     never depends on the batch it was solved in.  Each real generator, its
-    zero row 0 replaced by c_0 = 1, is inverted directly (exact to machine
-    precision); the residual is checked, and positivity by LDL^H pivots
+    zero row 0 replaced by c_0 = 1, is solved through the inverse of its
+    8x8 block below row 0 (exact to machine precision, ``_solve_chunk``);
+    the residual is checked, and positivity by LDL^H pivots
     (``below_eig_floor``), with eigvalsh only to word an error.
 
     Raises SingularLiouvillian when a constrained system is rank deficient
@@ -180,36 +185,53 @@ def steady_states(delta_p, delta_c, omega_p, omega_c, rates: DecoherenceRates) -
     first failing point by its four drive values (``_at``), never by an index.
     """
     drives = _broadcast(delta_p, delta_c, omega_p, omega_c)
+    if isinstance(rates, DecoherenceRates):
+        rates = rates.as_tuple()
+    rows = np.broadcast_to(np.asarray(rates, dtype=float), (drives[0].size, 5))
+    reject(~((rows >= 0.0) & (rows < math.inf)).all(axis=1), ValueError,  # NaN fails too
+           lambda k: f"rates must be finite and >= 0 {_at(k, drives)}, got {rows[k].tolist()}")
     rho = np.empty((drives[0].size, 3, 3), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):  # the condition gate rejects inf and NaN
         for start in range(0, len(rho), _CHUNK):
             chunk = [d[start:start + _CHUNK] for d in drives]
-            rho[start:start + _CHUNK] = _solve_chunk(_generators(chunk, rates), chunk)
+            rho[start:start + _CHUNK] = _solve_chunk(
+                _generators(chunk, rows[start:start + _CHUNK]), chunk)
     return rho
 
 
 def _solve_chunk(system: np.ndarray, drives: list[np.ndarray]) -> np.ndarray:
     """Checked steady states of one chunk (see ``steady_states``) from its
-    freshly built generators, whose zero entry [0, 0] is set to 1 in place."""
+    freshly built generators, whose zero entry [0, 0] is set to 1 in place.
+
+    Row 0 of the system B is then e_0^T, so B = [[1, 0], [r, M]] with M its
+    rows and columns 1..8, and B^-1 = [[1, 0], [-M^-1 r, M^-1]] (Golub & Van
+    Loan, Matrix Computations, sec. 3.1): only the 8x8 M is inverted, and
+    det B = det M, so M is singular exactly when B is."""
     system[:, 0, 0] = 1.0
+    matrix = system[:, 1:, 1:]
     try:
-        inverse = np.linalg.inv(system)
+        inverse = np.linalg.inv(matrix)
     except np.linalg.LinAlgError:  # an exactly zero pivot, where slogdet's sign is 0
-        k = int(np.argmin(np.abs(np.linalg.slogdet(system)[0])))
+        k = int(np.argmin(np.abs(np.linalg.slogdet(matrix)[0])))
         raise SingularLiouvillian(f"steady state not unique {_at(k, drives)}: singular") from None
+    tail = -np.einsum("nab,nb->na", inverse, system[:, 1:, 0])  # -M^-1 r, column 0 of B^-1
     # With t the trace functional, the column-stacked system A (L with row 0
     # replaced by t) is E (L + t t^T/3), E = I - e0 e0^T - t t^T/3 + (4/3) e0 t^T
     # with kappa_2(E) = 3, and L + t t^T/3 is unitarily similar to this B.  So
     # kappa_2(A) <= 3 kappa_2(B) <= 27 kappa_1(B), and no A with a 2-norm
     # condition above _COND_LIMIT passes.  Each 1-norm is a largest column sum,
-    # which einsum finds faster than np.linalg.norm(x, 1, (1, 2)) on 9x9 stacks.
-    column_sums = [np.einsum("nij->nj", abs(x)) for x in (system, inverse)]
-    kappa = column_sums[0].max(axis=1) * column_sums[1].max(axis=1)
+    # which einsum finds faster than np.linalg.norm(x, 1, (1, 2)) on stacks;
+    # B^-1's are 1 + ||M^-1 r||_1 (column 0) and those of M^-1.
+    inverse_norm = np.maximum(1.0 + abs(tail).sum(axis=1),
+                              np.einsum("nij->nj", abs(inverse)).max(axis=1))
+    kappa = np.einsum("nij->nj", abs(system)).max(axis=1) * inverse_norm
     reject(~(kappa <= _COND_LIMIT / 27.0), SingularLiouvillian,  # NaN counts as rejected
            lambda k: f"steady state not unique {_at(k, drives)}: 1-norm condition {kappa[k]:.3e}")
 
-    # Column 0 of the inverse solves for right-hand side e_0, so its c_0 is 1.
-    c = inverse[:, :, 0] / math.sqrt(3.0)
+    # Column 0 of B^-1 solves for right-hand side e_0, so its c_0 is 1.
+    c = np.empty((len(system), 9))
+    c[:, 0], c[:, 1:] = 1.0, tail
+    c /= math.sqrt(3.0)
     # Rows 1..8 of B are the generator's (its row 0 is zero), and the basis
     # change is unitary: this equals ||L vec(rho)||.
     residuals = np.linalg.norm(np.einsum("nab,nb->na", system[:, 1:], c), axis=1)
@@ -323,7 +345,7 @@ def evolve(
         raise ValueError(f"t_final={t_final} needs more than 2**62 steps of dt")
     dt = t_final / max(n_steps, 1)
     record_idx = np.append(np.arange(0, n_steps, record_every), n_steps)
-    generator = _generators(_broadcast(*model.drive.as_tuple()), model.rates)
+    generator = _generators(_broadcast(*model.drive.as_tuple()), model.rates.as_tuple())
     step = _taylor_increments(dt * generator, 4)
     states = _propagated(
         lambda chunk: _transfer_power(step, record_idx[chunk]), len(record_idx), rho0, "recorded"
@@ -346,7 +368,8 @@ def final_states(
            lambda k: f"t_final must be >= 0 {_at(k, [*drives, t_final])}")
 
     def increments(chunk: slice) -> np.ndarray:
-        return _exp_increments(_generators([d[chunk] for d in drives], rates), t_final[chunk])
+        return _exp_increments(_generators([d[chunk] for d in drives], rates.as_tuple()),
+                               t_final[chunk])
 
     with np.errstate(over="ignore", invalid="ignore"):  # _propagated rejects inf and NaN
         return _propagated(increments, len(t_final), rho0, "final")

@@ -2,8 +2,10 @@
 consistency between independent evaluation paths, and the published
 qualitative features."""
 
+import concurrent.futures
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -279,7 +281,7 @@ class TestAtMap:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(experiments, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
         monkeypatch.setattr(experiments, "_usable_cpus", lambda: cores)
         base = model_with(paper_rates, omega_p=OMEGA_P, omega_c=0.707)
         dp, dc = Grid1D(-2.0, 2.0, 5), Grid1D(-2.0, 2.0, columns)
@@ -443,12 +445,19 @@ class TestFidelityVsCoupler:
 
 
 class TestEitRegimeScan:
-    def test_first_curve_matches_unscaled_fidelity(self, paper_rates):
+    def test_every_curve_is_fidelity_vs_coupler_on_its_scaled_rates(self, paper_rates):
+        """The curves are the rows of one sweep with one rate set per row;
+        each equals its own ``fidelity_vs_coupler`` bit for bit."""
         base = model_with(paper_rates, omega_p=OMEGA_P)
-        ratios = Grid1D(1.0, 21.0, 11)
-        scan = eit_regime_scan(base, 0, ratios)
-        direct = fidelity_vs_coupler(base, list(ratios.points * OMEGA_P))
-        np.testing.assert_allclose(scan[0].values, direct.values, atol=1e-14)
+        ratios = Grid1D(0.0, 21.0, 43)
+        scan = eit_regime_scan(base, 9, ratios)
+        assert len(scan) == 10
+        for n, curve in enumerate(scan):
+            scaled = replace(paper_rates, gamma_21=paper_rates.gamma_21 * 0.5**n)
+            direct = fidelity_vs_coupler(replace(base, rates=scaled), ratios.points * OMEGA_P)
+            assert np.array_equal(curve.axis1, ratios.points)
+            assert curve.axis1_name == "omega_c_over_omega_p"
+            assert curve.values.tobytes() == direct.values.tobytes()
 
     def test_returns_one_curve_per_scale(self, paper_rates):
         base = model_with(paper_rates, omega_p=OMEGA_P)
@@ -512,7 +521,7 @@ class TestWorkerCount:
                 pools.append(max_workers)
                 super().__init__(max_workers)
 
-        monkeypatch.setattr(experiments, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
         base = model_with(paper_rates, omega_p=OMEGA_P)
         runs = []
         for cpus in (1, 2):

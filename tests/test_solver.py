@@ -46,7 +46,8 @@ def random_model(rng) -> ThreeLevelModel:
 
 def real_generator(model: ThreeLevelModel) -> np.ndarray:
     """The real 9x9 coherence-vector generator of one model."""
-    return solver._generators(solver._broadcast(*model.drive.as_tuple()), model.rates)[0]
+    drives = solver._broadcast(*model.drive.as_tuple())
+    return solver._generators(drives, model.rates.as_tuple())[0]
 
 
 def random_density_matrix(rng) -> np.ndarray:
@@ -244,18 +245,25 @@ def constrained_system(model: ThreeLevelModel) -> np.ndarray:
     return matrix
 
 
+def gate_models() -> list[ThreeLevelModel]:
+    """200 random models, then 20 of them with every rate scaled down
+    through 1e-4 ... 1e-16 and 0: a family that crosses the condition limit."""
+    rng = np.random.default_rng(4)
+    models = [random_model(rng) for _ in range(200)]
+    for base in models[:20]:
+        for scale in [*np.logspace(-4, -16, 25), 0.0]:
+            rates = DecoherenceRates(*(scale * r for r in base.rates.as_tuple()))
+            models.append(ThreeLevelModel(base.drive, rates))
+    return models
+
+
 class TestConditionGate:
     """The kernel gates on the 1-norm condition number; the SVD-based
     2-norm condition number is the reference it must be at least as strict
     as: every system with kappa_2 > 1e12 is rejected."""
 
     def test_random_models_and_vanishing_rates(self):
-        rng = np.random.default_rng(4)
-        models = [random_model(rng) for _ in range(200)]
-        for base in models[:20]:
-            for scale in [*np.logspace(-4, -16, 25), 0.0]:
-                rates = DecoherenceRates(*(scale * r for r in base.rates.as_tuple()))
-                models.append(ThreeLevelModel(base.drive, rates))
+        models = gate_models()
         rejected = 0
         for model in models:
             kappa_2 = np.linalg.cond(constrained_system(model))
@@ -294,16 +302,69 @@ class TestGateProof:
             assert np.abs(factored - a).max() <= 1e-12 * np.abs(a).max()
 
     def test_bound_holds_on_the_gate_models(self):
-        rng = np.random.default_rng(4)
-        models = [random_model(rng) for _ in range(200)]
-        for base in models[:20]:
-            for scale in [*np.logspace(-4, -16, 25), 0.0]:
-                rates = DecoherenceRates(*(scale * r for r in base.rates.as_tuple()))
-                models.append(ThreeLevelModel(base.drive, rates))
+        models = gate_models()
         for model in models:
             with np.errstate(all="ignore"):
                 kappa_1 = np.linalg.cond(coherence_system(model), 1)
             assert np.linalg.cond(constrained_system(model)) <= 27.0 * kappa_1
+
+    def test_block_inverse_gives_the_full_inverse_gate(self):
+        """B = [[1, 0], [r, M]] has B^-1 = [[1, 0], [-M^-1 r, M^-1]], so
+        ||B^-1||_1 = max(1 + ||M^-1 r||_1, ||M^-1||_1).  On the gate models,
+        and on 20 of them with rates scaled up 1e11-fold, that 8x8 form of
+        kappa_1(B) and the 9x9 inverse's agree to roundoff and reject the
+        same points, and so does the kernel, by its condition or
+        singularity message."""
+
+        def norm_1(x):
+            return np.abs(x).sum(axis=0).max()
+
+        def kappa_1(b, from_block):
+            try:
+                if not from_block:
+                    return norm_1(b) * norm_1(np.linalg.inv(b))
+                m_inv = np.linalg.inv(b[1:, 1:])
+                return norm_1(b) * max(1.0 + np.abs(m_inv @ b[1:, 0]).sum(), norm_1(m_inv))
+            except np.linalg.LinAlgError:
+                return math.inf
+
+        models = gate_models()
+        # Rates near 1e9 / us: there column 0 of B^-1 sets ||B^-1||_1, and
+        # with it the gate's verdict.
+        for base in models[:20]:
+            rates = DecoherenceRates(*(1e11 * r for r in base.rates.as_tuple()))
+            models.append(ThreeLevelModel(base.drive, rates))
+        full, blocked, kernel = [], [], []
+        for model in models:
+            b = coherence_system(model)
+            with np.errstate(all="ignore"):
+                full.append(kappa_1(b, from_block=False))
+                blocked.append(kappa_1(b, from_block=True))
+            try:
+                steady_state(model)
+                kernel.append(False)
+            except SingularLiouvillian as exc:
+                kernel.append(str(exc).startswith("steady state not unique"))
+            except NonPhysicalResult:
+                kernel.append(False)
+        full, blocked = np.array(full), np.array(blocked)
+        rejected = ~(full <= solver._COND_LIMIT / 27.0)
+        assert rejected[:720].sum() == 391 and rejected[720:].sum() == 20
+        assert np.array_equal(~(blocked <= solver._COND_LIMIT / 27.0), rejected)
+        assert np.array_equal(np.array(kernel), rejected)
+        finite = np.isfinite(full) & np.isfinite(blocked)
+        assert finite.sum() >= 650
+        np.testing.assert_allclose(blocked[finite], full[finite], rtol=1e-12)
+
+    def test_exactly_singular_block_names_the_point(self):
+        """Undriven, with dephasing alone, the populations' rows and columns
+        of M are zero: its inverse fails, and the error names that point by
+        its drive values."""
+        rates = DecoherenceRates(gamma_10=0.0, gamma_21=0.0, phi_1=0.02, phi_2=0.05)
+        message = ("steady state not unique at delta_p=0.5, delta_c=0.3, "
+                   "omega_p=0.0, omega_c=0.0: singular")
+        with pytest.raises(SingularLiouvillian, match=f"^{re.escape(message)}$"):
+            steady_states([-0.5, 0.5], 0.3, [0.5, 0.0], [1.5, 0.0], rates)
 
 
 class TestChunking:
@@ -319,6 +380,27 @@ class TestChunking:
         ])
         assert batch.shape == (40, 3, 3)
         assert batch.tobytes() == singles.tobytes()
+
+    def test_rate_rows_match_single_rate_sets_bitwise(self, paper_rates, monkeypatch):
+        """One rate row per point solves each point as its own rate set
+        does; a rate row that is negative or not finite is refused by its
+        point's drive values."""
+        monkeypatch.setattr(solver, "_CHUNK", 7)
+        rng = np.random.default_rng(9)
+        dp, wc = rng.uniform(-5, 5, 40), rng.uniform(0, 6, 40)
+        rows = np.array(paper_rates.as_tuple()) * rng.uniform(0.0, 2.0, (40, 1))
+        batch = steady_states(dp, 0.3, 0.5, wc, rows)
+        singles = np.array([
+            steady_state(ThreeLevelModel(DriveParams(p, 0.3, 0.5, c), DecoherenceRates(*r)))
+            for p, c, r in zip(dp, wc, rows)
+        ])
+        assert batch.tobytes() == singles.tobytes()
+        for bad in (-1e-3, math.nan):
+            rows[13, 1] = bad
+            point = re.escape(f"delta_p={float(dp[13])!r}, delta_c=0.3, omega_p=0.5, "
+                              f"omega_c={float(wc[13])!r}")
+            with pytest.raises(ValueError, match=f"^rates must be finite and >= 0 at {point}, got"):
+                steady_states(dp, 0.3, 0.5, wc, rows)
 
     @pytest.mark.parametrize("k, amplitude", [(23, 0.0), (30, 1e-9)])
     def test_error_in_later_chunk_names_global_index(self, monkeypatch, k, amplitude):
