@@ -95,7 +95,12 @@ class Grid1D:
 
     @property
     def points(self) -> np.ndarray:
-        return np.linspace(self.start, self.stop, self.count)
+        points = np.linspace(self.start, self.stop, self.count)
+        if self.start == -self.stop:  # exactly antisymmetric, for _mirrored_sweep
+            half = self.count // 2
+            points[-half:] = -points[half - 1::-1]
+            points[half:-half] = 0.0  # the middle point of an odd count
+        return points
 
 
 @dataclass(frozen=True)
@@ -133,8 +138,7 @@ def probe_spectroscopy(base: ThreeLevelModel, dp_grid: Grid1D) -> SweepResult:
     if base.drive.omega_c != 0.0:
         raise ValueError("probe spectroscopy requires omega_c = 0")
     dp = dp_grid.points
-    values = _steady_sweep(Observable.PA_SUM, base.rates, dp, base.drive.delta_c,
-                           base.drive.omega_p, 0.0)
+    values = _mirrored_sweep((0,), base.rates, dp, base.drive.delta_c, base.drive.omega_p, 0.0)
     return SweepResult(axis1=dp, values=values, observable=Observable.PA_SUM,
                        axis1_name="delta_p_mhz")
 
@@ -239,6 +243,25 @@ def _steady_sweep(
         return np.concatenate(list(spans), axis=-1)
 
 
+def _mirrored_sweep(axes: tuple[int, ...], rates, delta_p, delta_c, *amplitudes, jobs=None):
+    """PA_SUM ``_steady_sweep`` values; where reversing ``axes`` negates both
+    detunings exactly, only the first ceil(n/2) entries along axes[0] are
+    solved and the rest are their reversal.  With real drives and collapse
+    operators the generator at -delta is S R S, S a diagonal of +-1, so each
+    such population equals its own solve bit for bit (Buca & Prosen, 2012)."""
+    dp, dc = np.broadcast_arrays(np.asarray(delta_p, dtype=float), delta_c)
+    if all(np.array_equal(np.flip(d, axes), -d) for d in (dp, dc)):
+        n, lead = dp.shape[axes[0]], (slice(None),) * (axes[0] % dp.ndim)
+        half = (*lead, slice(n - n // 2))
+        try:
+            values = _steady_sweep(Observable.PA_SUM, rates, dp[half], dc[half], *amplitudes,
+                                   jobs=jobs)
+            return np.concatenate([values, np.flip(values[(*lead, slice(n // 2))], axes)], axes[0])
+        except (ArithmeticError, ValueError):  # solved in full below, to name its first failure
+            pass
+    return _steady_sweep(Observable.PA_SUM, rates, delta_p, delta_c, *amplitudes, jobs=jobs)
+
+
 def at_map(
     base: ThreeLevelModel,
     dp_grid: Grid1D,
@@ -255,8 +278,8 @@ def at_map(
     if base.drive.omega_p <= 0.0 or base.drive.omega_c <= 0.0:
         raise ValueError("at_map requires both drive amplitudes > 0")
     dp, dc = dp_grid.points, dc_grid.points
-    values = _steady_sweep(Observable.PA_SUM, base.rates, dp[:, None], dc,
-                           base.drive.omega_p, base.drive.omega_c, jobs=jobs)
+    values = _mirrored_sweep((0, 1), base.rates, dp[:, None], dc,
+                             base.drive.omega_p, base.drive.omega_c, jobs=jobs)
     return SweepResult(axis1=dp, axis2=dc, values=values, observable=Observable.PA_SUM,
                        axis1_name="delta_p_mhz", axis2_name="delta_c_mhz")
 
@@ -291,8 +314,8 @@ def at_slice(
             raise ValueError(f"coupler amplitudes must be > 0, got {omega_c}")
     dp = np.array([(dp_grid if dp_grid is not None else default_slice_grid(omega_c)).points
                    for omega_c in omega_c_list])
-    values = _steady_sweep(Observable.PA_SUM, base.rates, dp, 0.0, base.drive.omega_p,
-                           np.asarray(omega_c_list, dtype=float)[:, None])
+    values = _mirrored_sweep((-1,), base.rates, dp, 0.0, base.drive.omega_p,
+                             np.asarray(omega_c_list, dtype=float)[:, None])
     return [SweepResult(axis1=axis, values=row, observable=Observable.PA_SUM,
                         axis1_name="delta_p_mhz") for axis, row in zip(dp, values)]
 

@@ -127,9 +127,10 @@ def _generators(drives, rates) -> np.ndarray:
 
 
 def _at(k: int, arrays) -> str:
-    """Point k of broadcast drive arrays (then t_final) named by its values,
-    not its index, so an error reads the same for any batch or span."""
-    names = [f.name for f in fields(DriveParams)] + ["t_final"]
+    """Point k of broadcast drive arrays, then t_final or per-point rates,
+    named by its values, not its index, so an error reads the same for any batch or span."""
+    names = [f.name for f in fields(DriveParams)]
+    names += [f.name for f in fields(DecoherenceRates)] if len(arrays) > 5 else ["t_final"]
     return "at " + ", ".join(f"{n}={float(a[k])!r}" for n, a in zip(names, arrays))
 
 
@@ -182,7 +183,7 @@ def steady_states(delta_p, delta_c, omega_p, omega_c, rates) -> np.ndarray:
     (steady state not unique, e.g. no dissipation at all), overflows to
     inf or NaN, or its residual exceeds the limit, and NonPhysicalResult
     when a state violates the positivity floor.  Every error names the
-    first failing point by its four drive values (``_at``), never by an index.
+    first failing point by its drive values and per-point rates (``_at``), never by an index.
     """
     drives = _broadcast(delta_p, delta_c, omega_p, omega_c)
     if isinstance(rates, DecoherenceRates):
@@ -190,12 +191,13 @@ def steady_states(delta_p, delta_c, omega_p, omega_c, rates) -> np.ndarray:
     rows = np.broadcast_to(np.asarray(rates, dtype=float), (drives[0].size, 5))
     reject(~((rows >= 0.0) & (rows < math.inf)).all(axis=1), ValueError,  # NaN fails too
            lambda k: f"rates must be finite and >= 0 {_at(k, drives)}, got {rows[k].tolist()}")
+    named = [*drives, *rows.T] if np.ndim(rates) == 2 else drives  # name per-point rates too
     rho = np.empty((drives[0].size, 3, 3), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):  # the condition gate rejects inf and NaN
         for start in range(0, len(rho), _CHUNK):
-            chunk = [d[start:start + _CHUNK] for d in drives]
+            chunk = [d[start:start + _CHUNK] for d in named]
             rho[start:start + _CHUNK] = _solve_chunk(
-                _generators(chunk, rows[start:start + _CHUNK]), chunk)
+                _generators(chunk[:4], rows[start:start + _CHUNK]), chunk)
     return rho
 
 

@@ -344,7 +344,7 @@ def _axis_columns(path):
 
 def _grid_texts(start, stop, count):
     """The CSV text of each point of a grid, so a comparison is bit for bit."""
-    return [repr(x) for x in np.linspace(start, stop, count).tolist()]
+    return [repr(x) for x in experiments.Grid1D(start, stop, count).points.tolist()]
 
 
 class TestAutoGrids:

@@ -3,14 +3,16 @@ consistency between independent evaluation paths, and the published
 qualitative features."""
 
 import concurrent.futures
+import importlib.util
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from atsplit import experiments, solver
+from atsplit import config, experiments, solver
 from atsplit.analysis import fit_peaks
 from atsplit.experiments import (
     Grid1D,
@@ -28,10 +30,13 @@ from atsplit.experiments import (
     readout_signal,
 )
 from atsplit.errors import SingularLiouvillian
-from atsplit.model import DecoherenceRates, DriveParams, ThreeLevelModel, ket_bra
-from atsplit.solver import evolve, final_states, steady_state
+from atsplit.model import DecoherenceRates, DriveParams, ThreeLevelModel, ket_bra, reject
+from atsplit.solver import evolve, final_states, steady_state, steady_states
 
 from conftest import FIG3_COUPLERS, OMEGA_P
+from test_solver import gate_models
+
+PAPER_SET = Path(__file__).resolve().parents[1] / "tools" / "paper_set.py"
 
 
 def model_with(rates, **drive):
@@ -42,6 +47,28 @@ class TestGrid1D:
     def test_points_include_endpoints(self):
         grid = Grid1D(-1.0, 1.0, 5)
         np.testing.assert_allclose(grid.points, [-1.0, -0.5, 0.0, 0.5, 1.0])
+
+    @pytest.mark.parametrize("count", [2, 3, 40, 41, 200, 201, 301, 401])
+    @pytest.mark.parametrize("stop", [1.0, 3.0, 2.0 * 2.82 + 2.0, 1.5 * 0.354 + 1.0,
+                                      1.5 * 11.2 + 1.0])
+    def test_symmetric_grid_is_exactly_antisymmetric(self, stop, count):
+        """A grid from -stop to stop is its negated reversal bit for bit, so
+        the point reflection maps it onto itself; each value stays within a
+        few ulp of np.linspace."""
+        points = Grid1D(-stop, stop, count).points
+        assert np.array_equal(points, -points[::-1])
+        assert points[0] == -stop and points[-1] == stop
+        if count % 2:
+            middle = points[count // 2]
+            assert middle == 0.0 and not np.signbit(middle)
+        assert np.all(np.diff(points) > 0.0)
+        assert np.max(np.abs(points - np.linspace(-stop, stop, count))) <= 4 * np.spacing(stop)
+
+    @pytest.mark.parametrize("start, stop, count", [(-7.64, 7.0, 301), (0.0, 20.0, 401),
+                                                    (0.25, 60.25, 81), (-7.64, 7.64 + 1e-15, 301)])
+    def test_other_grids_are_linspace(self, start, stop, count):
+        grid = Grid1D(start, stop, count)
+        assert grid.points.tobytes() == np.linspace(start, stop, count).tobytes()
 
     def test_count_validated(self):
         with pytest.raises(ValueError, match="count"):
@@ -228,12 +255,127 @@ def small_map(paper_rates):
     return at_map(base, grid, grid, jobs=1)
 
 
-class TestAtMap:
-    def test_symmetric_under_joint_sign_flip(self, small_map):
-        np.testing.assert_allclose(
-            small_map.values, small_map.values[::-1, ::-1], atol=1e-10
-        )
+def direct_values(sweep: SweepResult, base: ThreeLevelModel, omega_c: float) -> np.ndarray:
+    """The PA_SUM value of every point of a probe line, slice or map, each
+    from a ``steady_states`` solve of that point's own drives."""
+    if sweep.axis2 is None:
+        dp, dc = np.broadcast_arrays(sweep.axis1, base.drive.delta_c)
+    else:
+        dp, dc = np.broadcast_arrays(sweep.axis1[:, None], sweep.axis2)
+    rho = steady_states(dp.ravel(), dc.ravel(), base.drive.omega_p, omega_c, base.rates)
+    return readout_signal(rho, Observable.PA_SUM).reshape(sweep.values.shape)
 
+
+@pytest.fixture
+def solved_points(monkeypatch):
+    """The number of points each ``steady_states`` call of ``experiments`` solves."""
+    counts = []
+
+    def counting(*args):
+        rho = solver.steady_states(*args)
+        counts.append(len(rho))
+        return rho
+
+    monkeypatch.setattr(experiments, "steady_states", counting)
+    return counts
+
+
+class TestMirroredSweeps:
+    """A grid that the point reflection (delta_p, delta_c) -> (-delta_p,
+    -delta_c) maps onto itself is solved in its first half and filled by
+    reversal; every filled value must equal the solve of its own point."""
+
+    @pytest.fixture(scope="class")
+    def paper_configs(self):
+        spec = importlib.util.spec_from_file_location("paper_set", PAPER_SET)
+        paper_set = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(paper_set)
+        path = config.bundled_config_path("paper.cfg")
+        return {name: config.load(path, paper_set.RUNS[name])
+                for name in ("at_map", "at_slice", "probe_spec")}
+
+    def test_paper_grids_equal_direct_solves_bitwise(self, paper_configs, solved_points):
+        maps = paper_configs["at_map"]
+        base = model_with(maps.rates, omega_p=maps.omega_p, omega_c=maps.omega_c_values[0])
+        sweep = at_map(base, maps.delta_p, maps.delta_c)
+        assert sum(solved_points) == (maps.delta_p.count + 1) // 2 * maps.delta_c.count
+        assert direct_values(sweep, base, base.drive.omega_c).tobytes() == sweep.values.tobytes()
+
+        slices = paper_configs["at_slice"]
+        base = model_with(slices.rates, omega_p=slices.omega_p)
+        for omega_c, sweep in zip(slices.omega_c_values,
+                                  at_slice(base, slices.delta_p, slices.omega_c_values)):
+            assert direct_values(sweep, base, omega_c).tobytes() == sweep.values.tobytes()
+
+        probe = paper_configs["probe_spec"]
+        base = model_with(probe.rates, omega_p=probe.omega_p)
+        sweep = probe_spectroscopy(base, probe.delta_p)
+        assert direct_values(sweep, base, 0.0).tobytes() == sweep.values.tobytes()
+
+    def test_random_models_equal_direct_solves_bitwise(self):
+        """The 200 random models of the gate tests, each on symmetric grids
+        out to its own detunings."""
+        for model in gate_models()[:200]:
+            drive = model.drive
+            dp = Grid1D(-abs(drive.delta_p), abs(drive.delta_p), 7)
+            dc = Grid1D(-abs(drive.delta_c), abs(drive.delta_c), 6)
+            base = model_with(model.rates, omega_p=drive.omega_p, omega_c=drive.omega_c)
+            sweep = at_map(base, dp, dc, jobs=1)
+            assert direct_values(sweep, base, drive.omega_c).tobytes() == sweep.values.tobytes()
+            sweep = at_slice(base, dp, [drive.omega_c])[0]
+            assert direct_values(sweep, base, drive.omega_c).tobytes() == sweep.values.tobytes()
+            sweep = probe_spectroscopy(base.with_drive(omega_c=0.0), dp)
+            assert direct_values(sweep, base, 0.0).tobytes() == sweep.values.tobytes()
+
+    @pytest.mark.parametrize("dp, dc, solved", [
+        pytest.param(Grid1D(-7.64, 7.64, 301), Grid1D(-7.64, 7.64, 301), 151 * 301, id="symmetric"),
+        pytest.param(Grid1D(-7.64, 7.0, 301), Grid1D(-7.64, 7.64, 301), 301 * 301, id="delta_p"),
+        pytest.param(Grid1D(-7.64, 7.64, 301), Grid1D(-7.64, 7.0, 301), 301 * 301, id="delta_c"),
+        pytest.param(Grid1D(-7.64, 7.64, 300), Grid1D(-2.0, 2.0, 7), 150 * 7, id="even"),
+    ])
+    def test_map_solves_half_of_a_symmetric_grid_only(self, paper_rates, solved_points,
+                                                      dp, dc, solved):
+        at_map(model_with(paper_rates, omega_p=OMEGA_P, omega_c=2.82), dp, dc)
+        assert sum(solved_points) == solved
+
+    @pytest.mark.parametrize("delta_c, solved", [(0.0, 201), (0.5, 401)])
+    def test_probe_line_solves_half_only_at_zero_coupler_detuning(
+        self, paper_rates, solved_points, delta_c, solved
+    ):
+        probe_spectroscopy(model_with(paper_rates, omega_p=OMEGA_P, delta_c=delta_c),
+                           Grid1D(-1.0, 1.0, 401))
+        assert sum(solved_points) == solved
+
+    @pytest.mark.parametrize("grid, solved", [
+        pytest.param(None, 6 * 201, id="auto"),
+        pytest.param(Grid1D(-3.0, 3.0, 121), 6 * 61, id="symmetric"),
+        pytest.param(Grid1D(-3.0, 2.5, 121), 6 * 121, id="asymmetric"),
+    ])
+    def test_slices_solve_half_of_symmetric_grids_only(self, paper_rates, solved_points,
+                                                       grid, solved):
+        at_slice(model_with(paper_rates, omega_p=OMEGA_P), grid, FIG3_COUPLERS)
+        assert sum(solved_points) == solved
+
+    def test_failing_half_names_the_point_of_the_full_grid(self, paper_rates, monkeypatch):
+        """Let the mirror pair (2, -2) and (-2, 2) of a 5x5 map fail.  On one
+        worker the full map's first column span, columns 0 and 1, holds
+        (2, -2) in its last row; the solved half holds only (-2, 2), in the
+        last span.  A half that fails is solved again in full, so the error
+        names (2, -2), as a full solve does."""
+        def failing(delta_p, delta_c, *rest):
+            dp, dc = np.broadcast_arrays(delta_p, delta_c)
+            reject((np.abs(dp) == 2.0) & (dc == -dp), SingularLiouvillian,
+                   lambda k: f"fails at delta_p={float(dp[k])!r}, delta_c={float(dc[k])!r}")
+            return solver.steady_states(delta_p, delta_c, *rest)
+
+        monkeypatch.setattr(experiments, "steady_states", failing)
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 1)
+        base = model_with(paper_rates, omega_p=OMEGA_P, omega_c=0.707)
+        with pytest.raises(SingularLiouvillian, match=r"^fails at delta_p=2\.0, delta_c=-2\.0$"):
+            at_map(base, Grid1D(-2.0, 2.0, 5), Grid1D(-2.0, 2.0, 5))
+
+
+class TestAtMap:
     def test_zero_detuning_row_matches_slice(self, paper_rates, small_map):
         base = model_with(paper_rates, omega_p=OMEGA_P, omega_c=0.707)
         slice_result = at_slice(base, Grid1D(-2.0, 2.0, 41), [0.707])[0]
@@ -354,11 +496,6 @@ class TestAtMap:
 
 
 class TestAtSlice:
-    def test_symmetric_in_probe_detuning(self, paper_rates):
-        base = model_with(paper_rates, omega_p=OMEGA_P)
-        sweep = at_slice(base, Grid1D(-3.0, 3.0, 121), [1.41])[0]
-        np.testing.assert_allclose(sweep.values, sweep.values[::-1], atol=1e-10)
-
     def test_default_grid_brackets_peaks(self):
         grid = default_slice_grid(11.2)
         assert grid.count == 401
@@ -493,6 +630,27 @@ class TestEitRegimeScan:
         scan = eit_regime_scan(base, 1100, Grid1D(1.0, 2.0, 2))
         assert len(scan) == 1101
         assert all(np.isfinite(curve.values).all() for curve in scan)
+
+    def test_error_names_the_failing_curve_by_its_rates(self):
+        """With gamma_10 = 0 a curve's steady state stops being unique as
+        gamma_21 * 0.5^n shrinks.  The curves share their drives, so the
+        error names the first failing curve by its rate row."""
+        base = model_with(DecoherenceRates(0.0, 0.0172), omega_p=OMEGA_P)
+        with pytest.raises(SingularLiouvillian) as raised:
+            eit_regime_scan(base, 1100, Grid1D(1.0, 2.0, 2))
+
+        def fails(gamma_21):
+            try:
+                fidelity_vs_coupler(replace(base, rates=DecoherenceRates(0.0, gamma_21)), [OMEGA_P])
+            except SingularLiouvillian:
+                return True
+            return False
+
+        gamma_21 = next(g for g in (0.0172 * 0.5**n for n in range(1101)) if fails(g))
+        assert str(raised.value).startswith(
+            "steady state not unique at delta_p=0.0, delta_c=0.0, omega_p=0.186, omega_c=0.186, "
+            f"gamma_10=0.0, gamma_21={gamma_21!r}, gamma_20=0.0, phi_1=0.0, phi_2=0.0: "
+            "1-norm condition")
 
 
 #: Each steady-state experiment on a grid that two workers split into
