@@ -225,9 +225,8 @@ def _run_at_slice(cfg: ExperimentConfig):
     sweeps = at_slice(base, cfg.delta_p, cfg.omega_c_values)
     outputs, slices = [], []
     for omega_c, sweep in zip(cfg.omega_c_values, sweeps):
-        low, high = float(sweep.values.min()), float(sweep.values.max())
-        peak = [_broadened_fwhm_mhz(cfg, float(sweep.axis1[-1] - sweep.axis1[0])), high - low]
-        init = [-omega_c / 2.0, *peak, omega_c / 2.0, *peak, low]
+        fwhm = _broadened_fwhm_mhz(cfg, float(sweep.axis1[-1] - sweep.axis1[0]))
+        init = [-omega_c / 2.0, fwhm, omega_c / 2.0, fwhm]
         fit = _converged_fit(sweep, 2, f"doublet at omega_c={omega_c:g} MHz", init)
         left, right = fit.peaks
         mean_fwhm = 0.5 * (left.fwhm + right.fwhm)

@@ -204,13 +204,14 @@ def _steady_sweep(
     ``DecoherenceRates``, or an array of its ``as_tuple`` rows whose leading
     axes broadcast with the drives, such as one rate set per row.
 
-    The last axis is split into contiguous spans, four per worker, on a pool
-    of one thread per usable CPU, at most ``jobs`` and one per index (the
-    kernel's numpy calls release the GIL).  A span returns only its values:
-    the linear readout, or for FIDELITY the dark-state fidelity at each
-    point's own angle arctan2(omega_p, omega_c), defined only where both
-    detunings are zero.  Values are joined by index, so they are identical
-    for any worker count.
+    The last axis is split into at most eight contiguous spans, however
+    many workers run them: a pool of one thread per usable CPU, at most
+    ``jobs`` and one per index (the kernel's numpy calls release the GIL).
+    A span returns only its values: the linear readout, or for FIDELITY the
+    dark-state fidelity at each point's own angle arctan2(omega_p, omega_c),
+    defined only where both detunings are zero.  Values are joined by
+    index, so they are identical for any worker count, and so is an error,
+    which names the first failing point of the first failing span.
     """
     drives = [np.asarray(d, dtype=float) for d in drives]
     if observable is Observable.FIDELITY and (np.any(drives[0] != 0.0) or np.any(drives[1] != 0.0)):
@@ -239,7 +240,7 @@ def _steady_sweep(
 
     workers = max(1, min(n, _usable_cpus(), n if jobs is None else int(jobs)))
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        spans = pool.map(span, np.array_split(np.arange(n), min(workers * 4, n)))
+        spans = pool.map(span, np.array_split(np.arange(n), min(8, n)))
         return np.concatenate(list(spans), axis=-1)
 
 

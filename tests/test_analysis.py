@@ -1,5 +1,6 @@
 """Tests for Lorentzian fitting and dark-state metrics."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -15,7 +16,7 @@ from atsplit.analysis import (
 )
 from atsplit.errors import DegenerateData, NonPhysicalResult
 from atsplit.experiments import Grid1D, at_slice
-from atsplit.model import DriveParams, build_hamiltonian, ket_bra
+from atsplit.model import DriveParams, ThreeLevelModel, build_hamiltonian, ket_bra
 
 from conftest import FIG3_COUPLERS
 
@@ -133,9 +134,10 @@ class TestFitPeaks:
             fit_peaks(np.column_stack([x, y]), 1)
 
     def test_unevaluable_fitted_width_is_degenerate(self, monkeypatch):
-        """A best fit whose width overflows (fwhm/2)**2 is no peak, not a crash."""
-        best = (np.array([0.0, np.inf, 1.0, 0.0]), 0.0, True)  # (params, cost, converged)
-        monkeypatch.setattr(analysis, "_levenberg_marquardt", lambda *args: best)
+        """A fit whose width overflows (fwhm/2)**2 is no peak, not a crash."""
+        # (centers and widths, amplitudes and offset, cost, converged)
+        fit = (np.array([0.0, np.inf]), np.array([1.0, 0.0]), 0.0, True)
+        monkeypatch.setattr(analysis, "_variable_projection", lambda *args: fit)
         x = np.linspace(-1.0, 1.0, 41)
         with pytest.raises(DegenerateData, match="fitted peak cannot be evaluated: fwhm"):
             fit_peaks(np.column_stack([x, 1.0 / (1.0 + x * x)]), 1)
@@ -165,15 +167,16 @@ class TestFitPeaks:
     def test_explicit_init_is_honored(self):
         truth = LorentzianModel(center=2.0, fwhm=0.2, amplitude=1.0, offset=0.0)
         x = np.linspace(0, 4, 201)
-        fit = fit_peaks(np.column_stack([x, truth(x)]), 1, init=[1.8, 0.3, 0.8, 0.0])
+        fit = fit_peaks(np.column_stack([x, truth(x)]), 1, init=[1.8, 0.3])
         assert fit.converged
         assert fit.peaks[0].center == pytest.approx(2.0, rel=1e-8)
 
     def test_init_length_validated(self):
+        """``init`` is (center, fwhm) per peak: amplitudes and an offset are refused."""
         x = np.linspace(0, 4, 201)
         y = np.exp(-(x - 2) ** 2)
-        with pytest.raises(ValueError, match="init"):
-            fit_peaks(np.column_stack([x, y]), 1, init=[1.0, 2.0])
+        with pytest.raises(ValueError, match="^init must have 2 entries, got 4$"):
+            fit_peaks(np.column_stack([x, y]), 1, init=[1.0, 2.0, 1.0, 0.0])
 
     def test_iteration_cap_returns_best_so_far_unconverged(self, monkeypatch):
         """Hitting the cap must hand back the best parameters with
@@ -183,22 +186,23 @@ class TestFitPeaks:
         monkeypatch.setattr(analysis, "_MAX_ITERATIONS", 2)
         truth = LorentzianModel(center=0.3, fwhm=0.35, amplitude=0.8, offset=0.01)
         x = np.linspace(-3, 3, 401)
-        fit = fit_peaks(np.column_stack([x, truth(x)]), 1, init=[0.9, 1.0, 0.3, 0.2])
+        fit = fit_peaks(np.column_stack([x, truth(x)]), 1, init=[0.9, 1.0])
         assert not fit.converged
         assert fit.residual_rms >= 0.0
 
     def test_singular_damped_step_raises_damping_and_retries(self, monkeypatch):
-        """A step solve that raises LinAlgError once is retried with more
-        damping, and the fit still recovers the peak."""
-        solve, raised = np.linalg.solve, []
+        """A damped trial whose projection raises LinAlgError is refused and
+        retried with more damping, and the fit still recovers the peak."""
+        projection, calls, raised = analysis._projection, [], []
 
-        def fails_once(*args):
-            if not raised:
+        def first_trial_fails(*args):
+            calls.append(args)
+            if len(calls) == 2:  # the first trial, after the start
                 raised.append(True)
                 raise np.linalg.LinAlgError("singular matrix")
-            return solve(*args)
+            return projection(*args)
 
-        monkeypatch.setattr(np.linalg, "solve", fails_once)
+        monkeypatch.setattr(analysis, "_projection", first_trial_fails)
         truth = LorentzianModel(center=0.3, fwhm=0.35, amplitude=0.8, offset=0.01)
         x = np.linspace(-3, 3, 401)
         fit = fit_peaks(np.column_stack([x, truth(x)]), 1)
@@ -231,28 +235,44 @@ class TestFitPeaks:
             assert peak.amplitude == pytest.approx(1.0, abs=1e-6)
 
     @pytest.mark.parametrize("omega_c", [2.82, 11.2])
-    def test_iteration_count_ignores_roundoff_in_the_data(self, paper_model, omega_c, monkeypatch):
-        """Eight perturbations of the slice by 1e-15 relative take the same
-        number of model evaluations: the stop rule reads the proposed step,
-        not which costs roundoff let through."""
-        import atsplit.analysis as analysis
-
+    def test_handover_ignores_roundoff_in_the_data(self, paper_model, omega_c, monkeypatch):
+        """Eight perturbations of the slice by 1e-15 relative hand over to
+        Gauss-Newton after the same number of projections: the damped loop
+        stops while its cost comparisons are still above roundoff.  Only the
+        finish's last steps, which are at roundoff, may differ."""
         sweep = at_slice(paper_model, None, [omega_c])[0]
-        model, calls = analysis._model_and_jacobian, []
+        projection, damped, calls, handovers = analysis._projection, analysis._damped_steps, [], []
 
         def counting(*args):
             calls.append(args)
-            return model(*args)
+            return projection(*args)
 
-        monkeypatch.setattr(analysis, "_model_and_jacobian", counting)
-        counts = []
+        def handing_over(*args):
+            result = damped(*args)
+            handovers.append(len(calls))
+            return result
+
+        monkeypatch.setattr(analysis, "_projection", counting)
+        monkeypatch.setattr(analysis, "_damped_steps", handing_over)
         for seed in range(8):
             noise = np.random.default_rng(seed).standard_normal(sweep.values.size)
             calls.clear()
             y = sweep.values * (1.0 + 1e-15 * noise)
             assert fit_peaks(np.column_stack([sweep.axis1, y]), 2).converged
-            counts.append(len(calls))
-        assert len(set(counts)) == 1, counts
+        assert len(set(handovers)) == 1, handovers
+
+    def test_doublet_that_runs_off_is_degenerate(self, paper_model):
+        """At phi_1 = 2/us the 0.354 MHz slice is one broad bump.  From the
+        CLI's start, widths clipped to the grid's span, the two Lorentzians
+        widen without bound and their amplitudes grow to about 1e13 over an
+        offset that cancels them: no peak the data hold."""
+        rates = dataclasses.replace(paper_model.rates, phi_1=2.0)
+        sweep = at_slice(ThreeLevelModel(paper_model.drive, rates), None, [0.354])[0]
+        span = float(sweep.axis1[-1] - sweep.axis1[0])
+        with pytest.raises(DegenerateData, match=r"^fitted amplitude \S+ exceeds 100 times the y"
+                                                 r" range 0\.2\d+; no peak to fit$"):
+            fit_peaks(np.column_stack([sweep.axis1, sweep.values]), 2,
+                      init=[-0.177, span, 0.177, span])
 
 
 class TestPeakSeparation:

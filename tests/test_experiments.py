@@ -451,9 +451,9 @@ class TestAtMap:
 
     def test_failing_point_in_a_later_span_is_named_by_its_drives(self, paper_rates, monkeypatch):
         """Far-detuned coupler columns are too ill conditioned to solve.  The
-        first to fail, column 10 of 12, is point 1 of the last of four spans
-        for one worker but point 0 of a one-column span for two: the error
-        names it by its drive values, the same for both."""
+        first to fail, column 10 of 12, lies in the seventh of eight spans:
+        the error names it by its drive values, the same for one worker and
+        for two."""
         monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
         base = model_with(paper_rates, omega_p=OMEGA_P, omega_c=2.82)
         dp, dc = Grid1D(-2.0, 2.0, 3), Grid1D(-1.0, 1.0e8, 12)
@@ -465,6 +465,24 @@ class TestAtMap:
         assert messages[0] == messages[1]
         point = f"delta_p=-2.0, delta_c={float(dc.points[10])!r}, omega_p=0.186, omega_c=2.82:"
         assert messages[0].startswith(f"steady state not unique at {point} 1-norm condition")
+
+    def test_failing_point_does_not_depend_on_the_worker_count(self, paper_rates, monkeypatch):
+        """Two points of this 3x5 map fail: (-2.0, 2.5e8) comes first in
+        row order, (5e8, -1.0) lies in the first column.  The spans depend on
+        the grid alone, here one per column, so every worker count names the
+        second, the first failing point of the first failing span."""
+        base = model_with(paper_rates, omega_p=OMEGA_P, omega_c=2.82)
+        dp, dc = Grid1D(-2.0, 1e9, 3), Grid1D(-1.0, 1e9, 5)
+        messages = set()
+        for cpus in (1, 2, 8):
+            monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
+            for jobs in (None, 1, 2):
+                with pytest.raises(SingularLiouvillian) as raised:
+                    at_map(base, dp, dc, jobs=jobs)
+                messages.add(str(raised.value))
+        assert len(messages) == 1, messages
+        point = "delta_p=499999999.0, delta_c=-1.0, omega_p=0.186, omega_c=2.82:"
+        assert messages.pop().startswith(f"steady state not unique at {point} 1-norm condition")
 
     @pytest.mark.parametrize("count, usable", [(3, 3), (None, 1)])
     def test_usable_cpus_without_affinity_falls_back_to_cpu_count(
@@ -533,7 +551,7 @@ class TestAtSlice:
         fit = fit_peaks(
             np.column_stack([sweep.axis1, sweep.values]),
             2,
-            init=[-1.41, 0.33, 0.5, 1.41, 0.33, 0.5, 0.0],
+            init=[-1.41, 0.33, 1.41, 0.33],
         )
         assert fit.converged
         left, right = fit.peaks

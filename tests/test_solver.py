@@ -314,7 +314,7 @@ class TestGateProof:
         and on 20 of them with rates scaled up 1e11-fold, that 8x8 form of
         kappa_1(B) and the 9x9 inverse's agree to roundoff and reject the
         same points, and so does the kernel, by its condition or
-        singularity message."""
+        singularity message, never by its residual gate."""
 
         def norm_1(x):
             return np.abs(x).sum(axis=0).max()
@@ -344,6 +344,7 @@ class TestGateProof:
                 steady_state(model)
                 kernel.append(False)
             except SingularLiouvillian as exc:
+                assert not str(exc).startswith("steady-state residual"), exc
                 kernel.append(str(exc).startswith("steady state not unique"))
             except NonPhysicalResult:
                 kernel.append(False)
@@ -418,20 +419,63 @@ class TestChunking:
             steady_states(dp, 0.3, wp, wc, rates)
 
     def test_residual_gate_names_the_point(self, paper_rates, monkeypatch):
-        """With the residual ceiling at 0.0 roundoff alone fails the gate,
-        which names the point by its drive values and gives the limit."""
-        monkeypatch.setattr(solver, "_RESIDUAL_LIMIT", 0.0)
+        """With the relative residual ceiling at 0.0 roundoff alone fails the
+        gate, which names the point by its drive values and gives the limit."""
+        monkeypatch.setattr(solver, "_RELATIVE_RESIDUAL_LIMIT", 0.0)
         point = "delta_p=0.3, delta_c=-0.2, omega_p=0.186, omega_c=2.82"
-        match = rf"^steady-state residual \d\.\d{{3}}e-\d+ at {re.escape(point)} exceeds 0\.0$"
+        match = (rf"^steady-state residual \d\.\d{{3}}e-\d+ at {re.escape(point)}"
+                 rf" exceeds 0\.000e\+00$")
         with pytest.raises(SingularLiouvillian, match=match):
             steady_states(0.3, -0.2, 0.186, 2.82, paper_rates)
+
+    def test_residual_gate_refuses_a_state_moved_by_1e_12(self, paper_rates, monkeypatch):
+        """Each entry of every inverse moved by 1e-12 relative moves each
+        solved state by about that much, in a random direction: the relative
+        residual gate refuses it (eta near 5e-13), naming the first point.
+        The largest relative residual of a solved state is 1.8e-16."""
+        inverse, rng = np.linalg.inv, np.random.default_rng(27)
+
+        def moved(m):
+            x = inverse(m)
+            return x * (1.0 + 1e-12 * rng.choice([-1.0, 1.0], x.shape))
+
+        monkeypatch.setattr(np.linalg, "inv", moved)
+        point = "delta_p=0.3, delta_c=-0.2, omega_p=0.186, omega_c=2.82"
+        match = (rf"^steady-state residual \d\.\d{{3}}e-1[23] at {re.escape(point)}"
+                 rf" exceeds 1\.421e-14$")
+        with pytest.raises(SingularLiouvillian, match=match):
+            steady_states([0.3, -2.0], -0.2, 0.186, [2.82, 50.0], paper_rates)
+
+    def test_residual_ceiling_grows_with_the_condition_number(self, paper_rates):
+        """Without 1 -> 0 decay, probe slices over +-20 MHz have kappa_1(B)
+        up to 1.9e8 and relative residuals up to 5e-13, far above 64 eps but
+        below eps kappa / 64: they are solved, not refused."""
+        rates = DecoherenceRates(0.0, *paper_rates.as_tuple()[1:])
+        dp, wc = np.tile(np.linspace(-20.0, 20.0, 201), 3), np.repeat([0.354, 2.82, 11.2], 201)
+        assert steady_states(dp, 0.0, 0.186, wc, rates).shape == (603, 3, 3)
+
+    @pytest.mark.parametrize("scale", [1e7, 1e8])
+    def test_large_rates_pass_the_residual_gate(self, scale):
+        """The 200 random gate models with every rate scaled up: the relative
+        residual stays at roundoff, so none is refused (an absolute 1e-10
+        limit refused 69 and 153 of them), and each state agrees with the
+        trace-constrained dense solve of ``bench/check.py``'s reference
+        within its tolerance, 1e-10 + 64 eps cond(A)."""
+        rhs = np.eye(9)[0]
+        for base in gate_models()[:200]:
+            model = ThreeLevelModel(base.drive, DecoherenceRates(
+                *(scale * r for r in base.rates.as_tuple())))
+            a = constrained_system(model)
+            expected = unvectorize(np.linalg.solve(a, rhs))
+            tolerance = 1e-10 + 64.0 * np.finfo(float).eps * np.linalg.cond(a)
+            np.testing.assert_allclose(steady_state(model), expected, rtol=0.0, atol=tolerance)
 
     def test_residual_gate_names_the_first_failing_point_not_the_worst(self, paper_rates,
                                                                        monkeypatch):
         """Like every gate, the residual gate names the first point above its
         limit.  Point 0's roundoff residual is nonzero but below that of the
         50 MHz coupler at point 1."""
-        monkeypatch.setattr(solver, "_RESIDUAL_LIMIT", 0.0)
+        monkeypatch.setattr(solver, "_RELATIVE_RESIDUAL_LIMIT", 0.0)
         point = "delta_p=0.3, delta_c=-0.2, omega_p=0.186, omega_c=2.82"
         with pytest.raises(SingularLiouvillian, match=f" at {re.escape(point)} exceeds"):
             steady_states([0.3, -2.0], -0.2, 0.186, [2.82, 50.0], paper_rates)
