@@ -157,8 +157,7 @@ def _variable_projection(x, y, start):
     (with a large residual the steps can alternate in length).
     Returns (centers and widths, amplitudes and offset, cost, converged);
     converged means that the last step proposed is below 1e-10 relative."""
-    nonlinear, (linear, residual, jac), handed_over = _damped_steps(
-        x, y, np.asarray(start, dtype=float))
+    nonlinear, (linear, residual, jac), handed_over = _damped_steps(x, y, start)
     sizes = [math.inf, math.inf]
     for _ in range(_MAX_ITERATIONS if handed_over else 0):
         try:
@@ -176,17 +175,15 @@ def _variable_projection(x, y, start):
 
 
 def _local_maxima(y: np.ndarray) -> list[int]:
-    """Interior indices that top both neighbors, tallest first."""
-    idx = [
-        j
-        for j in range(1, y.size - 1)
-        if y[j] >= y[j - 1] and y[j] >= y[j + 1] and (y[j] > y[j - 1] or y[j] > y[j + 1])
-    ]
-    return sorted(idx, key=lambda j: y[j], reverse=True)
+    """Interior indices that top both neighbors, tallest first (ties in index order)."""
+    left, mid, right = y[:-2], y[1:-1], y[2:]
+    idx = np.flatnonzero((mid >= left) & (mid >= right) & ((mid > left) | (mid > right))) + 1
+    return idx[np.argsort(-y[idx], kind="stable")].tolist()
 
 
-def _halfmax_width(x, y, j, offset) -> float:
-    """Full width of the bump at index j at half its height above offset."""
+def _halfmax_crossings(x, y, j, offset) -> tuple[float, float]:
+    """Abscissas of the first samples either side of index j at or below half
+    the bump's height above offset, or of the grid's ends."""
     half = offset + 0.5 * (y[j] - offset)
     lo = j
     while lo > 0 and y[lo] > half:
@@ -194,28 +191,27 @@ def _halfmax_width(x, y, j, offset) -> float:
     hi = j
     while hi < y.size - 1 and y[hi] > half:
         hi += 1
-    return float(x[hi] - x[lo])
+    return float(x[lo]), float(x[hi])
 
 
 def _initial_guess(x, y, n_peaks) -> np.ndarray:
-    """(center, fwhm) per peak at the tallest local maxima and their half-max widths."""
+    """(center, fwhm) per peak, from the data: the tallest local maximum and
+    its half-max width, and for a doublet the tallest other maximum farther
+    than half that width from it, at its own half-max width.  With no such
+    maximum the bump is one merged doublet, split into two peaks of half its
+    width a quarter width either side of the midpoint of its half-max
+    crossings (its tallest maximum may sit on one shoulder)."""
     offset = float(np.min(y))
-    maxima = _local_maxima(y) or [int(np.argmax(y))]
-
-    peaks = [maxima[0]]
-    if n_peaks == 2:
-        first_width = _halfmax_width(x, y, maxima[0], offset)
-        for j in maxima[1:]:
-            if abs(x[j] - x[peaks[0]]) > first_width / 2.0:
-                peaks.append(j)
-                break
-        if len(peaks) == 1:
-            # Merged doublet: split the single bump symmetrically.
-            j, width = peaks[0], first_width
-            return np.array([x[j] - width / 4.0, width / 2.0, x[j] + width / 4.0, width / 2.0])
-
-    return np.array([[x[j], _halfmax_width(x, y, j, offset)]
-                     for j in sorted(peaks, key=lambda j: x[j])]).ravel()
+    first, *others = _local_maxima(y) or [int(np.argmax(y))]
+    lo, hi = _halfmax_crossings(x, y, first, offset)
+    if n_peaks == 1:
+        return np.array([x[first], hi - lo])
+    second = next((j for j in others if abs(x[j] - x[first]) > (hi - lo) / 2.0), None)
+    if second is None:
+        mid, half = 0.5 * (lo + hi), (hi - lo) / 2.0
+        return np.array([mid - half / 2.0, half, mid + half / 2.0, half])
+    lo_2, hi_2 = _halfmax_crossings(x, y, second, offset)
+    return np.array(sorted([(x[first], hi - lo), (x[second], hi_2 - lo_2)])).ravel()
 
 
 def min_fit_points(n_peaks: int) -> int:
@@ -223,18 +219,15 @@ def min_fit_points(n_peaks: int) -> int:
     return 5 * (3 * n_peaks + 1)
 
 
-def fit_peaks(
-    points: Sequence[tuple[float, float]] | np.ndarray,
-    n_peaks: int,
-    init: Sequence[float] | None = None,
-) -> PeakFit:
+def fit_peaks(points: Sequence[tuple[float, float]] | np.ndarray, n_peaks: int) -> PeakFit:
     """Nonlinear least-squares fit of one or two Lorentzians to (x, y) data.
 
     The model is a shared constant offset plus ``n_peaks`` Lorentzians.  It
     is fitted by variable projection (``_variable_projection``) from one
-    start: ``init``, a flat sequence (center, fwhm) per peak, or else the
-    tallest local maxima and their half-max widths.  The amplitudes and the
-    offset are solved exactly at every step, so they need no start.
+    start taken from the data (``_initial_guess``): the tallest local maxima
+    and their half-max widths, or a merged bump split in two.  The
+    amplitudes and the offset are solved exactly at every step, so they need
+    no start.
 
     The returned object carries a ``converged`` flag: the finish's last step
     is below 1e-10 relative.  When the iteration cap is reached first, the
@@ -263,10 +256,7 @@ def fit_peaks(
         if not math.isfinite(y @ y):
             raise DegenerateData("sum of squared y values is not finite; too large to fit")
 
-    start = _initial_guess(x, y, n_peaks) if init is None else np.asarray(init, dtype=float)
-    if start.size != 2 * n_peaks:
-        raise ValueError(f"init must have {2 * n_peaks} entries, got {start.size}")
-    nonlinear, linear, cost, converged = _variable_projection(x, y, start)
+    nonlinear, linear, cost, converged = _variable_projection(x, y, _initial_guess(x, y, n_peaks))
     amplitudes, offset = linear[:-1], float(linear[-1])
     if not np.all(amplitudes >= 0.0):  # NaN fails too
         raise DegenerateData(f"fitted amplitude {min(amplitudes):.6g} < 0; no peak to fit")

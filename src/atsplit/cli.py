@@ -49,7 +49,7 @@ from .experiments import (
     probe_spectroscopy,
     rabi_trace,
 )
-from .model import TWO_PI, DriveParams, ThreeLevelModel
+from .model import DriveParams, ThreeLevelModel
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -134,20 +134,10 @@ def _plot_manifest(named_sweeps) -> str:
     return json.dumps({"plots": entries}, indent=2, sort_keys=True) + "\n"
 
 
-def _broadened_fwhm_mhz(cfg: ExperimentConfig, span: float) -> float:
-    """Power-broadened probe linewidth, used as the fit width guess.  It grows
-    as 1/gamma_10, up to inf, so it is clipped to the grid's ``span``."""
-    g1 = cfg.rates.gamma_10
-    g2 = g1 / 2.0 + cfg.rates.phi_1
-    w = TWO_PI * cfg.omega_p
-    hwhm_angular = math.sqrt(g2 * g2 + w * w * g2 / g1) if g1 > 0 else g2
-    return min(max(2.0 * hwhm_angular / TWO_PI, 1e-3), span)
-
-
-def _converged_fit(sweep: SweepResult, n_peaks: int, what: str, init=None):
+def _converged_fit(sweep: SweepResult, n_peaks: int, what: str):
     """``fit_peaks`` on a sweep; a fit error names ``what``."""
     try:
-        fit = fit_peaks(np.column_stack([sweep.axis1, sweep.values]), n_peaks, init=init)
+        fit = fit_peaks(np.column_stack([sweep.axis1, sweep.values]), n_peaks)
     except DegenerateData as exc:
         raise DegenerateData(f"{what}: {exc}") from None
     if not fit.converged:
@@ -225,9 +215,7 @@ def _run_at_slice(cfg: ExperimentConfig):
     sweeps = at_slice(base, cfg.delta_p, cfg.omega_c_values)
     outputs, slices = [], []
     for omega_c, sweep in zip(cfg.omega_c_values, sweeps):
-        fwhm = _broadened_fwhm_mhz(cfg, float(sweep.axis1[-1] - sweep.axis1[0]))
-        init = [-omega_c / 2.0, fwhm, omega_c / 2.0, fwhm]
-        fit = _converged_fit(sweep, 2, f"doublet at omega_c={omega_c:g} MHz", init)
+        fit = _converged_fit(sweep, 2, f"doublet at omega_c={omega_c:g} MHz")
         left, right = fit.peaks
         mean_fwhm = 0.5 * (left.fwhm + right.fwhm)
         separation = peak_separation(sweep.axis1, sweep.values)

@@ -206,7 +206,7 @@ def _steady_sweep(
 
     The last axis is split into at most eight contiguous spans, however
     many workers run them: a pool of one thread per usable CPU, at most
-    ``jobs`` and one per index (the kernel's numpy calls release the GIL).
+    ``jobs`` and one per span (the kernel's numpy calls release the GIL).
     A span returns only its values: the linear readout, or for FIDELITY the
     dark-state fidelity at each point's own angle arctan2(omega_p, omega_c),
     defined only where both detunings are zero.  Values are joined by
@@ -238,10 +238,10 @@ def _steady_sweep(
     # Imported here, so that runs without a steady-state sweep never load it.
     from concurrent.futures import ThreadPoolExecutor
 
-    workers = max(1, min(n, _usable_cpus(), n if jobs is None else int(jobs)))
+    spans = np.array_split(np.arange(n), min(8, n))
+    workers = max(1, min(len(spans), _usable_cpus(), n if jobs is None else int(jobs)))
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        spans = pool.map(span, np.array_split(np.arange(n), min(8, n)))
-        return np.concatenate(list(spans), axis=-1)
+        return np.concatenate(list(pool.map(span, spans)), axis=-1)
 
 
 def _mirrored_sweep(axes: tuple[int, ...], rates, delta_p, delta_c, *amplitudes, jobs=None):

@@ -147,7 +147,7 @@ def test_criterion_4_t1_t2_regression(paper_rates):
 @pytest.fixture(scope="module")
 def paper_slice_fits():
     """Doublet fits of the bundled published-parameter slice run, with the
-    procedure the CLI uses (default grids, physics-informed init)."""
+    procedure the CLI uses (default grids, each fit started from its data)."""
     cfg = load(bundled_config_path("paper.cfg"))
     started = time.perf_counter()
     _, results = cli.run_experiment(cfg)

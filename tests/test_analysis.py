@@ -16,7 +16,13 @@ from atsplit.analysis import (
 )
 from atsplit.errors import DegenerateData, NonPhysicalResult
 from atsplit.experiments import Grid1D, at_slice
-from atsplit.model import DriveParams, ThreeLevelModel, build_hamiltonian, ket_bra
+from atsplit.model import (
+    DriveParams,
+    ThreeLevelModel,
+    build_hamiltonian,
+    ket_bra,
+    rates_from_coherence_times,
+)
 
 from conftest import FIG3_COUPLERS
 
@@ -164,20 +170,6 @@ class TestFitPeaks:
         with pytest.raises(ValueError, match="pairs"):
             fit_peaks(np.zeros((10, 3)), 1)
 
-    def test_explicit_init_is_honored(self):
-        truth = LorentzianModel(center=2.0, fwhm=0.2, amplitude=1.0, offset=0.0)
-        x = np.linspace(0, 4, 201)
-        fit = fit_peaks(np.column_stack([x, truth(x)]), 1, init=[1.8, 0.3])
-        assert fit.converged
-        assert fit.peaks[0].center == pytest.approx(2.0, rel=1e-8)
-
-    def test_init_length_validated(self):
-        """``init`` is (center, fwhm) per peak: amplitudes and an offset are refused."""
-        x = np.linspace(0, 4, 201)
-        y = np.exp(-(x - 2) ** 2)
-        with pytest.raises(ValueError, match="^init must have 2 entries, got 4$"):
-            fit_peaks(np.column_stack([x, y]), 1, init=[1.0, 2.0, 1.0, 0.0])
-
     def test_iteration_cap_returns_best_so_far_unconverged(self, monkeypatch):
         """Hitting the cap must hand back the best parameters with
         converged=False, never raise."""
@@ -186,7 +178,7 @@ class TestFitPeaks:
         monkeypatch.setattr(analysis, "_MAX_ITERATIONS", 2)
         truth = LorentzianModel(center=0.3, fwhm=0.35, amplitude=0.8, offset=0.01)
         x = np.linspace(-3, 3, 401)
-        fit = fit_peaks(np.column_stack([x, truth(x)]), 1, init=[0.9, 1.0])
+        fit = fit_peaks(np.column_stack([x, truth(x)]), 1)
         assert not fit.converged
         assert fit.residual_rms >= 0.0
 
@@ -209,6 +201,22 @@ class TestFitPeaks:
         assert raised and fit.converged
         assert fit.peaks[0].center == pytest.approx(0.3, rel=1e-6)
         assert fit.peaks[0].fwhm == pytest.approx(0.35, rel=1e-6)
+
+    def test_local_maxima_match_a_loop(self, paper_model):
+        """The maxima equal a plain loop's, tallest first with ties in index
+        order, on the six published slices and on 2,000 short integer
+        arrays full of plateaus and ties (and arrays too short to have an
+        interior)."""
+        def loop(y):
+            idx = [j for j in range(1, y.size - 1)
+                   if y[j] >= y[j - 1] and y[j] >= y[j + 1] and (y[j] > y[j - 1] or y[j] > y[j + 1])]
+            return sorted(idx, key=lambda j: y[j], reverse=True)
+
+        rng = np.random.default_rng(7)
+        arrays = [sweep.values for sweep in at_slice(paper_model, None, FIG3_COUPLERS)]
+        arrays += [rng.integers(0, 4, rng.integers(0, 30)).astype(float) for _ in range(2000)]
+        for y in arrays:
+            assert analysis._local_maxima(y) == loop(y)
 
     def test_monotone_data_start_at_their_maximum(self):
         """Half a line, rising to its center at the last point, has no
@@ -261,18 +269,41 @@ class TestFitPeaks:
             assert fit_peaks(np.column_stack([sweep.axis1, y]), 2).converged
         assert len(set(handovers)) == 1, handovers
 
-    def test_doublet_that_runs_off_is_degenerate(self, paper_model):
-        """At phi_1 = 2/us the 0.354 MHz slice is one broad bump.  From the
-        CLI's start, widths clipped to the grid's span, the two Lorentzians
-        widen without bound and their amplitudes grow to about 1e13 over an
-        offset that cancels them: no peak the data hold."""
+    def test_doublet_that_runs_off_is_degenerate(self, paper_model, monkeypatch):
+        """At phi_1 = 2/us the 0.354 MHz slice is one broad bump.  From a
+        start with widths of the grid's span, the two Lorentzians widen
+        without bound and their amplitudes grow to about 1e13 over an offset
+        that cancels them: no peak the data hold."""
         rates = dataclasses.replace(paper_model.rates, phi_1=2.0)
         sweep = at_slice(ThreeLevelModel(paper_model.drive, rates), None, [0.354])[0]
         span = float(sweep.axis1[-1] - sweep.axis1[0])
+        monkeypatch.setattr(analysis, "_initial_guess",
+                            lambda *args: np.array([-0.177, span, 0.177, span]))
         with pytest.raises(DegenerateData, match=r"^fitted amplitude \S+ exceeds 100 times the y"
                                                  r" range 0\.2\d+; no peak to fit$"):
-            fit_peaks(np.column_stack([sweep.axis1, sweep.values]), 2,
-                      init=[-0.177, span, 0.177, span])
+            fit_peaks(np.column_stack([sweep.axis1, sweep.values]), 2)
+
+    def test_doublet_with_a_dip_above_half_height_starts_about_its_middle(self, paper_model):
+        """At T2* = 1 us the 1.41 MHz slice keeps two maxima, but its dip
+        stays above half height, so the tallest maximum's half-max width
+        spans both and the start splits the bump.  About the midpoint of its
+        half-max crossings the start is symmetric and the fit converges to
+        two mirrored peaks; about the left maximum it began at centers
+        (-1.50, 0.10) and ended at a negative amplitude."""
+        rates = rates_from_coherence_times(39.0, 1.0)
+        sweep = at_slice(ThreeLevelModel(paper_model.drive, rates), None, [1.41])[0]
+        x, y = sweep.axis1, sweep.values
+        maxima = analysis._local_maxima(y)
+        assert len(maxima) == 2
+        assert y[np.argmin(np.abs(x))] - y.min() > 0.5 * (y[maxima[0]] - y.min())
+        start = analysis._initial_guess(x, y, 2)
+        assert start[0] == -start[2] and start[1] == start[3]
+        fit = fit_peaks(np.column_stack([x, y]), 2)
+        left, right = fit.peaks
+        assert fit.converged
+        assert left.center == pytest.approx(-right.center, rel=1e-9)
+        assert left.center < 0.0 and left.amplitude > 0.0
+        assert left.amplitude == pytest.approx(right.amplitude, rel=1e-9)
 
 
 class TestPeakSeparation:

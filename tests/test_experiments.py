@@ -401,13 +401,14 @@ class TestAtMap:
             value = max(0.0, rho[1, 1].real + rho[2, 2].real)
             assert value == small_map.values[i, j]
 
-    @pytest.mark.parametrize("cores, columns, workers", [(64, 3, 3), (2, 7, 2), (1, 7, 1)])
+    @pytest.mark.parametrize("cores, columns, workers",
+                             [(64, 3, 3), (2, 7, 2), (1, 7, 1), (64, 301, 8)])
     def test_worker_count_is_capped(self, paper_rates, monkeypatch, cores, columns, workers):
         """By default, and with jobs=10_000, the map starts a pool of one
-        worker thread per usable CPU, but no more than there are columns,
-        and a pool of one for one CPU.  The pool is replaced by a stand-in
-        that records its size and maps serially, so the test starts no
-        thread."""
+        worker thread per usable CPU, but no more than there are column
+        spans (one per column, at most eight), and a pool of one for one
+        CPU.  The pool is replaced by a stand-in that records its size and
+        maps serially, so the test starts no thread."""
         sizes = []
 
         class RecordingPool:
@@ -548,11 +549,7 @@ class TestAtSlice:
         three-level model has no doublet pushing)."""
         base = model_with(paper_rates, omega_p=OMEGA_P)
         sweep = at_slice(base, None, [2.82])[0]
-        fit = fit_peaks(
-            np.column_stack([sweep.axis1, sweep.values]),
-            2,
-            init=[-1.41, 0.33, 1.41, 0.33],
-        )
+        fit = fit_peaks(np.column_stack([sweep.axis1, sweep.values]), 2)
         assert fit.converged
         left, right = fit.peaks
         assert left.center == pytest.approx(-1.41, rel=0.02)
