@@ -3,8 +3,9 @@
 Each experiment produces a SweepResult: realized grid axes plus one real
 observable per grid point.  Grid points are independent solves, so the
 values never depend on evaluation order; every steady-state experiment
-fans contiguous spans of its points out over a worker thread per usable
-CPU (``_steady_sweep``) and reassembles the values by index.
+fans contiguous spans of its points in grid order out over a worker
+thread per usable CPU (``_steady_sweep``) and joins them in that order,
+solving only the first half of a mirror-symmetric grid (``_mirrored_sweep``).
 
 Steady-state experiments replace the long drive pulse of the physical
 measurement with the exact steady-state solve (the pulse length in the
@@ -204,14 +205,14 @@ def _steady_sweep(
     ``DecoherenceRates``, or an array of its ``as_tuple`` rows whose leading
     axes broadcast with the drives, such as one rate set per row.
 
-    The last axis is split into at most eight contiguous spans, however
-    many workers run them: a pool of one thread per usable CPU, at most
-    ``jobs`` and one per span (the kernel's numpy calls release the GIL).
-    A span returns only its values: the linear readout, or for FIDELITY the
-    dark-state fidelity at each point's own angle arctan2(omega_p, omega_c),
-    defined only where both detunings are zero.  Values are joined by
-    index, so they are identical for any worker count, and so is an error,
-    which names the first failing point of the first failing span.
+    The points, taken in grid (C) order, are split into at most eight
+    contiguous spans, however many workers run them: a pool of one thread
+    per usable CPU, at most ``jobs`` and one per span (the kernel's numpy
+    calls release the GIL).  A span returns only its values: the linear
+    readout, or for FIDELITY the dark-state fidelity at each point's own
+    angle arctan2(omega_p, omega_c), defined only where both detunings are
+    zero.  Values are joined in order, so they are identical for any worker
+    count, and so is an error, which names the grid's first failing point.
     """
     drives = [np.asarray(d, dtype=float) for d in drives]
     if observable is Observable.FIDELITY and (np.any(drives[0] != 0.0) or np.any(drives[1] != 0.0)):
@@ -219,21 +220,20 @@ def _steady_sweep(
     per_point = not isinstance(rates, DecoherenceRates)
     shape = np.broadcast_shapes(np.shape(rates)[:-1] if per_point else (),
                                 *(d.shape for d in drives))
-    n = shape[-1]
+    n = int(np.prod(shape))
     if n == 0:
         return np.empty(shape)
 
     def span(index: np.ndarray) -> np.ndarray:
         # Scalar drives pass as they are: steady_states broadcasts them without a copy.
-        part = [d if d.ndim == 0 else np.broadcast_to(d, shape)[..., index].ravel() for d in drives]
-        rows = rates
-        if per_point:
-            rows = np.broadcast_to(rates, (*shape, 5))[..., index, :].reshape(-1, 5)
+        part = [d if d.ndim == 0 else np.broadcast_to(d, shape).flat[index] for d in drives]
+        rows = (np.broadcast_to(rates, (*shape, 5))[np.unravel_index(index, shape)]
+                if per_point else rates)
         rho = steady_states(*part, rows)
         if observable is Observable.FIDELITY:
-            values = dark_state_fidelity(rho, np.broadcast_to(np.arctan2(*part[2:]), len(rho)))
-            return values.fidelity.reshape(*shape[:-1], -1)
-        return readout_signal(rho, observable).reshape(*shape[:-1], -1)
+            angles = np.broadcast_to(np.arctan2(*part[2:]), len(rho))
+            return dark_state_fidelity(rho, angles).fidelity
+        return readout_signal(rho, observable)
 
     # Imported here, so that runs without a steady-state sweep never load it.
     from concurrent.futures import ThreadPoolExecutor
@@ -241,7 +241,7 @@ def _steady_sweep(
     spans = np.array_split(np.arange(n), min(8, n))
     workers = max(1, min(len(spans), _usable_cpus(), n if jobs is None else int(jobs)))
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return np.concatenate(list(pool.map(span, spans)), axis=-1)
+        return np.concatenate(list(pool.map(span, spans))).reshape(shape)
 
 
 def _mirrored_sweep(axes: tuple[int, ...], rates, delta_p, delta_c, *amplitudes, jobs=None):
@@ -249,18 +249,16 @@ def _mirrored_sweep(axes: tuple[int, ...], rates, delta_p, delta_c, *amplitudes,
     detunings exactly, only the first ceil(n/2) entries along axes[0] are
     solved and the rest are their reversal.  With real drives and collapse
     operators the generator at -delta is S R S, S a diagonal of +-1, so each
-    such population equals its own solve bit for bit (Buca & Prosen, 2012)."""
+    such population equals its own solve bit for bit (Buca & Prosen, 2012).
+    A filled point's mirror comes first in grid (C) order and fails with it,
+    so the half names the full grid's first failing point."""
     dp, dc = np.broadcast_arrays(np.asarray(delta_p, dtype=float), delta_c)
-    if all(np.array_equal(np.flip(d, axes), -d) for d in (dp, dc)):
-        n, lead = dp.shape[axes[0]], (slice(None),) * (axes[0] % dp.ndim)
-        half = (*lead, slice(n - n // 2))
-        try:
-            values = _steady_sweep(Observable.PA_SUM, rates, dp[half], dc[half], *amplitudes,
-                                   jobs=jobs)
-            return np.concatenate([values, np.flip(values[(*lead, slice(n // 2))], axes)], axes[0])
-        except (ArithmeticError, ValueError):  # solved in full below, to name its first failure
-            pass
-    return _steady_sweep(Observable.PA_SUM, rates, delta_p, delta_c, *amplitudes, jobs=jobs)
+    if not all(np.array_equal(np.flip(d, axes), -d) for d in (dp, dc)):
+        return _steady_sweep(Observable.PA_SUM, rates, delta_p, delta_c, *amplitudes, jobs=jobs)
+    n, lead = dp.shape[axes[0]], (slice(None),) * (axes[0] % dp.ndim)
+    half = (*lead, slice(n - n // 2))
+    values = _steady_sweep(Observable.PA_SUM, rates, dp[half], dc[half], *amplitudes, jobs=jobs)
+    return np.concatenate([values, np.flip(values[(*lead, slice(n // 2))], axes)], axes[0])
 
 
 def at_map(
@@ -274,7 +272,7 @@ def at_map(
     At weak coupling the map shows the bare probe line crossed by the
     two-photon sideband along delta_p + delta_c = 0; at strong coupling
     the lines anticross into the fully separated doublet.  ``_steady_sweep``
-    solves it in spans of whole columns on at most ``jobs`` threads.
+    solves it in spans of points in row order on at most ``jobs`` threads.
     """
     if base.drive.omega_p <= 0.0 or base.drive.omega_c <= 0.0:
         raise ValueError("at_map requires both drive amplitudes > 0")

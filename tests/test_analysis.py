@@ -283,6 +283,15 @@ class TestFitPeaks:
                                                  r" range 0\.2\d+; no peak to fit$"):
             fit_peaks(np.column_stack([sweep.axis1, sweep.values]), 2)
 
+    def test_dip_fitted_by_a_negative_peak_is_degenerate(self):
+        """A Lorentzian dip of depth 0.5 below an offset of 1 holds no peak:
+        one Lorentzian fits it exactly with amplitude -0.5, far from zero, so
+        the refusal does not rest on roundoff."""
+        x = np.linspace(-5.0, 5.0, 101)
+        y = 1.0 - 0.5 * 0.25 / ((x - 0.3) ** 2 + 0.25)
+        with pytest.raises(DegenerateData, match=r"^fitted amplitude -0\.5 < 0; no peak to fit$"):
+            fit_peaks(np.column_stack([x, y]), 1)
+
     def test_doublet_with_a_dip_above_half_height_starts_about_its_middle(self, paper_model):
         """At T2* = 1 us the 1.41 MHz slice keeps two maxima, but its dip
         stays above half height, so the tallest maximum's half-max width

@@ -537,24 +537,21 @@ class TestExitCodeMapping:
         assert any(line.startswith("fit error") for line in err.splitlines())
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("phi_1, omega_c, amplitude", [
-        pytest.param("3.0", "0.354", r"\S+ exceeds 100 times the y range 0\.1\d+; no peak to fit\n",
-                     id="3.0-0.354"),
-        pytest.param("2.0", "0.354", "-", id="2.0-0.354"),
-    ])
-    def test_doublet_fitted_by_a_negative_peak_exits_4(self, tmp_path, capsys, monkeypatch,
-                                                      phi_1, omega_c, amplitude):
+    @pytest.mark.parametrize("phi_1", ["3.0", "2.0"])
+    def test_doublet_that_runs_off_exits_4(self, tmp_path, capsys, monkeypatch, phi_1):
         """Strong |1> dephasing washes the weakest doublet out to one broad
-        bump.  Its two peaks widen without bound over a canceling offset,
-        to an amplitude above the gate at phi_1 = 3/us or a negative one at
-        2/us: a fit error naming the slice, not a traceback.  The config
-        sets phi_2 = phi_1, so phi_1 alone is pinned."""
+        bump.  Its two peaks widen without bound over a canceling offset, to
+        an amplitude above the gate or a negative one; roundoff in the slice
+        picks which.  So this checks what both refusals share: exit 4 and a
+        fit error naming the 0.354 MHz slice with no peak to fit, not a
+        traceback.  Each refusal's wording is pinned by a ``fit_peaks`` test.
+        The config sets phi_2 = phi_1, so phi_1 alone is pinned."""
         _pin_rates(monkeypatch, phi_1=float(phi_1))
-        args = ["run", "paper.cfg", "--out", str(tmp_path)]
-        assert run_cli(*args) == 4
+        assert run_cli("run", "paper.cfg", "--out", str(tmp_path)) == 4
         err = capsys.readouterr().err
-        prefix = re.escape(f"fit error: doublet at omega_c={omega_c} MHz: fitted amplitude ")
-        assert re.match(prefix + amplitude, err), err
+        first = err.splitlines()[0]
+        assert first.startswith("fit error: doublet at omega_c=0.354 MHz: fitted amplitude "), err
+        assert first.endswith("; no peak to fit"), err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("t2_star", ["0.08", "0.1", "0.15", "0.25", "0.3"])

@@ -7,6 +7,7 @@ import importlib.util
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -357,13 +358,15 @@ class TestMirroredSweeps:
         assert sum(solved_points) == solved
 
     def test_failing_half_names_the_point_of_the_full_grid(self, paper_rates, monkeypatch):
-        """Let the mirror pair (2, -2) and (-2, 2) of a 5x5 map fail.  On one
-        worker the full map's first column span, columns 0 and 1, holds
-        (2, -2) in its last row; the solved half holds only (-2, 2), in the
-        last span.  A half that fails is solved again in full, so the error
-        names (2, -2), as a full solve does."""
+        """Let the mirror pair (2, -2) and (-2, 2) of a 5x5 map fail.  In
+        grid order (-2, 2), point 4, comes before (2, -2), point 20, so a
+        full solve names it; the solved half holds it and names it too,
+        and no point with delta_p > 0 is ever solved."""
+        solved = []
+
         def failing(delta_p, delta_c, *rest):
             dp, dc = np.broadcast_arrays(delta_p, delta_c)
+            solved.extend(dp)
             reject((np.abs(dp) == 2.0) & (dc == -dp), SingularLiouvillian,
                    lambda k: f"fails at delta_p={float(dp[k])!r}, delta_c={float(dc[k])!r}")
             return solver.steady_states(delta_p, delta_c, *rest)
@@ -371,8 +374,14 @@ class TestMirroredSweeps:
         monkeypatch.setattr(experiments, "steady_states", failing)
         monkeypatch.setattr(experiments, "_usable_cpus", lambda: 1)
         base = model_with(paper_rates, omega_p=OMEGA_P, omega_c=0.707)
-        with pytest.raises(SingularLiouvillian, match=r"^fails at delta_p=2\.0, delta_c=-2\.0$"):
-            at_map(base, Grid1D(-2.0, 2.0, 5), Grid1D(-2.0, 2.0, 5))
+        grid = Grid1D(-2.0, 2.0, 5)
+        named = r"^fails at delta_p=-2\.0, delta_c=2\.0$"
+        with pytest.raises(SingularLiouvillian, match=named):
+            at_map(base, grid, grid)
+        assert solved and max(solved) <= 0.0
+        with pytest.raises(SingularLiouvillian, match=named):
+            experiments._steady_sweep(Observable.PA_SUM, paper_rates, grid.points[:, None],
+                                      grid.points, OMEGA_P, 0.707)
 
 
 class TestAtMap:
@@ -401,14 +410,17 @@ class TestAtMap:
             value = max(0.0, rho[1, 1].real + rho[2, 2].real)
             assert value == small_map.values[i, j]
 
-    @pytest.mark.parametrize("cores, columns, workers",
-                             [(64, 3, 3), (2, 7, 2), (1, 7, 1), (64, 301, 8)])
-    def test_worker_count_is_capped(self, paper_rates, monkeypatch, cores, columns, workers):
+    @pytest.mark.parametrize("cores, rows, columns, workers",
+                             [(64, 2, 3, 3), (64, 5, 3, 8), (2, 5, 7, 2), (1, 5, 7, 1),
+                              (64, 5, 301, 8)])
+    def test_worker_count_is_capped(self, paper_rates, monkeypatch, cores, rows, columns,
+                                    workers):
         """By default, and with jobs=10_000, the map starts a pool of one
-        worker thread per usable CPU, but no more than there are column
-        spans (one per column, at most eight), and a pool of one for one
-        CPU.  The pool is replaced by a stand-in that records its size and
-        maps serially, so the test starts no thread."""
+        worker thread per usable CPU, but no more than there are spans (one
+        per solved point, at most eight), and a pool of one for one CPU.  A
+        symmetric map solves its first ceil(rows/2) rows: 2x3 solves 3
+        points, 5x3 solves 9.  The pool is replaced by a stand-in that
+        records its size and maps serially, so the test starts no thread."""
         sizes = []
 
         class RecordingPool:
@@ -427,7 +439,7 @@ class TestAtMap:
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
         monkeypatch.setattr(experiments, "_usable_cpus", lambda: cores)
         base = model_with(paper_rates, omega_p=OMEGA_P, omega_c=0.707)
-        dp, dc = Grid1D(-2.0, 2.0, 5), Grid1D(-2.0, 2.0, columns)
+        dp, dc = Grid1D(-2.0, 2.0, rows), Grid1D(-2.0, 2.0, columns)
         for jobs in (None, 10_000):
             sizes.clear()
             capped = at_map(base, dp, dc, jobs=jobs)
@@ -469,9 +481,9 @@ class TestAtMap:
 
     def test_failing_point_does_not_depend_on_the_worker_count(self, paper_rates, monkeypatch):
         """Two points of this 3x5 map fail: (-2.0, 2.5e8) comes first in
-        row order, (5e8, -1.0) lies in the first column.  The spans depend on
-        the grid alone, here one per column, so every worker count names the
-        second, the first failing point of the first failing span."""
+        row order, (5e8, -1.0) lies in the first column.  The spans are
+        contiguous runs of the grid in row order, so every worker count
+        names the first."""
         base = model_with(paper_rates, omega_p=OMEGA_P, omega_c=2.82)
         dp, dc = Grid1D(-2.0, 1e9, 3), Grid1D(-1.0, 1e9, 5)
         messages = set()
@@ -482,7 +494,7 @@ class TestAtMap:
                     at_map(base, dp, dc, jobs=jobs)
                 messages.add(str(raised.value))
         assert len(messages) == 1, messages
-        point = "delta_p=499999999.0, delta_c=-1.0, omega_p=0.186, omega_c=2.82:"
+        point = "delta_p=-2.0, delta_c=249999999.25, omega_p=0.186, omega_c=2.82:"
         assert messages.pop().startswith(f"steady state not unique at {point} 1-norm condition")
 
     @pytest.mark.parametrize("count, usable", [(3, 3), (None, 1)])
@@ -649,23 +661,27 @@ class TestEitRegimeScan:
     def test_error_names_the_failing_curve_by_its_rates(self):
         """With gamma_10 = 0 a curve's steady state stops being unique as
         gamma_21 * 0.5^n shrinks.  The curves share their drives, so the
-        error names the first failing curve by its rate row."""
+        error names the first failing curve by its rate row, at the first
+        ratio where it fails: a curve may fail at ratio 2 before the next
+        one fails at ratio 1."""
         base = model_with(DecoherenceRates(0.0, 0.0172), omega_p=OMEGA_P)
+        ratios = Grid1D(1.0, 2.0, 2)
         with pytest.raises(SingularLiouvillian) as raised:
-            eit_regime_scan(base, 1100, Grid1D(1.0, 2.0, 2))
+            eit_regime_scan(base, 1100, ratios)
 
-        def fails(gamma_21):
+        def fails(gamma_21, omega_c):
             try:
-                fidelity_vs_coupler(replace(base, rates=DecoherenceRates(0.0, gamma_21)), [OMEGA_P])
+                fidelity_vs_coupler(replace(base, rates=DecoherenceRates(0.0, gamma_21)), [omega_c])
             except SingularLiouvillian:
                 return True
             return False
 
-        gamma_21 = next(g for g in (0.0172 * 0.5**n for n in range(1101)) if fails(g))
+        gamma_21, omega_c = next((g, r * OMEGA_P) for g in (0.0172 * 0.5**n for n in range(1101))
+                                 for r in ratios.points.tolist() if fails(g, r * OMEGA_P))
         assert str(raised.value).startswith(
-            "steady state not unique at delta_p=0.0, delta_c=0.0, omega_p=0.186, omega_c=0.186, "
-            f"gamma_10=0.0, gamma_21={gamma_21!r}, gamma_20=0.0, phi_1=0.0, phi_2=0.0: "
-            "1-norm condition")
+            "steady state not unique at delta_p=0.0, delta_c=0.0, omega_p=0.186, "
+            f"omega_c={omega_c!r}, gamma_10=0.0, gamma_21={gamma_21!r}, gamma_20=0.0, "
+            "phi_1=0.0, phi_2=0.0: 1-norm condition")
 
 
 #: Each steady-state experiment on a grid that two workers split into
@@ -724,6 +740,39 @@ class TestWorkerCount:
         assert messages[0] == messages[1] == (
             "values must be finite at delta_p=0.0, delta_c=0.0, omega_p=0.186, omega_c=inf"
         )
+
+    @pytest.mark.parametrize("sweep", ["asymmetric map", "symmetric map", "slices"])
+    def test_error_names_the_first_failing_point_in_grid_order(self, monkeypatch, sweep):
+        """With |1> dephasing as the only rate, the steady state is not
+        unique on the two-photon resonance delta_p + delta_c = 0.  Every
+        worker count names the grid's first point, in row-major order, whose
+        own single-point solve fails; so does the solved half of a
+        symmetric map or slice."""
+        rates = DecoherenceRates(0.0, 0.0, phi_1=0.001)
+        base = model_with(rates, omega_p=OMEGA_P, omega_c=0.707)
+        grid = Grid1D(-2.0, 2.0, 5)
+        if sweep == "slices":
+            couplers = np.array([0.354, 0.707, 2.82])
+            points = np.broadcast_arrays(grid.points, 0.0, couplers[:, None])
+            run = partial(at_slice, base, grid, couplers)
+        else:
+            dp = grid if sweep == "symmetric map" else Grid1D(-2.0, 1.0, 4)
+            points = np.broadcast_arrays(dp.points[:, None], grid.points, 0.707)
+            run = partial(at_map, base, dp, grid)
+
+        def error(delta_p, delta_c, omega_c):
+            try:
+                steady_states(delta_p, delta_c, OMEGA_P, omega_c, rates)
+            except SingularLiouvillian as exc:
+                return str(exc)
+            return None
+
+        first = next(filter(None, (error(*point) for point in zip(*(p.flat for p in points)))))
+        for cpus in (1, 2):
+            monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
+            with pytest.raises(SingularLiouvillian) as raised:
+                run()
+            assert str(raised.value) == first
 
     def test_empty_coupler_lists_give_empty_results(self, paper_rates):
         base = model_with(paper_rates, omega_p=OMEGA_P)
