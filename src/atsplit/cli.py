@@ -30,7 +30,7 @@ import numpy as np
 import yaml
 
 from . import config as config_mod
-from .analysis import fit_peaks, peak_separation
+from .analysis import _local_maxima, fit_peaks, peak_separation
 from .config import ExperimentConfig
 from .errors import (
     ConfigError,
@@ -184,10 +184,8 @@ def _run_coupler_spec(cfg: ExperimentConfig):
 
 def _run_rabi(cfg: ExperimentConfig):
     sweep = rabi_trace(_base_model(cfg, 0.0), cfg.durations)
-    v = sweep.values
     # The first interior local maximum; a trace with none reports its largest value.
-    peaks = np.flatnonzero((v[1:-1] > v[:-2]) & (v[1:-1] >= v[2:])) + 1
-    k = int(peaks[0]) if peaks.size else int(np.argmax(v))
+    k = min(_local_maxima(sweep.values), default=int(np.argmax(sweep.values)))
     info = {
         "first_maximum_us": float(sweep.axis1[k]),
         "maximum_population": float(sweep.values[k]),

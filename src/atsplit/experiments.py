@@ -3,9 +3,9 @@
 Each experiment produces a SweepResult: realized grid axes plus one real
 observable per grid point.  Grid points are independent solves, so the
 values never depend on evaluation order; every steady-state experiment
-fans contiguous spans of its points in grid order out over a worker
-thread per usable CPU (``_steady_sweep``) and joins them in that order,
-solving only the first half of a mirror-symmetric grid (``_mirrored_sweep``).
+is one ``_steady_sweep``, which solves only the first half of a grid that
+delta -> -delta maps onto itself and fans contiguous spans of the points
+in grid order out over a worker thread per usable CPU.
 
 Steady-state experiments replace the long drive pulse of the physical
 measurement with the exact steady-state solve (the pulse length in the
@@ -97,7 +97,7 @@ class Grid1D:
     @property
     def points(self) -> np.ndarray:
         points = np.linspace(self.start, self.stop, self.count)
-        if self.start == -self.stop:  # exactly antisymmetric, for _mirrored_sweep
+        if self.start == -self.stop:  # exactly antisymmetric, so _steady_sweep mirrors it
             half = self.count // 2
             points[-half:] = -points[half - 1::-1]
             points[half:-half] = 0.0  # the middle point of an odd count
@@ -139,7 +139,8 @@ def probe_spectroscopy(base: ThreeLevelModel, dp_grid: Grid1D) -> SweepResult:
     if base.drive.omega_c != 0.0:
         raise ValueError("probe spectroscopy requires omega_c = 0")
     dp = dp_grid.points
-    values = _mirrored_sweep((0,), base.rates, dp, base.drive.delta_c, base.drive.omega_p, 0.0)
+    values = _steady_sweep(Observable.PA_SUM, base.rates, dp, base.drive.delta_c,
+                           base.drive.omega_p, 0.0)
     return SweepResult(axis1=dp, values=values, observable=Observable.PA_SUM,
                        axis1_name="delta_p_mhz")
 
@@ -205,6 +206,13 @@ def _steady_sweep(
     ``DecoherenceRates``, or an array of its ``as_tuple`` rows whose leading
     axes broadcast with the drives, such as one rate set per row.
 
+    The mirror axes are those along which the sweep has more than one point
+    but the amplitudes and rate rows have one.  Where reversing them negates
+    both detunings exactly, the first ceil(n/2) entries along the first are
+    solved and the rest filled by reversal: the generator at -delta is S R S,
+    S a diagonal of +-1, so a filled value equals its own solve bit for bit
+    (Buca & Prosen, 2012), and its mirror comes first in grid order.
+
     The points, taken in grid (C) order, are split into at most eight
     contiguous spans, however many workers run them: a pool of one thread
     per usable CPU, at most ``jobs`` and one per span (the kernel's numpy
@@ -218,11 +226,19 @@ def _steady_sweep(
     if observable is Observable.FIDELITY and (np.any(drives[0] != 0.0) or np.any(drives[1] != 0.0)):
         raise ValueError("dark-state fidelity is defined at delta_p = delta_c = 0")
     per_point = not isinstance(rates, DecoherenceRates)
-    shape = np.broadcast_shapes(np.shape(rates)[:-1] if per_point else (),
-                                *(d.shape for d in drives))
+    lead = np.shape(rates)[:-1] if per_point else ()
+    shape = np.broadcast_shapes(lead, *(d.shape for d in drives))
     n = int(np.prod(shape))
     if n == 0:
         return np.empty(shape)
+    fixed = np.broadcast_shapes((1,) * len(shape), lead, *(d.shape for d in drives[2:]))
+    axes = tuple(a for a, (m, k) in enumerate(zip(shape, fixed)) if m > 1 and k == 1)
+    if axes and all(np.array_equal(np.flip(d, axes), -d)
+                    for d in (np.broadcast_to(x, shape) for x in drives[:2])):
+        m, before = shape[axes[0]], (slice(None),) * axes[0]
+        half = [np.broadcast_to(d, shape)[(*before, slice(m - m // 2))] for d in drives[:2]]
+        values = _steady_sweep(observable, rates, *half, *drives[2:], jobs=jobs)
+        return np.concatenate([values, np.flip(values[(*before, slice(m // 2))], axes)], axes[0])
 
     def span(index: np.ndarray) -> np.ndarray:
         # Scalar drives pass as they are: steady_states broadcasts them without a copy.
@@ -244,23 +260,6 @@ def _steady_sweep(
         return np.concatenate(list(pool.map(span, spans))).reshape(shape)
 
 
-def _mirrored_sweep(axes: tuple[int, ...], rates, delta_p, delta_c, *amplitudes, jobs=None):
-    """PA_SUM ``_steady_sweep`` values; where reversing ``axes`` negates both
-    detunings exactly, only the first ceil(n/2) entries along axes[0] are
-    solved and the rest are their reversal.  With real drives and collapse
-    operators the generator at -delta is S R S, S a diagonal of +-1, so each
-    such population equals its own solve bit for bit (Buca & Prosen, 2012).
-    A filled point's mirror comes first in grid (C) order and fails with it,
-    so the half names the full grid's first failing point."""
-    dp, dc = np.broadcast_arrays(np.asarray(delta_p, dtype=float), delta_c)
-    if not all(np.array_equal(np.flip(d, axes), -d) for d in (dp, dc)):
-        return _steady_sweep(Observable.PA_SUM, rates, delta_p, delta_c, *amplitudes, jobs=jobs)
-    n, lead = dp.shape[axes[0]], (slice(None),) * (axes[0] % dp.ndim)
-    half = (*lead, slice(n - n // 2))
-    values = _steady_sweep(Observable.PA_SUM, rates, dp[half], dc[half], *amplitudes, jobs=jobs)
-    return np.concatenate([values, np.flip(values[(*lead, slice(n // 2))], axes)], axes[0])
-
-
 def at_map(
     base: ThreeLevelModel,
     dp_grid: Grid1D,
@@ -277,8 +276,8 @@ def at_map(
     if base.drive.omega_p <= 0.0 or base.drive.omega_c <= 0.0:
         raise ValueError("at_map requires both drive amplitudes > 0")
     dp, dc = dp_grid.points, dc_grid.points
-    values = _mirrored_sweep((0, 1), base.rates, dp[:, None], dc,
-                             base.drive.omega_p, base.drive.omega_c, jobs=jobs)
+    values = _steady_sweep(Observable.PA_SUM, base.rates, dp[:, None], dc,
+                           base.drive.omega_p, base.drive.omega_c, jobs=jobs)
     return SweepResult(axis1=dp, axis2=dc, values=values, observable=Observable.PA_SUM,
                        axis1_name="delta_p_mhz", axis2_name="delta_c_mhz")
 
@@ -313,8 +312,8 @@ def at_slice(
             raise ValueError(f"coupler amplitudes must be > 0, got {omega_c}")
     dp = np.array([(dp_grid if dp_grid is not None else default_slice_grid(omega_c)).points
                    for omega_c in omega_c_list])
-    values = _mirrored_sweep((-1,), base.rates, dp, 0.0, base.drive.omega_p,
-                             np.asarray(omega_c_list, dtype=float)[:, None])
+    values = _steady_sweep(Observable.PA_SUM, base.rates, dp, 0.0, base.drive.omega_p,
+                           np.asarray(omega_c_list, dtype=float)[:, None])
     return [SweepResult(axis1=axis, values=row, observable=Observable.PA_SUM,
                         axis1_name="delta_p_mhz") for axis, row in zip(dp, values)]
 

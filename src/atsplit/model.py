@@ -78,21 +78,24 @@ def below_eig_floor(rho: np.ndarray) -> np.ndarray:
     return ~(lowest >= 0.0) | (p == 0.0) & (n1 + n2 > 0.0)
 
 
-def reject(failed: np.ndarray, error: type[Exception], words) -> None:
-    """Raise ``error(words(k))`` at the first point k where the mask ``failed``
-    holds: the one rule by which every per-point gate names its failure."""
-    if failed.any():
-        raise error(words(int(np.argmax(failed))))
+def reject(*gates) -> None:
+    """Raise ``error(words(k))`` at the first point k where the mask of any
+    ``(mask, error, words)`` gate holds, with the first gate that fails there:
+    the one rule by which every per-point check names its failure."""
+    k = min((int(np.argmax(mask)) for mask, _, _ in gates if mask.any()), default=None)
+    if k is not None:
+        _, error, words = next(gate for gate in gates if gate[0][k])
+        raise error(words(k))
 
 
 def check_density_matrix(rho: np.ndarray) -> np.ndarray:
     """Validate one 3x3 density matrix or an (n, 3, 3) stack of them.
 
-    Requires finite entries (first, so no inf - inf warns), Hermiticity
-    within ``_HERM_TOL``, trace within ``_TRACE_TOL`` of one, then no
-    eigenvalue of the Hermitian part below ``EIG_FLOOR`` (``below_eig_floor``;
-    the negative floor absorbs roundoff on pure states).  An error on a
-    stack names the first failing state; eigvalsh runs only on it, to word it.
+    Requires finite entries, Hermiticity within ``_HERM_TOL``, trace within
+    ``_TRACE_TOL`` of one, and no eigenvalue of the Hermitian part below
+    ``EIG_FLOOR`` (``below_eig_floor``; the negative floor absorbs roundoff
+    on pure states).  An error on a stack names the first failing state, by
+    the first of these checks it fails; eigvalsh runs only on it, to word it.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim not in (2, 3) or rho.shape[-2:] != (3, 3):
@@ -103,17 +106,18 @@ def check_density_matrix(rho: np.ndarray) -> np.ndarray:
     def name(k: int) -> str:
         return "density matrix" if rho.ndim == 2 else f"density matrix {k} of {len(stack)}"
 
-    reject(~np.isfinite(stack).all(axis=(1, 2)), NonPhysicalResult,
-           lambda k: f"{name(k)} not finite")
-    defect = np.abs(stack - adjoint).max(axis=(1, 2))
-    reject(~(defect <= _HERM_TOL), NonPhysicalResult,
-           lambda k: f"{name(k)} not Hermitian: defect {defect[k]:.3e}")
-    trace = np.trace(stack, axis1=1, axis2=2)
-    reject(~(np.abs(trace - 1.0) <= _TRACE_TOL), NonPhysicalResult,
-           lambda k: f"{name(k)} trace {trace[k]:.15g} != 1")
-    hermitian = 0.5 * (stack + adjoint)
-    reject(below_eig_floor(hermitian), NonPhysicalResult,
-           lambda k: f"{name(k)} has eigenvalue {np.linalg.eigvalsh(hermitian[k])[0]:.3e}")
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf; such a state fails first
+        defect = np.abs(stack - adjoint).max(axis=(1, 2))
+        trace = np.trace(stack, axis1=1, axis2=2)
+        hermitian = 0.5 * (stack + adjoint)
+        reject((~np.isfinite(stack).all(axis=(1, 2)), NonPhysicalResult,
+                lambda k: f"{name(k)} not finite"),
+               (~(defect <= _HERM_TOL), NonPhysicalResult,
+                lambda k: f"{name(k)} not Hermitian: defect {defect[k]:.3e}"),
+               (~(np.abs(trace - 1.0) <= _TRACE_TOL), NonPhysicalResult,
+                lambda k: f"{name(k)} trace {trace[k]:.15g} != 1"),
+               (below_eig_floor(hermitian), NonPhysicalResult, lambda k: (
+                   f"{name(k)} has eigenvalue {np.linalg.eigvalsh(hermitian[k])[0]:.3e}")))
     return rho
 
 

@@ -140,8 +140,8 @@ def _broadcast(*values) -> list[np.ndarray]:
     """1-D float views of arrays or scalars, broadcast to one length.  A
     point with a value that is not finite raises ValueError naming it."""
     arrays = np.broadcast_arrays(*np.atleast_1d(*(np.asarray(v, dtype=float) for v in values)))
-    reject(~np.logical_and.reduce([np.isfinite(a) for a in arrays]), ValueError,
-           lambda k: f"values must be finite {_at(k, arrays)}")
+    reject((~np.logical_and.reduce([np.isfinite(a) for a in arrays]), ValueError,
+            lambda k: f"values must be finite {_at(k, arrays)}"))
     return arrays
 
 
@@ -193,8 +193,8 @@ def steady_states(delta_p, delta_c, omega_p, omega_c, rates) -> np.ndarray:
     if isinstance(rates, DecoherenceRates):
         rates = rates.as_tuple()
     rows = np.broadcast_to(np.asarray(rates, dtype=float), (drives[0].size, 5))
-    reject(~((rows >= 0.0) & (rows < math.inf)).all(axis=1), ValueError,  # NaN fails too
-           lambda k: f"rates must be finite and >= 0 {_at(k, drives)}, got {rows[k].tolist()}")
+    reject((~((rows >= 0.0) & (rows < math.inf)).all(axis=1), ValueError,  # NaN fails too
+            lambda k: f"rates must be finite and >= 0 {_at(k, drives)}, got {rows[k].tolist()}"))
     named = [*drives, *rows.T] if np.ndim(rates) == 2 else drives  # name per-point rates too
     rho = np.empty((drives[0].size, 3, 3), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):  # the condition gate rejects inf and NaN
@@ -232,9 +232,6 @@ def _solve_chunk(system: np.ndarray, drives: list[np.ndarray]) -> np.ndarray:
                               np.einsum("nij->nj", abs(inverse)).max(axis=1))
     system_norm = np.einsum("nij->nj", abs(system)).max(axis=1)
     kappa = system_norm * inverse_norm
-    reject(~(kappa <= _COND_LIMIT / 27.0), SingularLiouvillian,  # NaN counts as rejected
-           lambda k: f"steady state not unique {_at(k, drives)}: 1-norm condition {kappa[k]:.3e}")
-
     # Column 0 of B^-1 solves for right-hand side e_0, so its c_0 is 1.
     c = np.empty((len(system), 9))
     c[:, 0], c[:, 1:] = 1.0, tail
@@ -245,12 +242,14 @@ def _solve_chunk(system: np.ndarray, drives: list[np.ndarray]) -> np.ndarray:
     c[:, 1:] -= np.einsum("nab,nb->na", inverse, np.einsum("nab,nb->na", system[:, 1:], c))
     residuals = np.linalg.norm(np.einsum("nab,nb->na", system[:, 1:], c), axis=1) / (
         system_norm * np.linalg.norm(c, axis=1))
-    reject(residuals > _RELATIVE_RESIDUAL_LIMIT, SingularLiouvillian, lambda k: (
-        f"steady-state residual {residuals[k]:.3e} {_at(k, drives)}"
-        f" exceeds {_RELATIVE_RESIDUAL_LIMIT:.3e}"))
     rho = _states(c)
-    reject(below_eig_floor(rho), NonPhysicalResult, lambda k: (
-        f"steady state {_at(k, drives)} has eigenvalue {np.linalg.eigvalsh(rho[k])[0]:.3e}"))
+    reject((~(kappa <= _COND_LIMIT / 27.0), SingularLiouvillian,  # NaN counts as rejected
+            lambda k: f"steady state not unique {_at(k, drives)}: 1-norm condition {kappa[k]:.3e}"),
+           (residuals > _RELATIVE_RESIDUAL_LIMIT, SingularLiouvillian, lambda k: (
+               f"steady-state residual {residuals[k]:.3e} {_at(k, drives)}"
+               f" exceeds {_RELATIVE_RESIDUAL_LIMIT:.3e}")),
+           (below_eig_floor(rho), NonPhysicalResult, lambda k: f"steady state {_at(k, drives)}"
+            f" has eigenvalue {np.linalg.eigvalsh(rho[k])[0]:.3e}"))
     return rho
 
 
@@ -375,8 +374,8 @@ def final_states(
     its drive values and t_final; a map that overflows, NonPhysicalResult
     naming the state by its index."""
     *drives, t_final = _broadcast(delta_p, delta_c, omega_p, omega_c, t_final)
-    reject(t_final < 0.0, ValueError,
-           lambda k: f"t_final must be >= 0 {_at(k, [*drives, t_final])}")
+    reject((t_final < 0.0, ValueError,
+            lambda k: f"t_final must be >= 0 {_at(k, [*drives, t_final])}"))
 
     def increments(chunk: slice) -> np.ndarray:
         return _exp_increments(_generators([d[chunk] for d in drives], rates.as_tuple()),

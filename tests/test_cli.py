@@ -262,6 +262,21 @@ drive:
         assert rows[54] == [2.7, rabi["maximum_population"]]
         assert rabi["maximum_population"] == pytest.approx(1.0, abs=1e-4)
 
+    def test_rabi_first_maximum_follows_the_shared_local_maximum_rule(self, tmp_path,
+                                                                    monkeypatch):
+        """The summary's first maximum is the first index of the rule the
+        doublet start and ``peak_separation`` use: a flat run that starts at
+        the first sample counts, so [0.3, 0.3, 0.1, 0.5, 0.4] peaks at 1."""
+        trace = SweepResult(axis1=np.linspace(0.0, 0.4, 5),
+                            values=np.array([0.3, 0.3, 0.1, 0.5, 0.4]),
+                            observable=Observable.POPULATION1, axis1_name="duration_us")
+        monkeypatch.setattr(cli, "rabi_trace", lambda *args: trace)
+        durations = "pulse.durations_us={start: 0.0, stop: 0.4, count: 5}"
+        assert run_cli("run", "paper.cfg", "--out", str(tmp_path),
+                       *_set_args([*_RABI, durations])) == 0
+        rabi = yaml.safe_load((tmp_path / "summary.yaml").read_text())["results"]["rabi"]
+        assert (rabi["first_maximum_us"], rabi["maximum_population"]) == (0.1, 0.3)
+
     def test_rabi(self, tmp_path):
         text = """\
 schema: 1

@@ -357,31 +357,74 @@ class TestMirroredSweeps:
         at_slice(model_with(paper_rates, omega_p=OMEGA_P), grid, FIG3_COUPLERS)
         assert sum(solved_points) == solved
 
+    def test_steady_sweep_mirrors_a_symmetric_map_itself(self, paper_rates, solved_points):
+        """Called directly, with no mirror axes named, ``_steady_sweep`` solves
+        only the first (7 + 1) // 2 rows of a symmetric 7x5 map, and each
+        value equals its own solve."""
+        dp, dc = Grid1D(-2.0, 2.0, 7).points[:, None], Grid1D(-1.0, 1.0, 5).points
+        values = experiments._steady_sweep(Observable.PA_SUM, paper_rates, dp, dc,
+                                           OMEGA_P, 0.707)
+        assert sum(solved_points) == (7 + 1) // 2 * 5
+        dp, dc = np.broadcast_arrays(dp, dc)
+        rho = solver.steady_states(dp.ravel(), dc.ravel(), OMEGA_P, 0.707, paper_rates)
+        assert values.tobytes() == readout_signal(rho, Observable.PA_SUM).tobytes()
+
+    @pytest.mark.parametrize("varying", ["omega_c", "rates"])
+    def test_sweep_varying_along_its_detunings_is_solved_in_full(self, paper_rates,
+                                                                  solved_points, varying):
+        """A symmetric probe axis is no mirror axis where the coupler
+        amplitude or the rate rows vary along it: all nine points are solved."""
+        dp = Grid1D(-2.0, 2.0, 9).points
+        omega_c, rates = 0.707, paper_rates
+        if varying == "omega_c":
+            omega_c = np.linspace(0.5, 1.3, 9)
+        else:
+            rates = np.array([replace(paper_rates, gamma_21=g).as_tuple()
+                              for g in np.linspace(0.01, 0.09, 9)])
+        values = experiments._steady_sweep(Observable.PA_SUM, rates, dp, 0.0, OMEGA_P, omega_c)
+        assert sum(solved_points) == 9
+        rho = solver.steady_states(dp, 0.0, OMEGA_P, omega_c, rates)
+        assert values.tobytes() == readout_signal(rho, Observable.PA_SUM).tobytes()
+
     def test_failing_half_names_the_point_of_the_full_grid(self, paper_rates, monkeypatch):
         """Let the mirror pair (2, -2) and (-2, 2) of a 5x5 map fail.  In
         grid order (-2, 2), point 4, comes before (2, -2), point 20, so a
         full solve names it; the solved half holds it and names it too,
-        and no point with delta_p > 0 is ever solved."""
+        and no point with delta_p > 0 is ever solved.  ``_steady_sweep``
+        called on the same grid mirrors it too, and names the first point
+        whose own single-point solve fails in C order."""
         solved = []
 
         def failing(delta_p, delta_c, *rest):
             dp, dc = np.broadcast_arrays(delta_p, delta_c)
             solved.extend(dp)
-            reject((np.abs(dp) == 2.0) & (dc == -dp), SingularLiouvillian,
-                   lambda k: f"fails at delta_p={float(dp[k])!r}, delta_c={float(dc[k])!r}")
+            reject(((np.abs(dp) == 2.0) & (dc == -dp), SingularLiouvillian,
+                    lambda k: f"fails at delta_p={float(dp[k])!r}, delta_c={float(dc[k])!r}"))
             return solver.steady_states(delta_p, delta_c, *rest)
+
+        def error(delta_p, delta_c):
+            try:
+                failing(np.array([delta_p]), np.array([delta_c]), OMEGA_P, 0.707, paper_rates)
+            except SingularLiouvillian as exc:
+                return str(exc)
+            return None
 
         monkeypatch.setattr(experiments, "steady_states", failing)
         monkeypatch.setattr(experiments, "_usable_cpus", lambda: 1)
         base = model_with(paper_rates, omega_p=OMEGA_P, omega_c=0.707)
         grid = Grid1D(-2.0, 2.0, 5)
-        named = r"^fails at delta_p=-2\.0, delta_c=2\.0$"
-        with pytest.raises(SingularLiouvillian, match=named):
+        with pytest.raises(SingularLiouvillian, match=r"^fails at delta_p=-2\.0, delta_c=2\.0$"):
             at_map(base, grid, grid)
         assert solved and max(solved) <= 0.0
-        with pytest.raises(SingularLiouvillian, match=named):
+
+        points = np.broadcast_arrays(grid.points[:, None], grid.points)
+        first = next(filter(None, (error(*point) for point in zip(*(p.flat for p in points)))))
+        solved.clear()
+        with pytest.raises(SingularLiouvillian) as raised:
             experiments._steady_sweep(Observable.PA_SUM, paper_rates, grid.points[:, None],
                                       grid.points, OMEGA_P, 0.707)
+        assert str(raised.value) == first
+        assert solved and max(solved) <= 0.0
 
 
 class TestAtMap:

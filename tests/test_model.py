@@ -312,7 +312,9 @@ class TestMatrixChecks:
             check_density_matrix(rho)
 
     def test_check_density_matrix_rejects_non_finite_before_arithmetic(self):
-        """inf - inf would warn (an error under this suite's filterwarnings)."""
+        """A state that is not finite is named as such, before the checks that
+        do arithmetic on it, whose inf - inf does not warn (a warning is an
+        error under this suite's filterwarnings)."""
         with pytest.raises(NonPhysicalResult, match="^density matrix not finite"):
             check_density_matrix(np.diag([math.inf, 0.0, 0.0]))
         stack = np.array([ket_bra(0, 0), ket_bra(1, 1), np.diag([math.nan, 0.0, 0.0])])
@@ -336,6 +338,18 @@ class TestMatrixChecks:
         stack = np.array([ket_bra(0, 0), ket_bra(1, 1), bad, ket_bra(2, 2), bad])
         with pytest.raises(NonPhysicalResult, match=f"density matrix 2 of 5 .*{reason}"):
             check_density_matrix(stack)
+
+    def test_check_density_matrix_names_the_first_state_across_checks(self):
+        """A stack names its first failing state, by the first check that
+        state fails, though a later state fails an earlier check.  The state
+        that is not finite goes through every check, and its inf - inf does
+        not warn."""
+        non_hermitian = ket_bra(0, 1) + np.diag([0.5, 0.5, 0.0])
+        with pytest.raises(NonPhysicalResult, match="^density matrix 0 of 2 not Hermitian"):
+            check_density_matrix(np.array([non_hermitian, np.diag([math.inf, 0.0, 0.0])]))
+        with pytest.raises(NonPhysicalResult,
+                           match=r"^density matrix 0 of 2 has eigenvalue -1\.000e-09$"):
+            check_density_matrix(np.array([np.diag([1.0 + 1e-9, -1e-9, 0.0]), non_hermitian]))
 
     def test_check_density_matrix_rejects_other_shapes(self):
         with pytest.raises(ValueError, match="shape"):

@@ -584,6 +584,28 @@ class TestChunking:
         with pytest.raises(NonPhysicalResult, match=re.escape(message)):
             steady_states(dp, 0.0, 0.5, 1.5, paper_rates)
 
+    def test_first_failing_point_is_named_across_the_three_gates(self, monkeypatch):
+        """With |1> dephasing as the only rate, point 2 (delta_p + delta_c = 0)
+        fails the condition gate.  Pushed below the eigenvalue floor, point 0
+        fails the positivity gate, and it is named: the gates of a chunk name
+        the first point that fails any of them."""
+        args = ([0.3, 0.5, 1.0], [0.1, 0.2, -1.0], 0.2, 0.3,
+                DecoherenceRates(0.0, 0.0, phi_1=0.02))
+        with pytest.raises(SingularLiouvillian, match="^steady state not unique at delta_p=1.0,"):
+            steady_states(*args)
+        states = solver._states
+
+        def below_floor_at_point_0(c):
+            rho = states(c)
+            rho[0] = np.diag([1.1, -0.1, 0.0])
+            return rho
+
+        monkeypatch.setattr(solver, "_states", below_floor_at_point_0)
+        message = ("steady state at delta_p=0.3, delta_c=0.1, omega_p=0.2, omega_c=0.3"
+                   " has eigenvalue -1.000e-01")
+        with pytest.raises(NonPhysicalResult, match=f"^{re.escape(message)}$"):
+            steady_states(*args)
+
 
 def _moved_inverses(size: float):
     """``np.linalg.inv`` with each entry of every inverse moved by ``size``
