@@ -22,9 +22,8 @@ from .experiments import (
     SweepResult,
     at_map,
     at_slice,
+    auto_grid,
     coupler_spectroscopy,
-    default_map_grid,
-    default_slice_grid,
     eit_regime_scan,
     fidelity_vs_coupler,
     probe_spectroscopy,

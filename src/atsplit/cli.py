@@ -3,7 +3,7 @@
 Commands::
 
     atsplit run <config> [--set key=value ...] [--out DIR]
-    atsplit validate <config>
+    atsplit validate <config> [--set key=value ...]
 
 Outputs go to ``--out``, else ``output.directory``: one CSV per sweep plus
 a YAML summary with stable key order.
@@ -331,24 +331,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Three-level transmon simulator: Autler-Townes spectra, "
         "doublet fits, and dark-state fidelity from a config file.",
     )
+    common = argparse.ArgumentParser(add_help=False)  # the arguments of both commands
+    common.add_argument("config", help="config file path or bundled name (paper.cfg)")
+    common.add_argument("--set", action="append", metavar="KEY=VALUE",
+                        help="override a config entry by dotted path (repeatable)")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    run_parser = sub.add_parser("run", help="run the configured experiment")
-    run_parser.add_argument("config", help="config file path or bundled name (paper.cfg)")
-    run_parser.add_argument(
-        "--set", action="append", metavar="KEY=VALUE",
-        help="override a config entry by dotted path (repeatable)",
-    )
-    run_parser.add_argument(
-        "--out", default=None,
-        help="output directory (overrides output.directory in the config)",
-    )
-    run_parser.set_defaults(func=_cmd_run)
-
-    val_parser = sub.add_parser("validate", help="validate a config, solve nothing")
-    val_parser.add_argument("config", help="config file path or bundled name")
-    val_parser.add_argument("--set", action="append", metavar="KEY=VALUE")
-    val_parser.set_defaults(func=_cmd_validate)
+    run = sub.add_parser("run", parents=[common], help="run the configured experiment")
+    run.add_argument("--out", default=None,
+                     help="output directory (overrides output.directory in the config)")
+    run.set_defaults(func=_cmd_run)
+    validate = sub.add_parser("validate", parents=[common], help="validate a config, solve nothing")
+    validate.set_defaults(func=_cmd_validate)
     return parser
 
 

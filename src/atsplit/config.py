@@ -22,7 +22,7 @@ import yaml
 
 from .analysis import min_fit_points
 from .errors import ConfigError
-from .experiments import Grid1D, default_map_grid, default_slice_grid
+from .experiments import Grid1D, auto_grid
 from .model import (
     TRANSMON_RATIO_21,
     DecoherenceRates,
@@ -364,15 +364,11 @@ def resolve(raw: dict) -> ExperimentConfig:
         raise ConfigError("key 'eit.ratio_grid.stop' times 'drive.omega_p_mhz' overflows")
     warnings = []
     try:  # an auto grid's span grows with the coupler amplitude and may overflow
-        if experiment == "probe_spec" and delta_p is None:
-            delta_p = Grid1D(-1.0, 1.0, 401)
-        if experiment == "coupler_spec" and delta_c is None:
-            delta_c = Grid1D(-(2.0 * omega_c + 1.0), 2.0 * omega_c + 1.0, 201)
-        if experiment == "at_map":
-            delta_p, delta_c = (d or default_map_grid(omega_c) for d in (delta_p, delta_c))
-        slice_auto = experiment == "at_slice" and delta_p is None  # None: one grid per slice
+        # at_slice's auto probe grid stays None: each slice has its own.
+        delta_p, delta_c = (auto_grid(experiment, omega_c) if d is None and experiment != "at_slice"
+                            else d for d in (delta_p, delta_c))
         for omega in couplers:
-            probe = default_slice_grid(omega) if slice_auto else delta_p
+            probe = auto_grid("at_slice", omega) if delta_p is None else delta_p
             # A grid warns at its endpoint farthest from resonance.
             farthest = [max(d.start, d.stop, key=abs) if isinstance(d, Grid1D) else d
                         for d in (probe, delta_c)]

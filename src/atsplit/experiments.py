@@ -282,16 +282,18 @@ def at_map(
                        axis1_name="delta_p_mhz", axis2_name="delta_c_mhz")
 
 
-def default_slice_grid(omega_c: float) -> Grid1D:
-    """Probe grid bracketing both doublet peaks at +-omega_c/2."""
-    limit = 1.5 * omega_c + 1.0
-    return Grid1D(-limit, limit, 401)
+#: Each experiment's ``auto`` detuning grid as (a, b, count): the grid from
+#: -(a w + b) to a w + b MHz at coupler amplitude w.  It brackets the probe
+#: line, the coupler line, the map's anticrossing, or a slice's doublet
+#: peaks at +-w/2; each is symmetric, so ``_steady_sweep`` solves half of it.
+_AUTO_GRIDS = {"probe_spec": (0.0, 1.0, 401), "coupler_spec": (2.0, 1.0, 201),
+               "at_map": (2.0, 2.0, 201), "at_slice": (1.5, 1.0, 401)}
 
 
-def default_map_grid(omega_c: float) -> Grid1D:
-    """Detuning grid for the 2D map, wide enough to show the anticrossing."""
-    limit = 2.0 * omega_c + 2.0
-    return Grid1D(-limit, limit, 201)
+def auto_grid(experiment: str, omega_c: float) -> Grid1D:
+    """The ``auto`` detuning grid of ``experiment`` at coupler amplitude ``omega_c``."""
+    a, b, count = _AUTO_GRIDS[experiment]
+    return Grid1D(-(a * omega_c + b), a * omega_c + b, count)
 
 
 def at_slice(
@@ -301,17 +303,16 @@ def at_slice(
 ) -> list[SweepResult]:
     """Doublet slices at zero coupler detuning, one sweep per coupler power.
 
-    With ``dp_grid=None`` each slice uses ``default_slice_grid`` for its
-    coupler strength.  Every slice grid has the same count, so the slices
-    are the rows of one ``_steady_sweep``.
+    With ``dp_grid=None`` each slice uses ``auto_grid("at_slice", omega_c)``
+    for its coupler strength.  Every slice grid has the same count, so the
+    slices are the rows of one ``_steady_sweep``.
     """
     if base.drive.delta_c != 0.0:
         raise ValueError("at_slice requires delta_c = 0")
     for omega_c in omega_c_list:
         if omega_c <= 0.0:
             raise ValueError(f"coupler amplitudes must be > 0, got {omega_c}")
-    dp = np.array([(dp_grid if dp_grid is not None else default_slice_grid(omega_c)).points
-                   for omega_c in omega_c_list])
+    dp = np.array([(dp_grid or auto_grid("at_slice", omega_c)).points for omega_c in omega_c_list])
     values = _steady_sweep(Observable.PA_SUM, base.rates, dp, 0.0, base.drive.omega_p,
                            np.asarray(omega_c_list, dtype=float)[:, None])
     return [SweepResult(axis1=axis, values=row, observable=Observable.PA_SUM,

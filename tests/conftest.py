@@ -1,3 +1,7 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import pytest
 
 from atsplit.model import (
@@ -14,6 +18,22 @@ OMEGA_P = 0.186
 OMEGA01_GHZ = 4.294085
 OMEGA12_GHZ = 4.116609
 FIG3_COUPLERS = (0.354, 0.707, 1.41, 2.82, 5.63, 11.2)
+
+#: The repository root, which holds ``bench/`` and ``tools/``.
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def load_module(path: Path):
+    """A module outside the package, such as ``bench/check.py``, executed once
+    per session.  It is registered in ``sys.modules`` under its file's stem,
+    so ``check``'s ``from workloads import`` finds ``workloads`` once that is
+    loaded, and ``sys.path`` stays as it is."""
+    if path.stem not in sys.modules:
+        spec = importlib.util.spec_from_file_location(path.stem, path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[path.stem] = module
+        spec.loader.exec_module(module)
+    return sys.modules[path.stem]
 
 
 @pytest.fixture(scope="session")

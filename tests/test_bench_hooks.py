@@ -4,25 +4,15 @@ import from the package.  Renaming or deleting one of them must fail here
 rather than silently break ``bench/run.py --trace 1``."""
 
 import ast
-import importlib.util
-from pathlib import Path
 
 import pytest
 
 import atsplit
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
-TRACE_CLI = BENCH / "trace_cli.py"
+from conftest import ROOT, load_module
 
-
-def _load_trace_cli():
-    spec = importlib.util.spec_from_file_location("bench_trace_cli", TRACE_CLI)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-_trace_cli = _load_trace_cli()
+BENCH = ROOT / "bench"
+_trace_cli = load_module(BENCH / "trace_cli.py")
 _HOOKS = [(namespace, attr) for namespace, attr, _ in _trace_cli.SPANNED + _trace_cli.COUNTED]
 
 

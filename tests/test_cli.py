@@ -4,7 +4,6 @@ dispatch, output files, determinism, and exit codes."""
 import ast
 import csv
 import dataclasses
-import importlib.util
 import os
 import re
 import shutil
@@ -22,6 +21,8 @@ from atsplit.errors import ConfigError, DegenerateData, NoConvergence, SingularL
 from atsplit.experiments import Observable, SweepResult
 from atsplit.model import DeviceSpec, DriveParams, validate_three_level
 from atsplit.solver import steady_states
+
+from conftest import ROOT, load_module
 
 BASE_CONFIG = """\
 schema: 1
@@ -898,9 +899,6 @@ class TestConfigLoading:
             load(config_file, ["drive..omega_p_mhz=1.0"])
 
 
-PAPER_SET = Path(__file__).resolve().parents[1] / "tools" / "paper_set.py"
-
-
 class TestPaperSet:
     """``tools/paper_set.py``: the seven canonical runs, run once per class,
     compared with the committed reference under ``tests/reference`` and with
@@ -908,10 +906,7 @@ class TestPaperSet:
 
     @pytest.fixture(scope="class")
     def paper_set(self):
-        spec = importlib.util.spec_from_file_location("paper_set", PAPER_SET)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        return module
+        return load_module(ROOT / "tools" / "paper_set.py")
 
     @pytest.fixture(scope="class")
     def runs(self, paper_set):

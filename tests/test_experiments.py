@@ -3,12 +3,10 @@ consistency between independent evaluation paths, and the published
 qualitative features."""
 
 import concurrent.futures
-import importlib.util
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from functools import partial
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,9 +19,8 @@ from atsplit.experiments import (
     SweepResult,
     at_map,
     at_slice,
+    auto_grid,
     coupler_spectroscopy,
-    default_map_grid,
-    default_slice_grid,
     eit_regime_scan,
     fidelity_vs_coupler,
     probe_spectroscopy,
@@ -34,10 +31,8 @@ from atsplit.errors import SingularLiouvillian
 from atsplit.model import DecoherenceRates, DriveParams, ThreeLevelModel, ket_bra, reject
 from atsplit.solver import evolve, final_states, steady_state, steady_states
 
-from conftest import FIG3_COUPLERS, OMEGA_P
+from conftest import FIG3_COUPLERS, OMEGA_P, ROOT, load_module
 from test_solver import gate_models
-
-PAPER_SET = Path(__file__).resolve().parents[1] / "tools" / "paper_set.py"
 
 
 def model_with(rates, **drive):
@@ -288,9 +283,7 @@ class TestMirroredSweeps:
 
     @pytest.fixture(scope="class")
     def paper_configs(self):
-        spec = importlib.util.spec_from_file_location("paper_set", PAPER_SET)
-        paper_set = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(paper_set)
+        paper_set = load_module(ROOT / "tools" / "paper_set.py")
         path = config.bundled_config_path("paper.cfg")
         return {name: config.load(path, paper_set.RUNS[name])
                 for name in ("at_map", "at_slice", "probe_spec")}
@@ -553,12 +546,12 @@ class TestAtMap:
             at_map(model_with(paper_rates, omega_p=0.1), Grid1D(-1, 1, 11), Grid1D(-1, 1, 11))
 
     def test_serial_memory_is_bounded(self, paper_rates):
-        """The steady-state kernel works in fixed chunks and each column span
-        returns only its values, so a 301x301 map needs its 0.7 MB of values
-        plus a few MB of work arrays (about 6 MB in all).  Holding the map's
-        density matrices would take 13 MB; one unchunked batch would peak
-        near 530 MB."""
-        grid = default_map_grid(2.82)
+        """The steady-state kernel works in fixed chunks and each span (a run
+        of points in grid order) returns only its values, so a 301x301 map
+        needs its 0.7 MB of values plus a few MB of work arrays (about 6 MB in
+        all).  Holding the map's density matrices would take 13 MB; one
+        unchunked batch would peak near 530 MB."""
+        grid = auto_grid("at_map", 2.82)
         grid = Grid1D(grid.start, grid.stop, 301)
         tracemalloc.start()
         try:
@@ -569,12 +562,25 @@ class TestAtMap:
         assert peak < 12 * 2**20
 
 
+#: README's table of auto grids: experiment -> (extent at coupler amplitude w, count).
+README_AUTO_GRIDS = {
+    "probe_spec": (lambda w: 1.0, 401),
+    "coupler_spec": (lambda w: 2 * w + 1, 201),
+    "at_map": (lambda w: 2 * w + 2, 201),
+    "at_slice": (lambda w: 1.5 * w + 1, 401),
+}
+
+
 class TestAtSlice:
-    def test_default_grid_brackets_peaks(self):
-        grid = default_slice_grid(11.2)
-        assert grid.count == 401
-        assert grid.start == -(1.5 * 11.2 + 1.0)
-        assert grid.stop == +(1.5 * 11.2 + 1.0)
+    @pytest.mark.parametrize("omega_c", [0.0, 2.82, 11.2])
+    @pytest.mark.parametrize("experiment", README_AUTO_GRIDS)
+    def test_default_grid_brackets_peaks(self, experiment, omega_c):
+        """Every auto grid has README's extent and count, and it is exactly
+        symmetric, so ``_steady_sweep`` solves half of it."""
+        extent, count = README_AUTO_GRIDS[experiment]
+        grid = auto_grid(experiment, omega_c)
+        assert (grid.stop, grid.count) == (extent(omega_c), count)
+        assert grid.start == -grid.stop
 
     def test_one_sweep_per_coupler(self, paper_rates):
         base = model_with(paper_rates, omega_p=OMEGA_P)

@@ -11,10 +11,7 @@ worst difference measured over every row is below 1e-14."""
 
 import functools
 import gzip
-import importlib.util
 import re
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,25 +19,14 @@ import yaml
 
 from atsplit import config as config_mod
 
-ROOT = Path(__file__).resolve().parent.parent
+from conftest import ROOT, load_module
+
 TOLERANCE = 1e-12
 DRAWS = 20
 
-
-def _load(path: Path):
-    """A module by file, as ``test_bench_hooks`` loads ``trace_cli``.  It is
-    registered under its own name, so that ``check`` imports ``workloads``."""
-    if path.stem not in sys.modules:
-        spec = importlib.util.spec_from_file_location(path.stem, path)
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[path.stem] = module
-        spec.loader.exec_module(module)
-    return sys.modules[path.stem]
-
-
-workloads = _load(ROOT / "bench" / "workloads.py")
-check = _load(ROOT / "bench" / "check.py")
-paper_set = _load(ROOT / "tools" / "paper_set.py")
+workloads = load_module(ROOT / "bench" / "workloads.py")  # before check, which imports it
+check = load_module(ROOT / "bench" / "check.py")
+paper_set = load_module(ROOT / "tools" / "paper_set.py")
 
 FILES = sorted(p.relative_to(paper_set.REFERENCE).as_posix().removesuffix(".gz")
                for p in paper_set.REFERENCE.rglob("*.csv*"))

@@ -1,11 +1,8 @@
 """Tests for the vectorized Liouvillian, the steady-state solve, the exact
 and fixed-step propagators, and the readout maps."""
 
-import importlib.util
 import math
 import re
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,9 +30,10 @@ from atsplit.solver import (
     vectorize,
 )
 
+from conftest import ROOT, load_module
+
 TRACE_ROWS = (0, 4, 8)
 DRIVE_NAMES = ("delta_p", "delta_c", "omega_p", "omega_c")
-BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def random_model(rng) -> ThreeLevelModel:
@@ -222,14 +220,9 @@ class TestSpectrumOracle:
 
 
 def _load_bench_check():
-    """``bench/check.py``, loaded by path, with its directory importable for
-    its own ``workloads`` import."""
-    if str(BENCH) not in sys.path:
-        sys.path.append(str(BENCH))
-    spec = importlib.util.spec_from_file_location("bench_check", BENCH / "check.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    """``bench/check.py``, loaded by path after the ``workloads`` it imports."""
+    load_module(ROOT / "bench" / "workloads.py")
+    return load_module(ROOT / "bench" / "check.py")
 
 
 def _kron_draws(rng, n: int):
