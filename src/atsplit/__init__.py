@@ -35,7 +35,6 @@ from .model import (
     DeviceSpec,
     DriveParams,
     ThreeLevelModel,
-    basis_ket,
     build_hamiltonian,
     check_density_matrix,
     collapse_operators,

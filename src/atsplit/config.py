@@ -72,8 +72,8 @@ class ExperimentConfig:
     omega_c_values: tuple[float, ...]
     delta_p: float | Grid1D | None  # None: at_slice's per-slice auto grid
     delta_c: float | Grid1D
-    pulse_duration: float | None
-    durations: Grid1D | None
+    pulse_duration: float | None  # None unless coupler_spec
+    durations: Grid1D | None  # None unless rabi
     eit_n_max: int
     eit_ratio_grid: Grid1D
     out_dir: str
@@ -375,7 +375,8 @@ def resolve(raw: dict) -> ExperimentConfig:
             warnings.extend(validate_three_level(DriveParams(*farthest, omega_p, omega), device))
     except ValueError as exc:
         raise ConfigError(f"key 'drive.omega_c_mhz' is too large for an auto grid: {exc}") from exc
-    pulse_duration = get("pulse.duration_us")
+    pulse_duration = get("pulse.duration_us") if experiment == "coupler_spec" else None
+    durations = get("pulse.durations_us") if experiment == "rabi" else None
     if experiment == "coupler_spec" and pulse_duration is None:
         pulse_duration = 1.0 / (2.0 * omega_c)  # ideal pi pulse
         if not pulse_duration <= sys.float_info.max:
@@ -390,7 +391,7 @@ def resolve(raw: dict) -> ExperimentConfig:
         delta_p=delta_p,
         delta_c=delta_c,
         pulse_duration=pulse_duration,
-        durations=get("pulse.durations_us"),
+        durations=durations,
         eit_n_max=get("eit.n_max"),
         eit_ratio_grid=get("eit.ratio_grid"),
         out_dir=get("output.directory"),
@@ -411,8 +412,8 @@ def describe(cfg: ExperimentConfig) -> dict:
     ``summary.yaml`` records under ``parameters`` and ``validate`` prints.
 
     A grid is its start/stop/count mapping; ``auto`` is left only for
-    at_slice's per-slice probe grid.  ``pulse`` appears when set, ``eit``
-    for eit_scan only.
+    at_slice's per-slice probe grid.  ``pulse`` appears for coupler_spec
+    and rabi only, ``eit`` for eit_scan only.
     """
 
     def plain(value):

@@ -132,17 +132,12 @@ class SweepResult:
 # ---------------------------------------------------------------------------
 
 def probe_spectroscopy(base: ThreeLevelModel, dp_grid: Grid1D) -> SweepResult:
-    """Steady-state probe line scan with the coupler off.
-
-    Sweeps the probe detuning and records the rho11 + rho22 readout.
+    """Steady-state probe line scan with the coupler off, read as rho11 + rho22:
+    the zero-coupler doublet slice ``at_slice(base, dp_grid, [0.0])[0]``.
     """
     if base.drive.omega_c != 0.0:
         raise ValueError("probe spectroscopy requires omega_c = 0")
-    dp = dp_grid.points
-    values = _steady_sweep(Observable.PA_SUM, base.rates, dp, base.drive.delta_c,
-                           base.drive.omega_p, 0.0)
-    return SweepResult(axis1=dp, values=values, observable=Observable.PA_SUM,
-                       axis1_name="delta_p_mhz")
+    return at_slice(base, dp_grid, [0.0])[0]
 
 
 def coupler_spectroscopy(
@@ -301,7 +296,8 @@ def at_slice(
     dp_grid: Grid1D | None,
     omega_c_list: Sequence[float],
 ) -> list[SweepResult]:
-    """Doublet slices at zero coupler detuning, one sweep per coupler power.
+    """Doublet slices at zero coupler detuning, one sweep per coupler power;
+    a zero amplitude gives the bare probe line.
 
     With ``dp_grid=None`` each slice uses ``auto_grid("at_slice", omega_c)``
     for its coupler strength.  Every slice grid has the same count, so the
@@ -310,8 +306,8 @@ def at_slice(
     if base.drive.delta_c != 0.0:
         raise ValueError("at_slice requires delta_c = 0")
     for omega_c in omega_c_list:
-        if omega_c <= 0.0:
-            raise ValueError(f"coupler amplitudes must be > 0, got {omega_c}")
+        if omega_c < 0.0:
+            raise ValueError(f"coupler amplitudes must be >= 0, got {omega_c}")
     dp = np.array([(dp_grid or auto_grid("at_slice", omega_c)).points for omega_c in omega_c_list])
     values = _steady_sweep(Observable.PA_SUM, base.rates, dp, 0.0, base.drive.omega_p,
                            np.asarray(omega_c_list, dtype=float)[:, None])

@@ -38,13 +38,6 @@ TRANSMON_RATIO_21 = 1.41
 # 3x3 matrix helpers
 # ---------------------------------------------------------------------------
 
-def basis_ket(i: int) -> np.ndarray:
-    """Column basis vector |i> of the three-level system."""
-    v = np.zeros(3, dtype=complex)
-    v[i] = 1.0
-    return v
-
-
 def ket_bra(i: int, j: int) -> np.ndarray:
     """Operator |i><j| as a dense 3x3 complex matrix."""
     m = np.zeros((3, 3), dtype=complex)
@@ -196,12 +189,6 @@ class DecoherenceRates:
 
     def as_tuple(self) -> tuple[float, float, float, float, float]:
         return (self.gamma_10, self.gamma_21, self.gamma_20, self.phi_1, self.phi_2)
-
-    def min_nonzero_rate(self) -> float:
-        nonzero = [r for r in self.as_tuple() if r > 0.0]
-        if not nonzero:
-            raise ValueError("all rates are zero")
-        return min(nonzero)
 
 
 @dataclass(frozen=True)

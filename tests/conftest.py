@@ -2,6 +2,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from atsplit.model import (
@@ -34,6 +35,14 @@ def load_module(path: Path):
         sys.modules[path.stem] = module
         spec.loader.exec_module(module)
     return sys.modules[path.stem]
+
+
+def random_density_matrix(rng) -> np.ndarray:
+    """A full-rank 3x3 density matrix, A A^dagger over its trace for a
+    complex Gaussian A drawn from ``rng``."""
+    a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    rho = a @ a.conj().T
+    return rho / rho.trace()
 
 
 @pytest.fixture(scope="session")

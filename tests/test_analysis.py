@@ -24,13 +24,7 @@ from atsplit.model import (
     rates_from_coherence_times,
 )
 
-from conftest import FIG3_COUPLERS
-
-
-def random_density_matrix(rng):
-    a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    rho = a @ a.conj().T
-    return rho / rho.trace()
+from conftest import FIG3_COUPLERS, random_density_matrix
 
 
 class TestLorentzianModel:

@@ -97,6 +97,20 @@ class TestValidateCommand:
         assert run_cli("validate", str(config_file), "--set", "schema=2") == 2
         assert "schema" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_records_only_the_pulse_key_the_run_reads(self, experiment, capsys):
+        """Every experiment accepts both pulse keys, but ``parameters`` holds
+        ``pulse.duration_us`` only for coupler_spec and ``pulse.durations_us``
+        only for rabi, the runs that read them."""
+        paper_set = load_module(ROOT / "tools" / "paper_set.py")
+        durations = {"start": 0.0, "stop": 2.0, "count": 5}
+        overrides = paper_set.RUNS[experiment] + [
+            "pulse.duration_us=1.0", f"pulse.durations_us={durations}"]
+        assert run_cli("validate", "paper.cfg", *_set_args(overrides)) == 0
+        printed = yaml.safe_load(capsys.readouterr().out.removesuffix("config ok\n"))
+        read = {"coupler_spec": {"duration_us": 1.0}, "rabi": {"durations_us": durations}}
+        assert printed["parameters"].get("pulse") == read.get(experiment)
+
     def test_validate_writes_nothing(self, config_file, tmp_path, monkeypatch):
         workdir = tmp_path / "empty"
         workdir.mkdir()

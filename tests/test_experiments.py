@@ -117,6 +117,36 @@ class TestProbeSpectroscopy:
                 model_with(paper_rates, omega_p=0.1, omega_c=1.0), Grid1D(-1, 1, 51)
             )
 
+    def test_requires_zero_coupler_detuning(self, paper_rates):
+        """The probe line is the slice at zero coupler amplitude, taken at
+        delta_c = 0 only, as ``config`` requires for probe_spec; with the
+        coupler off, |2> is decoupled and the line does not depend on delta_c."""
+        with pytest.raises(ValueError, match="delta_c = 0"):
+            probe_spectroscopy(
+                model_with(paper_rates, omega_p=OMEGA_P, delta_c=0.5), Grid1D(-1, 1, 51)
+            )
+
+    @pytest.mark.parametrize("grid", [
+        pytest.param(None, id="paper"),
+        pytest.param(Grid1D(-1.0, 2.0, 201), id="asymmetric"),
+        pytest.param(Grid1D(-2.5, 2.5, 400), id="even"),
+    ])
+    def test_is_the_zero_coupler_slice(self, grid):
+        """The probe line is the doublet slice at omega_c = 0 bit for bit, also
+        as one row among other couplers: on the probe grid of ``paper.cfg``,
+        an asymmetric grid and an even count.  Each value equals its own
+        single-point solve."""
+        paper_set = load_module(ROOT / "tools" / "paper_set.py")
+        probe = config.load(config.bundled_config_path("paper.cfg"), paper_set.RUNS["probe_spec"])
+        base = model_with(probe.rates, omega_p=probe.omega_p)
+        grid = grid or probe.delta_p
+        line = probe_spectroscopy(base, grid)
+        for row in (at_slice(base, grid, [0.0])[0], at_slice(base, grid, [2.82, 0.0])[1]):
+            assert row.values.tobytes() == line.values.tobytes()
+            assert row.axis1.tobytes() == grid.points.tobytes() == line.axis1.tobytes()
+            assert (row.observable, row.axis1_name) == (line.observable, line.axis1_name)
+        assert direct_values(line, base, 0.0).tobytes() == line.values.tobytes()
+
 
 class TestCouplerSpectroscopy:
     def test_pi_pulse_transfers_population(self, paper_rates):
@@ -332,13 +362,11 @@ class TestMirroredSweeps:
         at_map(model_with(paper_rates, omega_p=OMEGA_P, omega_c=2.82), dp, dc)
         assert sum(solved_points) == solved
 
-    @pytest.mark.parametrize("delta_c, solved", [(0.0, 201), (0.5, 401)])
-    def test_probe_line_solves_half_only_at_zero_coupler_detuning(
-        self, paper_rates, solved_points, delta_c, solved
-    ):
-        probe_spectroscopy(model_with(paper_rates, omega_p=OMEGA_P, delta_c=delta_c),
-                           Grid1D(-1.0, 1.0, 401))
-        assert sum(solved_points) == solved
+    def test_probe_line_solves_half(self, paper_rates, solved_points):
+        """The probe line runs at delta_c = 0 only, so a symmetric probe grid
+        is always mirrored."""
+        probe_spectroscopy(model_with(paper_rates, omega_p=OMEGA_P), Grid1D(-1.0, 1.0, 401))
+        assert sum(solved_points) == 201
 
     @pytest.mark.parametrize("grid, solved", [
         pytest.param(None, 6 * 201, id="auto"),
@@ -624,9 +652,10 @@ class TestAtSlice:
                 model_with(paper_rates, omega_p=OMEGA_P, delta_c=0.5), None, [1.0]
             )
 
-    def test_requires_positive_couplers(self, paper_rates):
-        with pytest.raises(ValueError, match="> 0"):
-            at_slice(model_with(paper_rates, omega_p=OMEGA_P), None, [1.0, 0.0])
+    def test_requires_nonnegative_couplers(self, paper_rates):
+        """A zero amplitude is the bare probe line; a negative one is refused."""
+        with pytest.raises(ValueError, match=r"must be >= 0, got -0\.5$"):
+            at_slice(model_with(paper_rates, omega_p=OMEGA_P), None, [1.0, 0.0, -0.5])
 
 
 class TestFidelityVsCoupler:

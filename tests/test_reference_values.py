@@ -10,7 +10,6 @@ smallest and the largest value and 20 seeded rows are re-solved with
 worst difference measured over every row is below 1e-14."""
 
 import functools
-import gzip
 import re
 
 import numpy as np
@@ -54,10 +53,7 @@ def _physics(name: str, observable: str):
 
 @functools.lru_cache(maxsize=None)
 def _table(name: str) -> tuple[tuple[str, ...], np.ndarray]:
-    packed = paper_set.REFERENCE / (name + ".gz")
-    text = (gzip.decompress(packed.read_bytes()).decode() if packed.exists()
-            else (paper_set.REFERENCE / name).read_text())
-    header, *rows = text.splitlines()
+    header, *rows = paper_set._read(paper_set.REFERENCE, name).splitlines()
     return tuple(header.split(",")), np.array([row.split(",") for row in rows], dtype=float)
 
 
