@@ -16,7 +16,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DegenerateData
-from .model import check_density_matrix
+from .model import min_fit_points
+from .solver import check_density_matrix
 
 _MAX_ITERATIONS = 500
 #: Damped steps hand over to Gauss-Newton below this, relative: nearer the
@@ -212,11 +213,6 @@ def _initial_guess(x, y, n_peaks) -> np.ndarray:
         return np.array([mid - half / 2.0, half, mid + half / 2.0, half])
     lo_2, hi_2 = _halfmax_crossings(x, y, second, offset)
     return np.array(sorted([(x[first], hi - lo), (x[second], hi_2 - lo_2)])).ravel()
-
-
-def min_fit_points(n_peaks: int) -> int:
-    """Fewest points ``fit_peaks`` takes: five per parameter (three per peak and the offset)."""
-    return 5 * (3 * n_peaks + 1)
 
 
 def fit_peaks(points: Sequence[tuple[float, float]] | np.ndarray, n_peaks: int) -> PeakFit:

@@ -20,14 +20,15 @@ from pathlib import Path
 
 import yaml
 
-from .analysis import min_fit_points
 from .errors import ConfigError
-from .experiments import Grid1D, auto_grid
 from .model import (
     TRANSMON_RATIO_21,
     DecoherenceRates,
     DeviceSpec,
     DriveParams,
+    Grid1D,
+    auto_grid,
+    min_fit_points,
     rates_from_coherence_times,
     validate_three_level,
 )

@@ -27,9 +27,9 @@ import numpy as np
 
 from .analysis import dark_state_fidelity
 from .errors import NonPhysicalResult
-from .model import DecoherenceRates, ThreeLevelModel, ket_bra
+from .model import DecoherenceRates, Grid1D, ThreeLevelModel, auto_grid
 # evolve is imported for bench/trace_cli.py, which spans experiments.evolve.
-from .solver import evolve, final_states, steady_states  # noqa: F401
+from .solver import evolve, final_states, ket_bra, steady_states  # noqa: F401
 
 
 class Observable(Enum):
@@ -76,32 +76,6 @@ def readout_signal(rho: np.ndarray, observable: Observable) -> float | np.ndarra
         )
     values = np.maximum(values, 0.0)
     return float(values) if rho.ndim == 2 else values
-
-
-@dataclass(frozen=True)
-class Grid1D:
-    """Uniform inclusive grid; start/stop in cyclic MHz (or us for time)."""
-
-    start: float
-    stop: float
-    count: int
-
-    def __post_init__(self):
-        if self.count < 2:
-            raise ValueError(f"grid count must be >= 2, got {self.count}")
-        if not self.start < self.stop:
-            raise ValueError(f"grid start {self.start} must be below stop {self.stop}")
-        if not np.isfinite(self.stop - self.start):
-            raise ValueError(f"grid span from {self.start} to {self.stop} is not finite")
-
-    @property
-    def points(self) -> np.ndarray:
-        points = np.linspace(self.start, self.stop, self.count)
-        if self.start == -self.stop:  # exactly antisymmetric, so _steady_sweep mirrors it
-            half = self.count // 2
-            points[-half:] = -points[half - 1::-1]
-            points[half:-half] = 0.0  # the middle point of an odd count
-        return points
 
 
 @dataclass(frozen=True)
@@ -275,20 +249,6 @@ def at_map(
                            base.drive.omega_p, base.drive.omega_c, jobs=jobs)
     return SweepResult(axis1=dp, axis2=dc, values=values, observable=Observable.PA_SUM,
                        axis1_name="delta_p_mhz", axis2_name="delta_c_mhz")
-
-
-#: Each experiment's ``auto`` detuning grid as (a, b, count): the grid from
-#: -(a w + b) to a w + b MHz at coupler amplitude w.  It brackets the probe
-#: line, the coupler line, the map's anticrossing, or a slice's doublet
-#: peaks at +-w/2; each is symmetric, so ``_steady_sweep`` solves half of it.
-_AUTO_GRIDS = {"probe_spec": (0.0, 1.0, 401), "coupler_spec": (2.0, 1.0, 201),
-               "at_map": (2.0, 2.0, 201), "at_slice": (1.5, 1.0, 401)}
-
-
-def auto_grid(experiment: str, omega_c: float) -> Grid1D:
-    """The ``auto`` detuning grid of ``experiment`` at coupler amplitude ``omega_c``."""
-    a, b, count = _AUTO_GRIDS[experiment]
-    return Grid1D(-(a * omega_c + b), a * omega_c + b, count)
 
 
 def at_slice(

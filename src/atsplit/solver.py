@@ -1,4 +1,5 @@
-"""Real Lindblad generators, steady-state solve, and two propagators.
+"""Real Lindblad generators, steady-state solve, and two propagators, with
+the 3x3 operators and density-matrix checks they build on.
 
 States are real coherence vectors c_k = tr(E_k rho) in the orthonormal
 Hermitian basis ``_BASIS`` (Alicki & Lendi, Quantum Dynamical Semigroups and
@@ -21,17 +22,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import NonPhysicalResult, SingularLiouvillian
-from .model import (
-    TWO_PI,
-    DecoherenceRates,
-    DriveParams,
-    ThreeLevelModel,
-    below_eig_floor,
-    build_hamiltonian,
-    check_density_matrix,
-    collapse_operators,
-    reject,
-)
+from .model import TWO_PI, DecoherenceRates, DriveParams, ThreeLevelModel
 
 #: Condition-number threshold beyond which the trace-constrained system is
 #: treated as rank deficient (non-unique steady state).
@@ -45,6 +36,115 @@ _RELATIVE_RESIDUAL_LIMIT = 64.0 * np.finfo(float).eps
 #: Grid points per batch of the steady-state kernel, so its work arrays
 #: stay bounded for any grid size.
 _CHUNK = 1024
+
+
+def ket_bra(i: int, j: int) -> np.ndarray:
+    """Operator |i><j| as a dense 3x3 complex matrix."""
+    m = np.zeros((3, 3), dtype=complex)
+    m[i, j] = 1.0
+    return m
+
+
+#: Hermiticity and trace tolerances and eigenvalue floor of a density matrix;
+#: the steady-state kernel gates on the same floor, also with ``below_eig_floor``.
+_HERM_TOL = _TRACE_TOL = 1e-12
+EIG_FLOOR = -1e-10
+
+
+def below_eig_floor(rho: np.ndarray) -> np.ndarray:
+    """Mask of the states of an (n, 3, 3) Hermitian stack (lower triangle
+    read) whose lowest eigenvalue is below ``EIG_FLOOR``, decided from the
+    pivots of the unpivoted LDL^H factorization of A = rho - EIG_FLOOR * I.
+    It is backward stable (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., SIAM 2002, ch. 10), so it agrees with eigvalsh to
+    roundoff.  Each pivot is scaled by the positive pivots before it, so
+    nothing is divided.  NaN fails; a zero pivot passes only over zeros."""
+    p, q, r = (np.diagonal(rho, axis1=1, axis2=2).real - EIG_FLOOR).T
+    b1, b2, e = rho[:, 1, 0], rho[:, 2, 0], rho[:, 2, 1]
+    n1, n2 = abs(b1) ** 2, abs(b2) ** 2
+    # d1 and t: the diagonal of p S, with S the Schur complement of A[0, 0] (S where p = 0).
+    scale = np.where(p > 0.0, p, 1.0)
+    d1, t = scale * q - n1, scale * r - n2
+    # The last pivot times p^2 d1; at d1 = 0 it is -|p S[1, 0]|^2, and t >= 0 decides.
+    d2 = np.maximum(d1, 0.0) * t - abs(scale * e - b2 * b1.conj()) ** 2
+    lowest = np.minimum(np.minimum(p, d1), np.minimum(t, d2))
+    return ~(lowest >= 0.0) | (p == 0.0) & (n1 + n2 > 0.0)
+
+
+def reject(*gates) -> None:
+    """Raise ``error(words(k))`` at the first point k where the mask of any
+    ``(mask, error, words)`` gate holds, with the first gate that fails there:
+    the one rule by which every per-point check names its failure."""
+    k = min((int(np.argmax(mask)) for mask, _, _ in gates if mask.any()), default=None)
+    if k is not None:
+        _, error, words = next(gate for gate in gates if gate[0][k])
+        raise error(words(k))
+
+
+def check_density_matrix(rho: np.ndarray) -> np.ndarray:
+    """Validate one 3x3 density matrix or an (n, 3, 3) stack of them.
+
+    Requires finite entries, Hermiticity within ``_HERM_TOL``, trace within
+    ``_TRACE_TOL`` of one, and no eigenvalue of the Hermitian part below
+    ``EIG_FLOOR`` (``below_eig_floor``; the negative floor absorbs roundoff
+    on pure states).  An error on a stack names the first failing state, by
+    the first of these checks it fails; eigvalsh runs only on it, to word it.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    if rho.ndim not in (2, 3) or rho.shape[-2:] != (3, 3):
+        raise ValueError(f"expected a 3x3 matrix or an (n, 3, 3) stack, got shape {rho.shape}")
+    stack = rho.reshape(-1, 3, 3)
+    adjoint = stack.conj().transpose(0, 2, 1)
+
+    def name(k: int) -> str:
+        return "density matrix" if rho.ndim == 2 else f"density matrix {k} of {len(stack)}"
+
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf; such a state fails first
+        defect = np.abs(stack - adjoint).max(axis=(1, 2))
+        trace = np.trace(stack, axis1=1, axis2=2)
+        hermitian = 0.5 * (stack + adjoint)
+        reject((~np.isfinite(stack).all(axis=(1, 2)), NonPhysicalResult,
+                lambda k: f"{name(k)} not finite"),
+               (~(defect <= _HERM_TOL), NonPhysicalResult,
+                lambda k: f"{name(k)} not Hermitian: defect {defect[k]:.3e}"),
+               (~(np.abs(trace - 1.0) <= _TRACE_TOL), NonPhysicalResult,
+                lambda k: f"{name(k)} trace {trace[k]:.15g} != 1"),
+               (below_eig_floor(hermitian), NonPhysicalResult, lambda k: (
+                   f"{name(k)} has eigenvalue {np.linalg.eigvalsh(hermitian[k])[0]:.3e}")))
+    return rho
+
+
+def build_hamiltonian(drive: DriveParams) -> np.ndarray:
+    """Rotating-frame Hamiltonian H/hbar in angular rad/us.
+
+    Level |1> sits at -delta_p and |2> at -(delta_p + delta_c); the probe
+    couples 0-1 and the coupler couples 1-2 with matrix elements
+    Omega/2.  Hermitian by construction (real drive amplitudes).
+    """
+    h = np.zeros((3, 3), dtype=complex)
+    h[1, 1] = -TWO_PI * drive.delta_p
+    h[2, 2] = -TWO_PI * (drive.delta_p + drive.delta_c)
+    h[1, 0] = h[0, 1] = TWO_PI * drive.omega_p / 2.0
+    h[2, 1] = h[1, 2] = TWO_PI * drive.omega_c / 2.0
+    return h
+
+
+def collapse_operators(rates: DecoherenceRates) -> list[np.ndarray]:
+    """Five Lindblad collapse operators in 1/sqrt(us) units.
+
+    Three relaxation channels sqrt(Gamma_ij)|j><i| and two pure-dephasing
+    channels sqrt(2*phi_i)|i><i|.  The sqrt(2*phi) normalization makes the
+    0-i coherence decay at (relaxation out of i)/2 + phi_i, so that
+    1/T2* = Gamma_10/2 + phi_1 holds as an identity.  Zero-rate channels
+    are kept as explicit zero matrices so the operator count is stable.
+    """
+    return [
+        math.sqrt(rates.gamma_10) * ket_bra(0, 1),
+        math.sqrt(rates.gamma_21) * ket_bra(1, 2),
+        math.sqrt(rates.gamma_20) * ket_bra(0, 2),
+        math.sqrt(2.0 * rates.phi_1) * ket_bra(1, 1),
+        math.sqrt(2.0 * rates.phi_2) * ket_bra(2, 2),
+    ]
 
 
 def vectorize(rho: np.ndarray) -> np.ndarray:

@@ -22,12 +22,12 @@ from atsplit.model import (
     DecoherenceRates,
     DriveParams,
     ThreeLevelModel,
-    ket_bra,
     rates_from_coherence_times,
 )
 from atsplit.solver import (
     build_liouvillian,
     evolve,
+    ket_bra,
     max_cyclic_frequency,
     steady_state,
     vectorize,

@@ -16,13 +16,8 @@ from atsplit.analysis import (
 )
 from atsplit.errors import DegenerateData, NonPhysicalResult
 from atsplit.experiments import Grid1D, at_slice
-from atsplit.model import (
-    DriveParams,
-    ThreeLevelModel,
-    build_hamiltonian,
-    ket_bra,
-    rates_from_coherence_times,
-)
+from atsplit.model import DriveParams, ThreeLevelModel, rates_from_coherence_times
+from atsplit.solver import build_hamiltonian, ket_bra
 
 from conftest import FIG3_COUPLERS, random_density_matrix
 

@@ -120,6 +120,21 @@ class TestValidateCommand:
 
 
 class TestRunCommand:
+    def test_a_patched_fit_peaks_survives_the_first_run(self, tmp_path, monkeypatch):
+        """``bench/trace_cli.py`` replaces ``cli.fit_peaks`` before ``main``
+        runs; loading the numerics for ``run`` must keep the replacement."""
+        calls = []
+        real = cli.fit_peaks
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "fit_peaks", counting)
+        overrides = load_module(ROOT / "tools" / "paper_set.py").RUNS["probe_spec"]
+        assert run_cli("run", "paper.cfg", "--out", str(tmp_path), *_set_args(overrides)) == 0
+        assert calls == [1]
+
     def test_run_writes_csv_manifest_and_summary(self, config_file, tmp_path):
         out = tmp_path / "out"
         assert run_cli("run", str(config_file), "--out", str(out)) == 0
@@ -690,6 +705,7 @@ class TestExitCodeMapping:
         assert run_cli(*args) in (0, 4)
 
     def test_converged_fit_raises_fit_errors_naming_the_fit(self, monkeypatch):
+        cli._bind_numerics()  # as run does, before any runner uses numpy or fit_peaks
         flat = SweepResult(np.arange(41.0), np.zeros(41), Observable.PA_SUM, "delta_p_mhz")
         with pytest.raises(DegenerateData, match="^test: y range below"):
             cli._converged_fit(flat, 1, "test")

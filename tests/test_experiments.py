@@ -28,8 +28,8 @@ from atsplit.experiments import (
     readout_signal,
 )
 from atsplit.errors import SingularLiouvillian
-from atsplit.model import DecoherenceRates, DriveParams, ThreeLevelModel, ket_bra, reject
-from atsplit.solver import evolve, final_states, steady_state, steady_states
+from atsplit.model import DecoherenceRates, DriveParams, ThreeLevelModel
+from atsplit.solver import evolve, final_states, ket_bra, reject, steady_state, steady_states
 
 from conftest import FIG3_COUPLERS, OMEGA_P, ROOT, load_module
 from test_solver import gate_models

@@ -81,11 +81,16 @@ def test_check_sees_a_foreign_import():
     assert foreign_imports(source) == ["scipy.linalg (line 2)", "scipy (line 5)"]
 
 
+#: Module-level names the interpreter calls (PEP 562), never the program.
+INTERPRETER_HOOKS = {"__getattr__", "__dir__"}
+
+
 def dead_definitions(sources: dict[str, str]) -> list[str]:
     """Module-level functions, classes and assigned names of the modules in
     ``sources`` (module name -> text) that no module loads, reads as an
-    attribute or imports by name.  ``__init__`` defines nothing here; its
-    re-exports count as references.  The match is by name, so a definition
+    attribute or imports by name, other than ``INTERPRETER_HOOKS``.
+    ``__init__`` defines nothing here; its re-exports, imported inside a
+    function, count as references.  The match is by name, so a definition
     that shares its name with a local elsewhere can pass unnoticed."""
     trees = {name: ast.parse(text) for name, text in sources.items()}
     referenced = set()
@@ -109,7 +114,8 @@ def dead_definitions(sources: dict[str, str]) -> list[str]:
                 names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
             else:
                 continue
-            dead += [f"{module}.{name}" for name in names if name not in referenced]
+            dead += [f"{module}.{name}" for name in names
+                     if name not in referenced | INTERPRETER_HOOKS]
     return dead
 
 
@@ -123,11 +129,12 @@ def test_every_definition_is_used_or_exported():
 
 def test_check_sees_a_dead_definition():
     sources = {
-        "a": "def used(): pass\ndef dead(): pass\nclass Gone: pass\nX = 1\n_Y, Z = used(), 2\n",
+        "a": "def used(): pass\ndef dead(): pass\nclass Gone: pass\nX = 1\n_Y, Z = used(), 2\n"
+             "def __getattr__(name): pass\ndef __dir__(): pass\ndef _hook(name): pass\n",
         "b": "from .a import Z\nprint(Z.used)\n",
-        "__init__": "from .a import X\n",
+        "__init__": "def _load():\n    from .a import X\n",
     }
-    assert dead_definitions(sources) == ["a.dead", "a.Gone", "a._Y"]
+    assert dead_definitions(sources) == ["a.dead", "a.Gone", "a._Y", "a._hook"]
 
 
 @pytest.mark.parametrize(
@@ -139,6 +146,69 @@ def test_check_sees_a_helper_left_behind_by_a_fold(module, name):
     assert dead_definitions(sources) == [f"{module}.{name}"]
 
 
+#: Modules on the path of ``atsplit validate``, which must not load numpy.
+NUMPY_FREE = ["config.py", "model.py", "errors.py", "cli.py"]
+
+
+def module_level_numpy(source: str) -> list[str]:
+    """Imports of numpy that run when the module is imported: any outside a
+    function body (a class body or an ``if`` block runs at import too)."""
+    found = []
+
+    def visit(node, in_function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom) and child.level == 0:
+                names = [child.module]
+            else:
+                names = []
+            if not in_function:
+                found.extend(f"{n} (line {child.lineno})" for n in names
+                             if n.split(".")[0] == "numpy")
+            visit(child, in_function or isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)))
+
+    visit(ast.parse(source), False)
+    return found
+
+
+@pytest.mark.parametrize("name", NUMPY_FREE)
+def test_module_imports_no_numpy_at_module_level(name):
+    assert module_level_numpy((PACKAGE / name).read_text()) == []
+
+
+def test_check_sees_a_module_level_numpy_import():
+    source = (
+        "import numpy as np\nif True:\n    from numpy.linalg import inv\n"
+        "class Grid1D:\n    @property\n    def points(self):\n"
+        "        import numpy as np\n        return np.zeros(2)\n"
+    )
+    assert module_level_numpy(source) == ["numpy (line 1)", "numpy.linalg (line 3)"]
+
+
+def _python(code: str) -> str:
+    """Standard output of ``code`` run in a fresh interpreter that imports this atsplit."""
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    ).stdout
+
+
+def test_validate_loads_no_numpy():
+    """``python -m atsplit.cli validate paper.cfg`` returns with no numpy in
+    ``sys.modules``: the config layer is pure Python, and ``cli`` imports
+    the numerics only when ``run`` solves."""
+    code = (
+        "import runpy, sys\nsys.argv = ['atsplit', 'validate', 'paper.cfg']\n"
+        "try:\n    runpy.run_module('atsplit.cli', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n    print('exit', exc.code)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
+    )
+    assert _python(code).splitlines()[-3:] == ["config ok", "exit 0", "[]"]
+
+
 def test_cli_import_loads_no_process_pool():
     """Steady-state sweeps map their spans in threads, so importing the
     CLI, which every ``atsplit`` command does, loads no multiprocessing
@@ -147,9 +217,4 @@ def test_cli_import_loads_no_process_pool():
         "import sys, atsplit.cli; print(sorted(m for m in sys.modules "
         "if m.startswith(('multiprocessing', 'concurrent.futures.process'))))"
     )
-    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
-    assert result.stdout == "[]\n"
+    assert _python(code) == "[]\n"

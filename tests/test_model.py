@@ -8,21 +8,24 @@ import pytest
 
 from atsplit.errors import NonPhysicalResult
 from atsplit.model import (
-    EIG_FLOOR,
     TWO_PI,
     DecoherenceRates,
     DeviceSpec,
     DriveParams,
     ThreeLevelModel,
+    rates_from_coherence_times,
+    validate_three_level,
+)
+from atsplit.solver import (
+    EIG_FLOOR,
     below_eig_floor,
     build_hamiltonian,
     check_density_matrix,
     collapse_operators,
+    evolve,
     ket_bra,
-    rates_from_coherence_times,
-    validate_three_level,
+    max_cyclic_frequency,
 )
-from atsplit.solver import evolve, max_cyclic_frequency
 
 
 class TestDeviceSpec:

@@ -3,25 +3,25 @@
 code with atsplit.  ``TestPaperSet`` compares a run with ``tests/reference``,
 so it catches drift; this checks that the reference itself is right.
 
-Each file's physics comes from the bundled ``paper.cfg`` with the ``--set``
-overrides of its run in ``tools/paper_set.py``.  The rows holding the
-smallest and the largest value and 20 seeded rows are re-solved with
-``check.reference_value``.  The tolerance is a flat 1e-12 absolute: the
-worst difference measured over every row is below 1e-14."""
+Each file's physics comes from ``tools/paper_set.PHYSICS``, beside the runs
+that wrote it, with the rates and probe amplitude of the bundled
+``paper.cfg``.  A file of at most ``DRAWS`` rows is re-solved whole, every
+row with ``check.reference_value``; of the 90,601-row map, the rows holding
+the smallest and the largest value and ``DRAWS`` seeded rows.  The tolerance
+is a flat 1e-12 absolute, tighter than check.py's own on every row (at
+least 1e-10): the worst difference measured over every row is below 1e-14,
+and a value moved by 1e-9 fails."""
 
 import functools
-import re
 
 import numpy as np
 import pytest
 import yaml
 
-from atsplit import config as config_mod
-
 from conftest import ROOT, load_module
 
 TOLERANCE = 1e-12
-DRAWS = 20
+DRAWS = 2000
 
 workloads = load_module(ROOT / "bench" / "workloads.py")  # before check, which imports it
 check = load_module(ROOT / "bench" / "check.py")
@@ -29,26 +29,16 @@ paper_set = load_module(ROOT / "tools" / "paper_set.py")
 
 FILES = sorted(p.relative_to(paper_set.REFERENCE).as_posix().removesuffix(".gz")
                for p in paper_set.REFERENCE.rglob("*.csv*"))
+PAPER = yaml.safe_load((ROOT / "src" / "atsplit" / "data" / "paper.cfg").read_text())
 
 
 def _physics(name: str, observable: str):
     """What the reference needs for the file ``name`` (run/file.csv)."""
-    run, _, file = name.partition("/")
-    raw = yaml.safe_load(config_mod.bundled_config_path("paper.cfg").read_text())
-    raw = config_mod.apply_overrides(raw, paper_set.RUNS[run])
-    couplers = np.atleast_1d(raw["drive"]["omega_c_mhz"]).tolist()
-    # An at_slice file is named by its coupler under %g; elsewhere a swept axis
-    # overrides the coupler, or there is one.
-    omega_c = next((w for w in couplers if file.endswith(f"_{w:g}.csv")), couplers[0])
-    curve = re.fullmatch(r"eit_scan_n(\d+)\.csv", file)
-    kind = {"rabi": "rabi", "coupler_spec": "coupler"}.get(run, "steady")
-    return workloads.Physics(
-        t1=raw["rates"]["t1_us"], t2_star=raw["rates"]["t2_star_us"],
-        ratio_21=raw["rates"]["ratio_21"], omega_p=raw["drive"]["omega_p_mhz"],
-        kind=kind, observable=observable, omega_c=omega_c,
-        gamma_21_scale=0.5 ** int(curve[1]) if curve else 1.0,
-        pulse_us=1.0 / (2.0 * omega_c) if kind == "coupler" else 0.0,  # the default pi pulse
-    )
+    rates = PAPER["rates"]
+    return workloads.Physics(**{
+        "t1": rates["t1_us"], "t2_star": rates["t2_star_us"], "ratio_21": rates["ratio_21"],
+        "omega_p": PAPER["drive"]["omega_p_mhz"], "observable": observable,
+        **paper_set.PHYSICS[name]})
 
 
 @functools.lru_cache(maxsize=None)
@@ -75,6 +65,11 @@ def _problems(name: str, header: tuple[str, ...], data: np.ndarray, draws: int) 
 
 def test_every_reference_csv_is_checked():
     assert len(FILES) == 21 and "at_map/at_map.csv" in FILES
+    assert sorted(paper_set.PHYSICS) == FILES
+
+
+def test_only_the_map_is_sampled():
+    assert [name for name in FILES if len(_table(name)[1]) > DRAWS] == ["at_map/at_map.csv"]
 
 
 @pytest.mark.parametrize("name", FILES)

@@ -15,13 +15,13 @@ from atsplit.model import (
     DecoherenceRates,
     DriveParams,
     ThreeLevelModel,
-    ket_bra,
     rates_from_coherence_times,
 )
 from atsplit.solver import (
     Trajectory,
     build_liouvillian,
     evolve,
+    ket_bra,
     max_cyclic_frequency,
     steady_state,
     steady_states,

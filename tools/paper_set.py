@@ -40,6 +40,24 @@ RUNS = {
     "eit_scan": ["experiment=eit_scan"],
 }
 
+#: Reference CSV -> what re-solving one of its rows without atsplit needs
+#: besides paper.cfg's rates and probe amplitude and the CSV's own header:
+#: keyword arguments of ``bench/workloads.Physics``, as RUNS sets the drives.
+#: A coupler_spec pulse is the default pi pulse, 1 / (2 omega_c); eit_scan
+#: curve n halves gamma_21 n times.
+PHYSICS = {
+    "at_map/at_map.csv": {"kind": "steady", "omega_c": 2.82},
+    "coupler_spec/coupler_spec.csv": {"kind": "coupler", "omega_p": 0.0, "omega_c": 2.82,
+                                      "pulse_us": 1.0 / (2.0 * 2.82)},
+    "fidelity_scan/fidelity_scan.csv": {"kind": "steady"},
+    "probe_spec/probe_spec.csv": {"kind": "steady"},
+    "rabi/rabi.csv": {"kind": "rabi"},
+    **{f"at_slice/at_slice_omega_c_{w:g}.csv": {"kind": "steady", "omega_c": w}
+       for w in (0.354, 0.707, 1.41, 2.82, 5.63, 11.2)},
+    **{f"eit_scan/eit_scan_n{n}.csv": {"kind": "steady", "gamma_21_scale": 0.5**n}
+       for n in range(10)},
+}
+
 REFERENCE = Path(__file__).resolve().parents[1] / "tests" / "reference"
 #: Reference files stored with stdlib gzip; the rest are stored as written.
 GZIPPED = {"at_map/at_map.csv"}
