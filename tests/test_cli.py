@@ -214,6 +214,66 @@ class TestRunCommand:
         assert path.read_text() == "delta_p_mhz,delta_c_mhz,pa_sum\n" + "".join(rows)
         assert [p.name for p in tmp_path.iterdir()] == ["at_map.csv"]
 
+    def test_even_map_csv_is_written_row_by_row(self, tmp_path):
+        """The same for a map that reads the same reversed: its mirrored rows,
+        parked in an anonymous side file, keep the bytes, the bound and the
+        directory of the row format."""
+        axis = np.linspace(-7.64, 7.64, 301)
+        v = np.random.default_rng(5).random((axis.size, axis.size))
+        values = (v + v[::-1, ::-1]) / 2
+        assert values.tobytes() == values[::-1, ::-1].tobytes()
+        sweep = SweepResult(axis, values, Observable.PA_SUM, "delta_p_mhz", axis, "delta_c_mhz")
+        path = tmp_path / "at_map.csv"
+        tracemalloc.start()
+        try:
+            cli._atomic_write(path, cli._sweep_csv(sweep))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert path.read_text() == _naive_csv(sweep)
+        assert [p.name for p in tmp_path.iterdir()] == ["at_map.csv"]
+
+    @pytest.mark.parametrize("even", [False, True])
+    @pytest.mark.parametrize("shape", [(1,), (2,), (7,), (8,), (2 * cli._CSV_BLOCK + 2,),
+                                       (2 * cli._CSV_BLOCK + 3,), (1, 5), (4, 4), (5, 3)])
+    def test_csv_matches_a_per_value_repr(self, shape, even):
+        """1-D sweeps of odd and even length, one chunk or several, and maps of
+        odd and even size, even or not, give the naive per-value text."""
+        values = np.random.default_rng(len(shape) * 100 + shape[0]).random(shape)
+        if even:
+            values = (values + values[(slice(None, None, -1),) * len(shape)]) / 2
+        axes = [np.linspace(-1.0, 1.0, n) for n in shape]
+        sweep = SweepResult(axes[0], values, Observable.PA_SUM, "delta_p_mhz",
+                            *([axes[1], "delta_c_mhz"] if len(shape) == 2 else []))
+        assert "".join(cli._sweep_csv(sweep)) == _naive_csv(sweep)
+
+    @pytest.mark.parametrize("values", [[-0.0, 0.5, 0.0], [[-0.0, 0.5], [0.5, 0.0]]])
+    def test_signed_zeros_at_mirrored_points_keep_their_signs(self, values):
+        """-0.0 == 0.0, but their bits differ, so the sweep is not even and
+        each zero is written with its own sign."""
+        values = np.array(values)
+        axis = np.linspace(-1.0, 1.0, len(values))
+        sweep = SweepResult(axis, values, Observable.PA_SUM, "delta_p_mhz",
+                            *([axis, "delta_c_mhz"] if values.ndim == 2 else []))
+        text = "".join(cli._sweep_csv(sweep))
+        assert text == _naive_csv(sweep)
+        assert text.splitlines()[1].endswith(",-0.0") and text.endswith(",0.0\n")
+
+    @pytest.mark.parametrize("n", [7, 8, 2 * cli._CSV_BLOCK + 3])
+    def test_an_even_sweep_formats_each_mirrored_pair_once(self, n, monkeypatch):
+        """Values are formatted by ``repr``: ceil(n / 2) calls for an even
+        sweep of n values, one per value for an uneven one."""
+        calls = []
+        monkeypatch.setattr(cli, "repr", lambda v: calls.append(v) or repr(v), raising=False)
+        values = np.random.default_rng(n).random(n)
+        axis = np.linspace(-1.0, 1.0, n)
+        for sweep_values, expected in [((values + values[::-1]) / 2, (n + 1) // 2), (values, n)]:
+            calls.clear()
+            sweep = SweepResult(axis, sweep_values, Observable.PA_SUM, "delta_p_mhz")
+            assert "".join(cli._sweep_csv(sweep)) == _naive_csv(sweep)
+            assert len(calls) == expected
+
     def test_out_flag_beats_output_directory(self, config_file, tmp_path):
         out = tmp_path / "explicit"
         run_cli("run", str(config_file), "--out", str(out),
@@ -378,6 +438,18 @@ REMOVED_KEYS = ["rates.gamma_10", "rates.gamma_21", "rates.gamma_20", "rates.phi
 
 def _set_args(overrides):
     return [a for item in overrides for a in ("--set", item)]
+
+
+def _naive_csv(sweep):
+    """A sweep's CSV text as one ``repr`` per value, row by row."""
+    names = [sweep.axis1_name, sweep.observable.value]
+    if sweep.axis2 is None:
+        rows = zip(sweep.axis1.tolist(), sweep.values.tolist())
+    else:
+        names.insert(1, sweep.axis2_name)
+        rows = ((x, y, v) for x, row in zip(sweep.axis1.tolist(), sweep.values.tolist())
+                for y, v in zip(sweep.axis2.tolist(), row))
+    return ",".join(names) + "\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows)
 
 
 def _axis_columns(path):
@@ -990,6 +1062,58 @@ class TestPaperSet:
         report = "\n".join(f"{name}: largest difference {d:.3g}" for name, d in largest.items())
         assert problems == [], report
 
+    def test_files_hold_the_naive_text(self, runs, default_run):
+        """Byte for byte, whatever the reference tolerance: each CSV is one
+        ``repr`` per value of the sweeps the run computes, and each
+        summary.yaml is PyYAML's own safe dump of what it holds."""
+        for name, overrides in runs.items():
+            sweeps, _ = cli.run_experiment(load(bundled_config_path("paper.cfg"), overrides))
+            for csv_name, sweep in sweeps:
+                assert (default_run / name / f"{csv_name}.csv").read_text() == _naive_csv(sweep)
+            text = (default_run / name / "summary.yaml").read_text()
+            assert text == yaml.safe_dump(yaml.safe_load(text), sort_keys=True)
+
+    @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+    def test_libyaml_dumps_summary_and_validate(self, tmp_path, monkeypatch, capsys):
+        """Where PyYAML has libyaml, ``run`` and ``validate`` dump through it."""
+        dumped = []
+
+        class Spy(yaml.CSafeDumper):
+            def __init__(self, *args, **kwargs):
+                dumped.append(True)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(yaml, "CSafeDumper", Spy)
+        assert run_cli("validate", "paper.cfg") == 0
+        assert dumped == [True]
+        assert run_cli("run", "paper.cfg", "--out", str(tmp_path)) == 0
+        assert dumped == [True, True]
+
+    def test_pure_python_dumper_gives_the_same_bytes(self, paper_set, runs, default_run,
+                                                     tmp_path, monkeypatch, capsys):
+        """Without libyaml the seven runs write the same files, validate prints
+        the same text, and so does a config with four warnings."""
+        warned = ["drive.omega_c_mhz=[40.0, 90.0]"]
+        outputs = []
+        for libyaml in (True, False):
+            monkeypatch.setattr(yaml, "__with_libyaml__", libyaml)
+            root = tmp_path / str(libyaml)
+            assert paper_set.main([str(root / "set")]) == 0
+            assert run_cli("run", "paper.cfg", "--out", str(root / "warned"),
+                           *_set_args(warned)) == 0
+            capsys.readouterr()
+            for overrides in [*runs.values(), warned]:
+                assert run_cli("validate", "paper.cfg", *_set_args(overrides)) == 0
+            outputs.append((capsys.readouterr().out, {
+                p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}))
+        assert outputs[0] == outputs[1]
+        printed, files = outputs[0]
+        assert printed.count("config ok\n") == 8 and printed.count("\nwarning: ") == 4
+        assert len(files) == 35 + 4
+        default = {Path("set") / p.relative_to(default_run): p.read_bytes()
+                   for p in default_run.rglob("*") if p.is_file()}
+        assert default.items() <= files.items()
+
     def test_slice_summaries_ignore_one_ulp_in_the_data(self, paper_set, monkeypatch):
         """Twenty draws, each moving random values of every ``paper.cfg``
         slice by one ulp, move no ``at_slice`` summary number by more than
@@ -1025,3 +1149,22 @@ class TestPaperSet:
         largest, problems = paper_set.compare(moved)
         assert len(problems) == 1 and problems[0].startswith(f"{name} row 12345: ")
         assert largest[name] == pytest.approx(1e-9, rel=1e-3)
+
+    def test_check_reports_each_file_and_exits_1_on_a_mismatch(self, paper_set, tmp_path,
+                                                                 capsys):
+        """``--check`` on a copy of the reference finds all 35 files identical;
+        one value moved by 1e-9 is reported with its difference, and exits 1."""
+        tree = tmp_path / "tree"
+        for name in paper_set._file_names(paper_set.REFERENCE):
+            (tree / name).parent.mkdir(parents=True, exist_ok=True)
+            (tree / name).write_text(paper_set._read(paper_set.REFERENCE, name))
+        assert paper_set.main(["--check", str(tree)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 36 and all(line.endswith(": identical") for line in lines[:-1])
+        path = tree / "rabi" / "rabi.csv"
+        head, last = path.read_text().rstrip("\n").rsplit(",", 1)
+        path.write_text(f"{head},{float(last) * (1 + 1e-9)!r}\n")
+        assert paper_set.main(["--check", str(tree)]) == 1
+        out = capsys.readouterr().out
+        assert "rabi/rabi.csv: largest relative difference 1e-09\n" in out
+        assert out.count(": identical\n") == 34 and "\nrabi/rabi.csv row 401: " in out

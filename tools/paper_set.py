@@ -5,19 +5,24 @@ by file::
     PYTHONPATH=src python3 tools/paper_set.py OUT_DIR
     diff -r OUT_DIR OTHER_OUT_DIR
 
+    PYTHONPATH=src python3 tools/paper_set.py --check OUT_DIR
     PYTHONPATH=src python3 tools/paper_set.py --update
 
-``--update`` rewrites the committed reference under ``tests/reference``
-(``at_map.csv`` gzipped), after printing the largest relative difference
-per file against the old one; tier-1 compares each run against it with
-``compare``.  Each run goes through ``atsplit.cli.main`` of whichever
-``atsplit`` the Python path provides.  Exits 1 if any run fails, 2 on a
-usage error.
+``--check`` compares a written tree with the committed reference under
+``tests/reference``: it prints ``identical`` for each file whose bytes
+match, else the file's largest relative difference, then every mismatch
+beyond the tolerances, and exits 1 if there is one.  ``--update`` prints
+the same report for a fresh set against the old reference, then rewrites
+the reference (``at_map.csv`` gzipped); tier-1 compares each run against
+it with ``compare``.  Each run goes through ``atsplit.cli.main`` of
+whichever ``atsplit`` the Python path provides.  Exits 1 if any run
+fails, 2 on a usage error.
 """
 
 from __future__ import annotations
 
 import gzip
+import math
 import shutil
 import sys
 import tempfile
@@ -158,16 +163,27 @@ def compare(out_dir: Path, reference: Path = REFERENCE) -> tuple[dict[str, float
     return largest, problems
 
 
+def report(out_dir: Path, reference: Path = REFERENCE) -> list[str]:
+    """Print, for each file in both trees, ``identical`` or its largest
+    relative difference, then each mismatch that ``compare`` finds, which
+    it returns."""
+    largest, problems = compare(out_dir, reference)
+    for name in sorted(set(_file_names(out_dir)) & set(_file_names(reference))):
+        if (out_dir / name).read_text() == _read(reference, name):
+            print(f"{name}: identical")
+        else:  # nan for plots.json, which compare checks as text only
+            print(f"{name}: largest relative difference {largest.get(name, math.nan):.3g}")
+    print("\n".join(problems or ["every file within the tolerances"]))
+    return problems
+
+
 def update(reference: Path = REFERENCE) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         out_dir = Path(tmp)
         if run_all(out_dir):
             return 1
         if reference.exists():
-            largest, problems = compare(out_dir, reference)
-            for name, diff in largest.items():
-                print(f"{name}: largest relative difference {diff:.3g}")
-            print("\n".join(problems or ["every file within the tolerances"]))
+            report(out_dir, reference)
             shutil.rmtree(reference)
         for name in _file_names(out_dir):
             target = reference / name
@@ -183,6 +199,8 @@ def update(reference: Path = REFERENCE) -> int:
 def main(argv: list[str]) -> int:
     if argv == ["--update"]:
         return update()
+    if len(argv) == 2 and argv[0] == "--check":
+        return 1 if report(Path(argv[1])) else 0
     if len(argv) != 1 or argv[0].startswith("-"):
         print(__doc__, file=sys.stderr)
         return 2
