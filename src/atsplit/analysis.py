@@ -41,17 +41,16 @@ _AMPLITUDE_LIMIT = 100.0
 
 @dataclass(frozen=True)
 class LorentzianModel:
-    """Single Lorentzian peak: offset + amplitude*(w/2)^2/((x-c)^2+(w/2)^2).
+    """Single Lorentzian peak: amplitude*(w/2)^2/((x-c)^2+(w/2)^2).
 
-    Evaluation at the center equals offset + amplitude and the
-    half-amplitude points sit exactly at center +- fwhm/2; (fwhm/2)**2
-    must be finite and nonzero, or the model could not be evaluated.
+    Evaluation at the center equals amplitude and the half-amplitude
+    points sit exactly at center +- fwhm/2; (fwhm/2)**2 must be finite
+    and nonzero, or the model could not be evaluated.
     """
 
     center: float
     fwhm: float
     amplitude: float
-    offset: float = 0.0
 
     def __post_init__(self):
         half = self.fwhm / 2.0
@@ -63,21 +62,18 @@ class LorentzianModel:
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         half_sq = (self.fwhm / 2.0) ** 2
-        with np.errstate(over="ignore"):  # inf far off the grid, where the value is the offset
+        with np.errstate(over="ignore"):  # inf far off the grid, where the value is 0
             distance_sq = (x - self.center) ** 2
-        return self.offset + self.amplitude * half_sq / (distance_sq + half_sq)
+        return self.amplitude * half_sq / (distance_sq + half_sq)
 
 
 @dataclass(frozen=True)
 class PeakFit:
-    """Result of a one- or two-peak fit: ``peaks`` sorted by center, all with
-    the one fitted offset, and convergence diagnostics.
-
-    For a doublet, the midpoint of the two centers is the probe-detuning
-    shift diagnostic: a symmetric three-level doublet has midpoint zero.
-    """
+    """Result of a one- or two-peak fit: ``peaks`` sorted by center, the one
+    fitted ``offset`` under them all, and convergence diagnostics."""
 
     peaks: tuple[LorentzianModel, ...]
+    offset: float
     residual_rms: float
     converged: bool
 
@@ -85,8 +81,6 @@ class PeakFit:
         centers = [p.center for p in self.peaks]
         if not all(a < b for a, b in zip(centers, centers[1:])):
             raise ValueError(f"peak centers {centers} must be strictly increasing")
-        if len({p.offset for p in self.peaks}) > 1:
-            raise ValueError("peaks must share one offset")
         if self.residual_rms < 0.0:
             raise ValueError("residual_rms must be >= 0")
 
@@ -262,13 +256,13 @@ def fit_peaks(points: Sequence[tuple[float, float]] | np.ndarray, n_peaks: int) 
 
     try:
         peaks = [
-            LorentzianModel(center=float(c), fwhm=abs(float(w)), amplitude=float(a), offset=offset)
+            LorentzianModel(center=float(c), fwhm=abs(float(w)), amplitude=float(a))
             for c, w, a in zip(nonlinear[0::2], nonlinear[1::2], amplitudes)
         ]
     except ValueError as exc:  # a width the model cannot evaluate
         raise DegenerateData(f"fitted peak cannot be evaluated: {exc}") from None
-    return PeakFit(tuple(sorted(peaks, key=lambda m: m.center)), math.sqrt(2.0 * cost / x.size),
-                   converged)
+    return PeakFit(tuple(sorted(peaks, key=lambda m: m.center)), offset,
+                   math.sqrt(2.0 * cost / x.size), converged)
 
 
 def _parabola_vertex(x, y, j) -> float:

@@ -165,7 +165,7 @@ def _line_summary(sweep: SweepResult, what: str, line: str, f0_ghz: float) -> di
         "center_mhz": float(peak.center),
         "fwhm_mhz": float(peak.fwhm),
         "amplitude": float(peak.amplitude),
-        "offset": float(peak.offset),
+        "offset": float(fit.offset),
         "residual_rms": float(fit.residual_rms),
         "converged": bool(fit.converged),
         line: f0_ghz + peak.center * 1e-3,
@@ -190,7 +190,6 @@ def _run_coupler_spec(cfg: ExperimentConfig):
     base = _base_model(cfg, cfg.omega_c_values[0])
     sweep = coupler_spectroscopy(base, cfg.delta_c, cfg.pulse_duration)
     info = _line_summary(sweep, "coupler line", "f12_ghz", cfg.device.omega12)
-    info["pulse_duration_us"] = float(cfg.pulse_duration)
     return [("coupler_spec", sweep)], {"coupler_line": info}
 
 
@@ -207,12 +206,9 @@ def _run_rabi(cfg: ExperimentConfig):
 
 
 def _run_at_map(cfg: ExperimentConfig):
-    omega_c = cfg.omega_c_values[0]
-    sweep = at_map(_base_model(cfg, omega_c), cfg.delta_p, cfg.delta_c)
+    sweep = at_map(_base_model(cfg, cfg.omega_c_values[0]), cfg.delta_p, cfg.delta_c)
     i, j = np.unravel_index(int(np.argmax(sweep.values)), sweep.values.shape)
     info = {
-        "omega_c_mhz": float(omega_c),
-        "grid": f"{cfg.delta_p.count}x{cfg.delta_c.count}",
         "max_value": float(sweep.values[i, j]),
         "max_at_delta_p_mhz": float(sweep.axis1[i]),
         "max_at_delta_c_mhz": float(sweep.axis2[j]),
@@ -237,7 +233,6 @@ def _run_at_slice(cfg: ExperimentConfig):
                 "expected_separation_mhz": math.hypot(cfg.omega_p, omega_c),
                 "mean_fwhm_mhz": mean_fwhm,
                 "separation_over_fwhm": separation / mean_fwhm,
-                "midpoint_shift_mhz": 0.5 * (left.center + right.center),
                 "residual_rms": float(fit.residual_rms),
                 "converged": bool(fit.converged),
             }

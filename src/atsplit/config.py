@@ -271,8 +271,8 @@ _SCHEMA = {
     "schema": (_schema_version, _REQUIRED),
     "experiment": (_experiment, _REQUIRED),
     "device": (_block, _REQUIRED),
-    "device.omega01_ghz": (_number(), _REQUIRED),
-    "device.omega12_ghz": (_number(), _REQUIRED),
+    "device.omega01_ghz": (_number("> 0"), _REQUIRED),
+    "device.omega12_ghz": (_number("> 0"), _REQUIRED),
     "rates": (_block, _REQUIRED),
     "rates.t1_us": (_number("> 0"), _REQUIRED),
     "rates.t2_star_us": (_number("> 0"), _REQUIRED),

@@ -269,7 +269,7 @@ def test_criterion_9_figure2_structure(paper_rates):
 
 def _packed(fit):
     """A fit's parameters as (center, fwhm, amplitude) per peak, then the offset."""
-    return [v for p in fit.peaks for v in (p.center, p.fwhm, p.amplitude)] + [fit.peaks[0].offset]
+    return [v for p in fit.peaks for v in (p.center, p.fwhm, p.amplitude)] + [fit.offset]
 
 
 def _relative_gaps(fit_params, truth):
@@ -289,7 +289,7 @@ def test_criterion_10_fit_recovery():
             width = rng.uniform(0.2, 0.5)
             amplitude = rng.uniform(0.5, 1.5)
             truth = [center, width, amplitude, offset]
-            peaks = [LorentzianModel(center, width, amplitude, offset)]
+            peaks = [LorentzianModel(center, width, amplitude)]
             x = np.linspace(center - 6 * width, center + 6 * width, 601)
         else:
             w1, w2 = rng.uniform(0.2, 0.5, 2)
@@ -299,13 +299,10 @@ def test_criterion_10_fit_recovery():
                 c2 = c1 + max(w1, w2)
             a1, a2 = rng.uniform(0.5, 1.5, 2)
             truth = [c1, w1, a1, c2, w2, a2, offset]
-            peaks = [
-                LorentzianModel(c1, w1, a1, offset),
-                LorentzianModel(c2, w2, a2, offset),
-            ]
+            peaks = [LorentzianModel(c1, w1, a1), LorentzianModel(c2, w2, a2)]
             x = np.linspace(c1 - 6 * w1, c2 + 6 * w2, 601)
 
-        y = sum(p(x) for p in peaks) - (n_peaks - 1) * offset
+        y = offset + sum(p(x) for p in peaks)
 
         fit = fit_peaks(np.column_stack([x, y]), n_peaks)
         params = _packed(fit)

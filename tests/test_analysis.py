@@ -24,23 +24,23 @@ from conftest import FIG3_COUPLERS, random_density_matrix
 
 class TestLorentzianModel:
     def test_value_at_center(self):
-        peak = LorentzianModel(center=0.3, fwhm=0.5, amplitude=0.8, offset=0.1)
-        assert peak(0.3) == pytest.approx(0.9, rel=1e-15)
+        peak = LorentzianModel(center=0.3, fwhm=0.5, amplitude=0.8)
+        assert peak(0.3) == pytest.approx(0.8, rel=1e-15)
 
     def test_half_amplitude_points(self):
-        peak = LorentzianModel(center=-1.2, fwhm=0.4, amplitude=0.6, offset=0.05)
+        peak = LorentzianModel(center=-1.2, fwhm=0.4, amplitude=0.6)
         for x in (-1.2 - 0.2, -1.2 + 0.2):
-            assert peak(x) == pytest.approx(0.05 + 0.3, rel=1e-15)
+            assert peak(x) == pytest.approx(0.3, rel=1e-15)
 
     @pytest.mark.filterwarnings("error")
-    def test_center_far_off_the_grid_leaves_the_offset(self):
+    def test_center_far_off_the_grid_reads_zero(self):
         """(x - center)**2 overflows to inf there, without a warning; the
-        value is the offset, and ordinary inputs give the same bits."""
+        value is 0, and ordinary inputs give the same bits."""
         x = np.linspace(-1.0, 1.0, 5)
-        far = LorentzianModel(center=1.0e160, fwhm=0.3, amplitude=0.1, offset=0.25)
-        assert np.array_equal(far(x), np.full(5, 0.25))
-        peak = LorentzianModel(center=0.3, fwhm=0.5, amplitude=0.8, offset=0.1)
-        assert np.array_equal(peak(x), 0.1 + 0.8 * 0.0625 / ((x - 0.3) ** 2 + 0.0625))
+        far = LorentzianModel(center=1.0e160, fwhm=0.3, amplitude=0.1)
+        assert np.array_equal(far(x), np.zeros(5))
+        peak = LorentzianModel(center=0.3, fwhm=0.5, amplitude=0.8)
+        assert np.array_equal(peak(x), 0.8 * 0.0625 / ((x - 0.3) ** 2 + 0.0625))
 
     def test_invalid_parameters(self):
         for fwhm in (0.0, -1.0, math.nan, 1.0e200, 4.9e-324):  # (fwhm/2)**2 inf or 0
@@ -52,48 +52,57 @@ class TestLorentzianModel:
 
 class TestPeakFitType:
     def test_ordering_enforced(self):
-        left = LorentzianModel(0.5, 0.3, 1.0, 0.0)
-        right = LorentzianModel(-0.5, 0.3, 1.0, 0.0)
+        left = LorentzianModel(0.5, 0.3, 1.0)
+        right = LorentzianModel(-0.5, 0.3, 1.0)
         with pytest.raises(ValueError, match="center"):
-            PeakFit(peaks=(left, right), residual_rms=0.0, converged=True)
-
-    def test_shared_offset_enforced(self):
-        left = LorentzianModel(-0.5, 0.3, 1.0, 0.0)
-        right = LorentzianModel(0.5, 0.3, 1.0, 0.1)
-        with pytest.raises(ValueError, match="offset"):
-            PeakFit(peaks=(left, right), residual_rms=0.0, converged=True)
+            PeakFit(peaks=(left, right), offset=0.0, residual_rms=0.0, converged=True)
 
     def test_negative_residual_rejected(self):
-        peak = LorentzianModel(0.0, 0.3, 1.0, 0.0)
+        peak = LorentzianModel(0.0, 0.3, 1.0)
         with pytest.raises(ValueError, match="residual_rms"):
-            PeakFit(peaks=(peak,), residual_rms=-1e-3, converged=True)
+            PeakFit(peaks=(peak,), offset=0.0, residual_rms=-1e-3, converged=True)
 
 
 class TestFitPeaks:
     def test_singlet_recovery(self):
         """Noiseless synthetic singlet recovers all parameters to 1e-6."""
-        truth = LorentzianModel(center=0.3, fwhm=0.35, amplitude=0.8, offset=0.01)
+        truth = LorentzianModel(center=0.3, fwhm=0.35, amplitude=0.8)
         x = np.linspace(-3, 3, 401)
-        fit = fit_peaks(np.column_stack([x, truth(x)]), 1)
+        fit = fit_peaks(np.column_stack([x, 0.01 + truth(x)]), 1)
         assert isinstance(fit, PeakFit) and fit.converged
         (peak,) = fit.peaks
         assert peak.center == pytest.approx(0.3, rel=1e-6)
         assert peak.fwhm == pytest.approx(0.35, rel=1e-6)
         assert peak.amplitude == pytest.approx(0.8, rel=1e-6)
-        assert peak.offset == pytest.approx(0.01, rel=1e-6)
+        assert fit.offset == pytest.approx(0.01, rel=1e-6)
         assert fit.residual_rms < 1e-10
 
     def test_doublet_recovery(self):
-        left = LorentzianModel(-0.8, 0.3, 0.7, 0.05)
-        right = LorentzianModel(0.65, 0.45, 0.9, 0.05)
+        left = LorentzianModel(-0.8, 0.3, 0.7)
+        right = LorentzianModel(0.65, 0.45, 0.9)
         x = np.linspace(-4, 4, 501)
-        y = left(x) + right(x) - 0.05
+        y = 0.05 + left(x) + right(x)
         fit = fit_peaks(np.column_stack([x, y]), 2)
         assert isinstance(fit, PeakFit) and fit.converged
         left, right = fit.peaks
         assert left.center == pytest.approx(-0.8, abs=1e-6)
         assert right.center == pytest.approx(0.65, abs=1e-6)
-        assert left.offset == right.offset
+        assert fit.offset == pytest.approx(0.05, rel=1e-6)
+
+    @pytest.mark.parametrize("truth", [
+        pytest.param((0.01, LorentzianModel(0.3, 0.35, 0.8)), id="singlet"),
+        pytest.param((0.05, LorentzianModel(-0.8, 0.3, 0.7), LorentzianModel(0.65, 0.45, 0.9)),
+                     id="doublet"),
+    ])
+    def test_offset_plus_peaks_reproduces_the_data(self, truth):
+        """The fit's one offset plus its peaks is the fitted model: on
+        noiseless data it reproduces every sample to 1e-12."""
+        offset, *peaks = truth
+        x = np.linspace(-4, 4, 501)
+        y = offset + sum(p(x) for p in peaks)
+        fit = fit_peaks(np.column_stack([x, y]), len(peaks))
+        assert fit.converged
+        assert np.max(np.abs(fit.offset + sum(p(x) for p in fit.peaks) - y)) < 1e-12
 
     def test_random_doublets_recover(self):
         rng = np.random.default_rng(9)
@@ -105,10 +114,10 @@ class TestFitPeaks:
                 c2 = c1 + max(w1, w2)  # keep peaks at least one width apart
             a1, a2 = rng.uniform(0.5, 1.5, 2)
             off = rng.uniform(0.05, 0.2)
-            left = LorentzianModel(c1, w1, a1, off)
-            right = LorentzianModel(c2, w2, a2, off)
+            left = LorentzianModel(c1, w1, a1)
+            right = LorentzianModel(c2, w2, a2)
             x = np.linspace(c1 - 6 * w1, c2 + 6 * w2, 501)
-            y = left(x) + right(x) - off
+            y = off + left(x) + right(x)
             fit = fit_peaks(np.column_stack([x, y]), 2)
             assert fit.converged
             left, right = fit.peaks
@@ -165,9 +174,9 @@ class TestFitPeaks:
         import atsplit.analysis as analysis
 
         monkeypatch.setattr(analysis, "_MAX_ITERATIONS", 2)
-        truth = LorentzianModel(center=0.3, fwhm=0.35, amplitude=0.8, offset=0.01)
+        truth = LorentzianModel(center=0.3, fwhm=0.35, amplitude=0.8)
         x = np.linspace(-3, 3, 401)
-        fit = fit_peaks(np.column_stack([x, truth(x)]), 1)
+        fit = fit_peaks(np.column_stack([x, 0.01 + truth(x)]), 1)
         assert not fit.converged
         assert fit.residual_rms >= 0.0
 
@@ -184,9 +193,9 @@ class TestFitPeaks:
             return projection(*args)
 
         monkeypatch.setattr(analysis, "_projection", first_trial_fails)
-        truth = LorentzianModel(center=0.3, fwhm=0.35, amplitude=0.8, offset=0.01)
+        truth = LorentzianModel(center=0.3, fwhm=0.35, amplitude=0.8)
         x = np.linspace(-3, 3, 401)
-        fit = fit_peaks(np.column_stack([x, truth(x)]), 1)
+        fit = fit_peaks(np.column_stack([x, 0.01 + truth(x)]), 1)
         assert raised and fit.converged
         assert fit.peaks[0].center == pytest.approx(0.3, rel=1e-6)
         assert fit.peaks[0].fwhm == pytest.approx(0.35, rel=1e-6)
@@ -210,10 +219,11 @@ class TestFitPeaks:
     def test_monotone_data_start_at_their_maximum(self):
         """Half a line, rising to its center at the last point, has no
         interior maximum: the start is taken at the largest value."""
-        truth = LorentzianModel(center=0.0, fwhm=0.6, amplitude=0.8, offset=0.05)
+        truth = LorentzianModel(center=0.0, fwhm=0.6, amplitude=0.8)
         x = np.linspace(-3.0, 0.0, 61)
-        assert analysis._local_maxima(truth(x)) == []
-        (peak,) = fit_peaks(np.column_stack([x, truth(x)]), 1).peaks
+        y = 0.05 + truth(x)
+        assert analysis._local_maxima(y) == []
+        (peak,) = fit_peaks(np.column_stack([x, y]), 1).peaks
         assert peak.center == pytest.approx(0.0, abs=1e-6)
         assert peak.fwhm == pytest.approx(0.6, rel=1e-6)
         assert peak.amplitude == pytest.approx(0.8, rel=1e-6)

@@ -484,7 +484,7 @@ class TestAutoGrids:
         limit = 2 * self.W + 1
         assert _axis_columns(out / "coupler_spec.csv") == [_grid_texts(-limit, limit, 201)]
         summary = yaml.safe_load((out / "summary.yaml").read_text())
-        assert summary["results"]["coupler_line"]["pulse_duration_us"] == 1 / (2 * self.W)
+        assert summary["parameters"]["pulse"]["duration_us"] == 1 / (2 * self.W)
 
     def test_at_map(self, config_file, tmp_path):
         overrides = ["experiment=at_map", "drive.delta_p_mhz=auto", "drive.delta_c_mhz=auto"]
@@ -826,6 +826,9 @@ INVALID_CONFIGS = [
     pytest.param(["drive.omega_p_mhz=[1.0"], "drive.omega_p_mhz", id="override-not-yaml"),
     pytest.param(["pulse.durations_us=3"], "pulse.durations_us", id="grid-not-a-mapping"),
     pytest.param(["drive.omega_c_mhz=[]"], "drive.omega_c_mhz", id="no-couplers"),
+    pytest.param(["device.omega01_ghz=-4.0", "device.omega12_ghz=-4.2"], "device.omega01_ghz",
+                 id="negative-omega01"),
+    pytest.param(["device.omega12_ghz=-4.2"], "device.omega12_ghz", id="negative-omega12"),
     pytest.param(["experiment=foo"], "experiment", id="unknown-experiment"),
     pytest.param(["drive=3"], "drive", id="block-not-a-mapping"),
     # Fitted sweeps shorter than the fit's minimum (5 points per parameter).
