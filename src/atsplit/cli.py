@@ -146,10 +146,11 @@ def _plot_manifest(named_sweeps) -> str:
     return json.dumps({"plots": entries}, indent=2, sort_keys=True) + "\n"
 
 
-def _converged_fit(sweep: SweepResult, n_peaks: int, what: str):
-    """``fit_peaks`` on a sweep; a fit error names ``what``."""
+def _converged_fit(cfg: ExperimentConfig, sweep: SweepResult, what: str):
+    """``fit_peaks`` on a sweep with the peaks ``cfg``'s experiment fits; errors name ``what``."""
     try:
-        fit = fit_peaks(np.column_stack([sweep.axis1, sweep.values]), n_peaks)
+        fit = fit_peaks(np.column_stack([sweep.axis1, sweep.values]),
+                        config_mod.READS[cfg.experiment].fit_peaks)
     except DegenerateData as exc:
         raise DegenerateData(f"{what}: {exc}") from None
     if not fit.converged:
@@ -157,9 +158,8 @@ def _converged_fit(sweep: SweepResult, n_peaks: int, what: str):
     return fit
 
 
-def _line_summary(sweep: SweepResult, what: str, line: str, f0_ghz: float) -> dict:
+def _line_summary(fit, line: str, f0_ghz: float) -> dict:
     """Summary of a converged one-peak fit to a line scan; ``line`` is f0_ghz + center, GHz."""
-    fit = _converged_fit(sweep, 1, what)
     (peak,) = fit.peaks
     return {
         "center_mhz": float(peak.center),
@@ -182,19 +182,19 @@ def _base_model(cfg: ExperimentConfig, omega_c: float):
 
 def _run_probe_spec(cfg: ExperimentConfig):
     sweep = probe_spectroscopy(_base_model(cfg, 0.0), cfg.delta_p)
-    info = _line_summary(sweep, "probe line", "f01_ghz", cfg.device.omega01)
+    info = _line_summary(_converged_fit(cfg, sweep, "probe line"), "f01_ghz", cfg.device.omega01)
     return [("probe_spec", sweep)], {"probe_line": info}
 
 
 def _run_coupler_spec(cfg: ExperimentConfig):
     base = _base_model(cfg, cfg.omega_c_values[0])
-    sweep = coupler_spectroscopy(base, cfg.delta_c, cfg.pulse_duration)
-    info = _line_summary(sweep, "coupler line", "f12_ghz", cfg.device.omega12)
+    sweep = coupler_spectroscopy(base, cfg.delta_c, cfg.pulse)
+    info = _line_summary(_converged_fit(cfg, sweep, "coupler line"), "f12_ghz", cfg.device.omega12)
     return [("coupler_spec", sweep)], {"coupler_line": info}
 
 
 def _run_rabi(cfg: ExperimentConfig):
-    sweep = rabi_trace(_base_model(cfg, 0.0), cfg.durations)
+    sweep = rabi_trace(_base_model(cfg, 0.0), cfg.pulse)
     # The first interior local maximum; a trace with none reports its largest value.
     k = min(_local_maxima(sweep.values), default=int(np.argmax(sweep.values)))
     info = {
@@ -221,7 +221,7 @@ def _run_at_slice(cfg: ExperimentConfig):
     sweeps = at_slice(base, cfg.delta_p, cfg.omega_c_values)
     outputs, slices = [], []
     for omega_c, sweep in zip(cfg.omega_c_values, sweeps):
-        fit = _converged_fit(sweep, 2, f"doublet at omega_c={omega_c:g} MHz")
+        fit = _converged_fit(cfg, sweep, f"doublet at omega_c={omega_c:g} MHz")
         left, right = fit.peaks
         mean_fwhm = 0.5 * (left.fwhm + right.fwhm)
         separation = peak_separation(sweep.axis1, sweep.values)
@@ -255,14 +255,8 @@ def _run_eit_scan(cfg: ExperimentConfig):
     outputs, curves = [], []
     for n, sweep in enumerate(sweeps):
         outputs.append((f"eit_scan_n{n}", sweep))
-        curves.append(
-            {
-                "n": n,
-                "gamma_21_scale": 0.5**n,
-                "fidelity_at_min_ratio": float(sweep.values[0]),
-                "fidelity_at_max_ratio": float(sweep.values[-1]),
-            }
-        )
+        curves.append({"n": n, "fidelity_at_min_ratio": float(sweep.values[0]),
+                       "fidelity_at_max_ratio": float(sweep.values[-1])})
     return outputs, {"eit_scan": curves}
 
 
@@ -283,8 +277,8 @@ def _bind_numerics() -> None:
     a ``fit_peaks`` patched by a test or a tracer, is kept."""
     import numpy as np
     from .analysis import _local_maxima, fit_peaks, peak_separation
-    from .experiments import (SweepResult, at_map, at_slice, coupler_spectroscopy,
-                              eit_regime_scan, fidelity_vs_coupler, probe_spectroscopy, rabi_trace)
+    from .experiments import (at_map, at_slice, coupler_spectroscopy, eit_regime_scan,
+                              fidelity_vs_coupler, probe_spectroscopy, rabi_trace)
     globals().update({**locals(), **globals()})
 
 

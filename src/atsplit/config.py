@@ -15,6 +15,7 @@ import copy
 import dataclasses
 import re
 import sys
+from collections import namedtuple
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -35,20 +36,21 @@ from .model import (
 
 SCHEMA_VERSION = 1
 
-#: Drive rules per experiment for omega_p_mhz, omega_c_mhz, delta_p_mhz and
-#: delta_c_mhz, checked in that order (None: any value is allowed).
-_DRIVE_RULES = {
-    "probe_spec": (None, "0", "a grid or auto", "0"),
-    "coupler_spec": ("0", "one value > 0", "0", "a grid or auto"),
-    "rabi": ("> 0", "0", "0", "0"),
-    "at_map": ("> 0", "one value > 0", "a grid or auto", "a grid or auto"),
-    "at_slice": ("> 0", "> 0", "a grid or auto", "0"),
-    "fidelity_scan": ("> 0", "> 0", "0", "0"),
-    "eit_scan": ("> 0", None, "0", "0"),
-}
 _DRIVE_KEYS = ("omega_p_mhz", "omega_c_mhz", "delta_p_mhz", "delta_c_mhz")
-#: Peaks fitted to the one detuning grid of probe_spec, coupler_spec and at_slice.
-_FIT_PEAKS = {"probe_spec": 1, "coupler_spec": 1, "at_slice": 2}
+#: What a run of each experiment reads past validation: a rule for each of
+#: ``_DRIVE_KEYS``, checked in that order (None: any value; ``unread``: any
+#: value, not recorded), the peaks fitted to its one detuning grid, and the
+#: key beside ``drive`` that it reads: a ``pulse`` key, the ``eit`` block or none.
+Reads = namedtuple("Reads", "drive fit_peaks beside", defaults=(0, ""))
+READS = {
+    "probe_spec": Reads((None, "0", "a grid or auto", "0"), 1),
+    "coupler_spec": Reads(("0", "one value > 0", "0", "a grid or auto"), 1, "pulse.duration_us"),
+    "rabi": Reads(("> 0", "0", "0", "0"), 0, "pulse.durations_us"),
+    "at_map": Reads(("> 0", "one value > 0", "a grid or auto", "a grid or auto")),
+    "at_slice": Reads(("> 0", "> 0", "a grid or auto", "0"), 2),
+    "fidelity_scan": Reads(("> 0", "> 0", "0", "0")),
+    "eit_scan": Reads(("> 0", "unread", "0", "0"), 0, "eit"),  # it drives ratio * omega_p
+}
 
 #: Each rule tests the tuple of a drive key's values (several only for
 #: coupler amplitudes); None stands for ``auto``.
@@ -59,7 +61,7 @@ _RULES = {
     "a grid or auto": lambda vs: vs[0] is None or isinstance(vs[0], Grid1D),
 }
 
-EXPERIMENTS = tuple(_DRIVE_RULES)
+EXPERIMENTS = tuple(READS)
 
 
 @dataclass(frozen=True)
@@ -73,8 +75,7 @@ class ExperimentConfig:
     omega_c_values: tuple[float, ...]
     delta_p: float | Grid1D | None  # None: at_slice's per-slice auto grid
     delta_c: float | Grid1D
-    pulse_duration: float | None  # None unless coupler_spec
-    durations: Grid1D | None  # None unless rabi
+    pulse: float | Grid1D | None  # the pulse key the run reads, if any
     eit_n_max: int
     eit_ratio_grid: Grid1D
     out_dir: str
@@ -344,19 +345,18 @@ def resolve(raw: dict) -> ExperimentConfig:
         raise ConfigError(f"block 'rates': {exc}") from exc
 
     experiment = get("experiment")
+    reads = READS[experiment]
     drive = [get(f"drive.{key}") for key in _DRIVE_KEYS]
     omega_p, omega_c_values = drive[:2]
-    least = min_fit_points(_FIT_PEAKS[experiment]) if experiment in _FIT_PEAKS else 0
-    for key, rule, value in zip(_DRIVE_KEYS, _DRIVE_RULES[experiment], drive):
-        if rule and not _RULES[rule](value if isinstance(value, tuple) else (value,)):
+    least = min_fit_points(reads.fit_peaks) if reads.fit_peaks else 0
+    for key, rule, value in zip(_DRIVE_KEYS, reads.drive, drive):
+        if rule in _RULES and not _RULES[rule](value if isinstance(value, tuple) else (value,)):
             raise ConfigError(f"key 'drive.{key}' must be {rule} for {experiment}")
         if isinstance(value, Grid1D) and value.count < least:
             raise ConfigError(f"key 'drive.{key}.count' must be at least {least} for {experiment}")
     # A detuning the experiment holds at 0 may be given as auto; it is 0.0.
     delta_p, delta_c = (0.0 if rule == "0" else value
-                        for rule, value in zip(_DRIVE_RULES[experiment][2:], drive[2:]))
-    if experiment == "rabi" and get("pulse.durations_us") is None:
-        raise ConfigError("missing required key 'pulse.durations_us' for rabi")
+                        for rule, value in zip(reads.drive[2:], drive[2:]))
 
     omega_c = omega_c_values[0]
     largest_ratio = get("eit.ratio_grid").stop  # eit_scan drives omega_c = ratio * omega_p
@@ -376,12 +376,13 @@ def resolve(raw: dict) -> ExperimentConfig:
             warnings.extend(validate_three_level(DriveParams(*farthest, omega_p, omega), device))
     except ValueError as exc:
         raise ConfigError(f"key 'drive.omega_c_mhz' is too large for an auto grid: {exc}") from exc
-    pulse_duration = get("pulse.duration_us") if experiment == "coupler_spec" else None
-    durations = get("pulse.durations_us") if experiment == "rabi" else None
-    if experiment == "coupler_spec" and pulse_duration is None:
-        pulse_duration = 1.0 / (2.0 * omega_c)  # ideal pi pulse
-        if not pulse_duration <= sys.float_info.max:
+    pulse = get(reads.beside) if reads.beside.startswith("pulse.") else None
+    if pulse is None and reads.beside == "pulse.duration_us":
+        pulse = 1.0 / (2.0 * omega_c)  # ideal pi pulse
+        if not pulse <= sys.float_info.max:
             raise ConfigError(f"key 'drive.omega_c_mhz': pi pulse 1/(2*{omega_c!r}) overflows")
+    elif pulse is None and reads.beside.startswith("pulse."):
+        raise ConfigError(f"missing required key '{reads.beside}' for {experiment}")
 
     return ExperimentConfig(
         experiment=experiment,
@@ -391,8 +392,7 @@ def resolve(raw: dict) -> ExperimentConfig:
         omega_c_values=omega_c_values,
         delta_p=delta_p,
         delta_c=delta_c,
-        pulse_duration=pulse_duration,
-        durations=durations,
+        pulse=pulse,
         eit_n_max=get("eit.n_max"),
         eit_ratio_grid=get("eit.ratio_grid"),
         out_dir=get("output.directory"),
@@ -412,9 +412,9 @@ def describe(cfg: ExperimentConfig) -> dict:
     """The resolved parameters as plain data under config key names: what
     ``summary.yaml`` records under ``parameters`` and ``validate`` prints.
 
-    A grid is its start/stop/count mapping; ``auto`` is left only for
-    at_slice's per-slice probe grid.  ``pulse`` appears for coupler_spec
-    and rabi only, ``eit`` for eit_scan only.
+    Of ``drive`` and the key beside it, exactly what ``READS`` says the run
+    reads.  A grid is its start/stop/count mapping; ``auto`` is left only
+    for at_slice's per-slice probe grid.
     """
 
     def plain(value):
@@ -422,18 +422,17 @@ def describe(cfg: ExperimentConfig) -> dict:
             return dataclasses.asdict(value)
         return "auto" if value is None else value
 
+    reads = READS[cfg.experiment]
+    drive = (cfg.omega_p, list(cfg.omega_c_values), cfg.delta_p, cfg.delta_c)
     parameters = {
         "device": {"omega01_ghz": cfg.device.omega01, "omega12_ghz": cfg.device.omega12,
                    "alpha_mhz": cfg.device.alpha},
         "rates_per_us": dataclasses.asdict(cfg.rates),
-        "drive": {"omega_p_mhz": cfg.omega_p, "omega_c_mhz": list(cfg.omega_c_values),
-                  "delta_p_mhz": plain(cfg.delta_p), "delta_c_mhz": plain(cfg.delta_c)},
+        "drive": {key: plain(value) for key, rule, value in zip(_DRIVE_KEYS, reads.drive, drive)
+                  if rule != "unread"},
     }
-    pulse = {key: plain(value) for key, value in
-             (("duration_us", cfg.pulse_duration), ("durations_us", cfg.durations))
-             if value is not None}
-    if pulse:
-        parameters["pulse"] = pulse
-    if cfg.experiment == "eit_scan":
+    if reads.beside.startswith("pulse."):
+        parameters["pulse"] = {reads.beside.removeprefix("pulse."): plain(cfg.pulse)}
+    elif reads.beside:  # the eit block
         parameters["eit"] = {"n_max": cfg.eit_n_max, "ratio_grid": plain(cfg.eit_ratio_grid)}
     return parameters

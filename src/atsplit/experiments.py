@@ -68,7 +68,7 @@ def readout_signal(rho: np.ndarray, observable: Observable) -> float | np.ndarra
         raise ValueError(f"no linear readout mode for {observable!r}")
     rho = np.asarray(rho)
     values = rho[..., levels, levels].real.sum(axis=-1)
-    low, high = float(values.min()), float(values.max())
+    low, high = (float(values.min()), float(values.max())) if values.size else (0.0, 0.0)
     if not (low >= -_READOUT_SLACK and high <= 1.0 + _READOUT_SLACK):  # NaN fails too
         raise NonPhysicalResult(
             f"{observable.value} readout [{low:.6g}, {high:.6g}] leaves "

@@ -21,6 +21,7 @@ Conversions happen exactly once, inside ``solver.build_hamiltonian`` and
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 
 TWO_PI = 2.0 * math.pi
@@ -132,7 +133,7 @@ class Grid1D:
     count: int
 
     def __post_init__(self):
-        if self.count < 2:
+        if operator.index(self.count) < 2:  # TypeError unless an integer; numpy's pass
             raise ValueError(f"grid count must be >= 2, got {self.count}")
         if not self.start < self.stop:
             raise ValueError(f"grid start {self.start} must be below stop {self.stop}")

@@ -2,6 +2,7 @@
 dispatch, output files, determinism, and exit codes."""
 
 import ast
+import copy
 import csv
 import dataclasses
 import os
@@ -97,11 +98,14 @@ class TestValidateCommand:
         assert run_cli("validate", str(config_file), "--set", "schema=2") == 2
         assert "schema" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("experiment", EXPERIMENTS)
-    def test_records_only_the_pulse_key_the_run_reads(self, experiment, capsys):
+    @pytest.mark.parametrize("experiment, key", [
+        *(pytest.param(name, "pulse", id=name) for name in EXPERIMENTS),
+        pytest.param("eit_scan", "drive.omega_c_mhz", id="eit_scan-omega_c_mhz")])
+    def test_records_only_the_pulse_key_the_run_reads(self, experiment, key, capsys):
         """Every experiment accepts both pulse keys, but ``parameters`` holds
         ``pulse.duration_us`` only for coupler_spec and ``pulse.durations_us``
-        only for rabi, the runs that read them."""
+        only for rabi, the runs that read them.  eit_scan accepts paper.cfg's
+        coupler amplitudes but records none: it drives ratio * omega_p."""
         paper_set = load_module(ROOT / "tools" / "paper_set.py")
         durations = {"start": 0.0, "stop": 2.0, "count": 5}
         overrides = paper_set.RUNS[experiment] + [
@@ -109,7 +113,10 @@ class TestValidateCommand:
         assert run_cli("validate", "paper.cfg", *_set_args(overrides)) == 0
         printed = yaml.safe_load(capsys.readouterr().out.removesuffix("config ok\n"))
         read = {"coupler_spec": {"duration_us": 1.0}, "rabi": {"durations_us": durations}}
-        assert printed["parameters"].get("pulse") == read.get(experiment)
+        recorded = printed["parameters"]
+        for part in key.split("."):
+            recorded = recorded.get(part) if recorded else None
+        assert recorded == read.get(experiment)
 
     def test_validate_writes_nothing(self, config_file, tmp_path, monkeypatch):
         workdir = tmp_path / "empty"
@@ -422,6 +429,20 @@ eit:
             "plots.json", "summary.yaml",
         ]
 
+    def test_eit_scan_writes_the_same_files_whatever_the_coupler(self, config_file, tmp_path):
+        """eit_scan accepts any valid ``drive.omega_c_mhz`` but never reads
+        it, so two runs that differ only in it write byte-identical files."""
+        trees = []
+        for k, couplers in enumerate(["0.0", "[0.354, 2.82, 11.2]"]):
+            overrides = _EIT + ["eit.n_max=1", "eit.ratio_grid={start: 0.5, stop: 20.5, count: 11}",
+                                f"drive.omega_c_mhz={couplers}"]
+            out = tmp_path / str(k)
+            assert run_cli("run", str(config_file), "--out", str(out), *_set_args(overrides)) == 0
+            trees.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert sorted(trees[0]) == ["eit_scan_n0.csv", "eit_scan_n1.csv", "plots.json",
+                                    "summary.yaml"]
+        assert trees[0] == trees[1]
+
 
 _RABI = ["experiment=rabi", "drive.omega_c_mhz=0.0", "drive.delta_p_mhz=0.0"]
 _PROBE_SPEC = ["experiment=probe_spec", "drive.omega_c_mhz=0.0",
@@ -530,9 +551,10 @@ class TestWarningsSeeWhatRuns:
                 header, *rows = csv.reader(handle)
             farthest = {axis: max(map(float, column), key=abs)
                         for axis, column in zip(header[:-1], zip(*rows))}
-            omega_c = slices.get(name, drive["omega_c_mhz"][0])
-            if "omega_c_over_omega_p" in farthest:
+            if "omega_c_over_omega_p" in farthest:  # eit_scan, which records no omega_c_mhz
                 omega_c = farthest["omega_c_over_omega_p"] * drive["omega_p_mhz"]
+            else:
+                omega_c = slices.get(name, drive["omega_c_mhz"][0])
             delta_p, delta_c = (farthest.get(f"delta_{k}_mhz", 0.0) for k in "pc")
             ran = DriveParams(delta_p, delta_c, drive["omega_p_mhz"], omega_c)
             expected.extend(w for w in validate_three_level(ran, device) if w not in expected)
@@ -778,16 +800,19 @@ class TestExitCodeMapping:
 
     def test_converged_fit_raises_fit_errors_naming_the_fit(self, monkeypatch):
         cli._bind_numerics()  # as run does, before any runner uses numpy or fit_peaks
+        cfg = load(bundled_config_path("paper.cfg"))
         flat = SweepResult(np.arange(41.0), np.zeros(41), Observable.PA_SUM, "delta_p_mhz")
         with pytest.raises(DegenerateData, match="^test: y range below"):
-            cli._converged_fit(flat, 1, "test")
+            cli._converged_fit(cfg, flat, "test")
 
         class Unconverged:
             converged = False
 
-        monkeypatch.setattr(cli, "fit_peaks", lambda *args, **kwargs: Unconverged())
+        peaks = []  # the peak count of each fit, from paper.cfg's experiment, at_slice
+        monkeypatch.setattr(cli, "fit_peaks", lambda points, n: peaks.append(n) or Unconverged())
         with pytest.raises(NoConvergence, match="^test fit did not converge"):
-            cli._converged_fit(flat, 1, "test")
+            cli._converged_fit(cfg, flat, "test")
+        assert peaks == [2]
 
 
 #: (--set overrides on BASE_CONFIG, the dotted key or block the error must name)
@@ -1152,6 +1177,18 @@ class TestPaperSet:
         largest, problems = paper_set.compare(moved)
         assert len(problems) == 1 and problems[0].startswith(f"{name} row 12345: ")
         assert largest[name] == pytest.approx(1e-9, rel=1e-3)
+
+    def test_summary_check_names_a_removed_key_and_compares_the_rest(self, paper_set):
+        """A key in one tree only is named, and the keys both trees hold are
+        still compared to 1e-12 relative."""
+        want = yaml.safe_load(paper_set._read(paper_set.REFERENCE, "rabi/summary.yaml"))
+        got = copy.deepcopy(want)
+        del got["parameters"]["drive"]["omega_c_mhz"]
+        got["parameters"]["drive"]["omega_p_mhz"] *= 1 + 1e-9
+        problems = []
+        paper_set._compare_tree("rabi", got, want, problems)
+        assert problems[0] == "rabi.parameters.drive: keys ['omega_c_mhz'] are in one tree only"
+        assert len(problems) == 2 and problems[1].startswith("rabi.parameters.drive.omega_p_mhz: ")
 
     def test_check_reports_each_file_and_exits_1_on_a_mismatch(self, paper_set, tmp_path,
                                                                  capsys):

@@ -74,6 +74,17 @@ class TestGrid1D:
         with pytest.raises(ValueError, match="start"):
             Grid1D(1.0, 0.0, 10)
 
+    @pytest.mark.parametrize("count", [3.0, np.float64(3.0)], ids=["float", "numpy-float"])
+    def test_count_must_be_an_integer(self, count):
+        """A float count fails when the grid is built, not when its points are."""
+        with pytest.raises(TypeError):
+            Grid1D(0.0, 1.0, count)
+
+    @pytest.mark.parametrize("count", [np.int64(3), np.int32(3), np.uint8(3)],
+                             ids=["int64", "int32", "uint8"])
+    def test_numpy_integer_count_is_an_integer(self, count):
+        assert Grid1D(0.0, 1.0, count).points.tolist() == [0.0, 0.5, 1.0]
+
 
 class TestSweepResult:
     def test_shape_mismatch_rejected(self):

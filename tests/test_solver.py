@@ -926,6 +926,14 @@ class TestReadout:
         with pytest.raises(ValueError, match="readout mode"):
             readout_signal(ket_bra(0, 0), Observable.FIDELITY)
 
+    @pytest.mark.parametrize("observable", [Observable.PA_SUM, Observable.PB_SECOND,
+                                            Observable.POPULATION1])
+    def test_empty_stack_reads_empty(self, observable):
+        """As check_density_matrix and dark_state_fidelity do, an empty stack
+        of states gives an empty result."""
+        values = readout_signal(np.zeros((0, 3, 3), dtype=complex), observable)
+        assert values.shape == (0,)
+
     def test_stack_reads_like_its_states(self, paper_rates):
         rho = steady_states(np.linspace(-2.0, 2.0, 7), 0.3, 0.186, 1.41, paper_rates)
         for observable in (Observable.PA_SUM, Observable.PB_SECOND, Observable.POPULATION1):

@@ -125,9 +125,12 @@ def _compare_csv(name: str, text: str, expected: str, problems: list[str]) -> fl
 
 def _compare_tree(name: str, got, want, problems: list[str]) -> float:
     """A parsed summary: keys, strings, counts and flags exactly; floats
-    to ``RTOL``.  ``name`` grows with the path to each value."""
-    if isinstance(want, dict) and isinstance(got, dict) and sorted(got) == sorted(want):
-        keys = sorted(want)
+    to ``RTOL``.  ``name`` grows with the path to each value.  Keys found in
+    one mapping only are named, and the shared keys are still compared."""
+    if isinstance(want, dict) and isinstance(got, dict):
+        keys = sorted(want.keys() & got.keys())
+        if want.keys() != got.keys():
+            problems.append(f"{name}: keys {sorted(want.keys() ^ got.keys())} are in one tree only")
     elif isinstance(want, list) and isinstance(got, list) and len(got) == len(want):
         keys = range(len(want))
     elif isinstance(want, float) and type(got) is float:
