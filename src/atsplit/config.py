@@ -101,7 +101,9 @@ def resolve_config_path(argument: str) -> Path:
 
 class _Loader(yaml.SafeLoader):
     """SafeLoader that refuses a key given twice in one mapping, where PyYAML
-    would keep the last value; merge keys (``<<``) still merge."""
+    would keep the last value (merge keys, ``<<``, still merge), and reads a
+    number in exponent form as a float, as JSON and YAML 1.2 do: YAML 1.1
+    reads ``4e1``, ``.5e3`` and ``5e-05`` as text."""
 
     def construct_mapping(self, node, deep=False):
         keys = []
@@ -112,6 +114,10 @@ class _Loader(yaml.SafeLoader):
                     raise yaml.constructor.ConstructorError(
                         None, None, f"found duplicate key {keys[-1]!r}", key_node.start_mark)
         return super().construct_mapping(node, deep)
+
+
+_Loader.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(
+    r"[-+]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)[eE][-+]?[0-9]+$"), list("-+.0123456789"))
 
 
 def load_raw(path: Path) -> dict:
@@ -161,27 +167,12 @@ def apply_overrides(raw: dict, overrides: list[str]) -> dict:
 
 _REQUIRED = object()  # default of a key that has none
 
-#: A number in exponent form: mantissa, e, exponent sign and digits.
-_EXPONENT = re.compile(r"([-+]?(?:[0-9]+\.?[0-9]*|\.[0-9]+))([eE])([-+]?)([0-9]+)")
-
-
-def _why_text(value) -> str:
-    """The reason and the fix when YAML 1.1 read ``value``, a number in
-    exponent form lacking a decimal point or an exponent sign, as text."""
-    match = _EXPONENT.fullmatch(value) if isinstance(value, str) else None
-    if not match or "." in match[1] and match[3]:  # a quoted float, not a YAML rule
-        return ""
-    mantissa = match[1] if "." in match[1] else match[1] + ".0"
-    return (f" (YAML reads a number in exponent form as text unless it has a decimal point"
-            f" and an exponent sign: write {mantissa}{match[2]}{match[3] or '+'}{match[4]})")
-
-
 def _number(bound: str = ""):
     """Parser for a finite number, optionally ``">= 0"`` or ``"> 0"``."""
 
     def parse(value, key: str) -> float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"key '{key}' must be a number, got {value!r}{_why_text(value)}")
+            raise ConfigError(f"key '{key}' must be a number, got {value!r}")
         if not abs(value) <= sys.float_info.max:  # nan, +-inf, or an int beyond float range
             raise ConfigError(f"key '{key}' must be finite, got {value!r}")
         if (bound == ">= 0" and value < 0) or (bound == "> 0" and value <= 0):
@@ -223,8 +214,7 @@ def _detuning(value, key: str) -> float | Grid1D | None:
         return _grid()(value, key)
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         return _number()(value, key)
-    raise ConfigError(f"key '{key}' must be a number, a start/stop/count mapping,"
-                      f" or 'auto'{_why_text(value)}")
+    raise ConfigError(f"key '{key}' must be a number, a start/stop/count mapping, or 'auto'")
 
 
 def _couplers(value, key: str) -> tuple[float, ...]:

@@ -59,14 +59,16 @@ def readout_signal(rho: np.ndarray, observable: Observable) -> float | np.ndarra
     is rho11 + rho22 (the cavity power that does not distinguish |1> from
     |2>), PB_SECOND rho22 alone, POPULATION1 rho11.  The probability scale
     is taken as already calibrated, so these are exact linear maps of a
-    state the solver has checked.  A raw value more than 1e-10 outside
-    [0, 1] raises NonPhysicalResult; tiny negative roundoff is clamped to
-    zero.
+    state the solver has checked, which is not copied.  Any other shape
+    raises ValueError.  A raw value more than 1e-10 outside [0, 1] raises
+    NonPhysicalResult; tiny negative roundoff is clamped to zero.
     """
     levels = _READOUT_LEVELS.get(observable) if isinstance(observable, Observable) else None
     if levels is None:
         raise ValueError(f"no linear readout mode for {observable!r}")
     rho = np.asarray(rho)
+    if rho.ndim not in (2, 3) or rho.shape[-2:] != (3, 3):
+        raise ValueError(f"expected a 3x3 matrix or an (n, 3, 3) stack, got shape {rho.shape}")
     values = rho[..., levels, levels].real.sum(axis=-1)
     low, high = (float(values.min()), float(values.max())) if values.size else (0.0, 0.0)
     if not (low >= -_READOUT_SLACK and high <= 1.0 + _READOUT_SLACK):  # NaN fails too

@@ -5,6 +5,7 @@ import ast
 import copy
 import csv
 import dataclasses
+import json
 import os
 import re
 import shutil
@@ -968,27 +969,65 @@ class TestConfigLoading:
         assert cfg.rates.gamma_10 == 1.0 / 39.0
         assert cfg.eit_ratio_grid == experiments.Grid1D(0.5, 6.0, 161)
 
+    @pytest.mark.parametrize("text", ["4e1", "-1E3", ".5e3", "4.0e1", "1e+22", "5e-05"])
+    def test_exponent_form_loads_as_a_float(self, tmp_path, text):
+        """A number in exponent form, with or without a decimal point or an
+        exponent sign, is read as JSON and YAML 1.2 read it, from a file and
+        from ``--set``; YAML 1.1 would read it as text."""
+        path = tmp_path / "exponent.cfg"
+        path.write_text(f"value: {text}\n")
+        for raw in (config_mod.load_raw(path), config_mod.apply_overrides({}, [f"value={text}"])):
+            assert type(raw["value"]) is float and raw["value"] == float(text)
+        if float(text) > 0:
+            path.write_text(BASE_CONFIG.replace("ratio_21: 1.41", f"ratio_21: {text}"))
+            assert load(path).rates.gamma_21 == float(text) * (1.0 / 39.0)
+
+    def test_safe_loader_keeps_yaml_1_1(self):
+        """Only the config loader reads exponent form as a number."""
+        assert yaml.safe_load("4e1") == "4e1"
+        assert yaml.load("4e1", Loader=config_mod._Loader) == 40.0
+
     @pytest.mark.parametrize(
-        "text, overrides, key, written, fixed",
-        [pytest.param(BASE_CONFIG.replace("t1_us: 39.0", "t1_us: 4e1"), [], "rates.t1_us",
-                      "'4e1'", "4.0e+1", id="file-value"),
-         pytest.param(BASE_CONFIG, ["drive.delta_c_mhz=-1E3"], "drive.delta_c_mhz",
-                      "or 'auto'", "-1.0E+3", id="set-value")],
+        "text, overrides, expected",
+        [pytest.param(BASE_CONFIG.replace("t1_us: 39.0", "t1_us: 1e400"), [],
+                      "key 'rates.t1_us' must be finite, got inf", id="beyond-range"),
+         pytest.param(BASE_CONFIG.replace("t1_us: 39.0", 't1_us: "4e1"'), [],
+                      "key 'rates.t1_us' must be a number, got '4e1'", id="file-value"),
+         pytest.param(BASE_CONFIG, ["drive.delta_c_mhz='-1E3'"],
+                      "key 'drive.delta_c_mhz' must be a number, a start/stop/count mapping,"
+                      " or 'auto'", id="set-value"),
+         pytest.param(BASE_CONFIG.replace("directory: results", "directory: 1e5"), [],
+                      "key 'output.directory' must be a string", id="directory")],
     )
-    def test_exponent_read_as_text_says_why_and_how_to_write_it(
-            self, tmp_path, capsys, text, overrides, key, written, fixed):
-        """YAML 1.1 reads 4e1 (no decimal point) and 4.0e1 (no exponent sign)
-        as text.  The rejection stays, and now gives the reason and a fix
-        that YAML reads as the intended number."""
+    def test_exponent_form_refusals(self, tmp_path, capsys, text, overrides, expected):
+        """An exponent beyond float range is not finite; a quoted number is
+        text and is refused with no hint; a directory name that reads as a
+        number must be quoted, as ``100`` must."""
         path = tmp_path / "exponent.cfg"
         path.write_text(text)
         assert run_cli("validate", str(path), *_set_args(overrides)) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"config error: key '{key}' must be a number")
-        reason = ("YAML reads a number in exponent form as text unless it has a decimal point"
-                  f" and an exponent sign: write {fixed})\n")
-        assert err.endswith(f"{written} ({reason}")
-        assert yaml.safe_load(fixed) == float(fixed)
+        assert capsys.readouterr().err == f"config error: {expected}\n"
+
+    def test_quoted_directory_that_reads_as_a_number_is_a_string(self, tmp_path):
+        path = tmp_path / "directory.cfg"
+        path.write_text(BASE_CONFIG.replace("directory: results", 'directory: "1e5"'))
+        assert load(path).out_dir == "1e5"
+
+    def test_json_dump_of_paper_cfg_validates_as_its_yaml(self, tmp_path, capsys):
+        """JSON writes 5e-05 where YAML 1.1 needs 5.0e-05: a config written by
+        ``json.dumps`` validates and prints as its YAML spelling does."""
+        raw = yaml.safe_load(bundled_config_path("paper.cfg").read_text())
+        raw["rates"]["ratio_21"] = 5e-05
+        dumped, spelled = tmp_path / "dumped.cfg", tmp_path / "spelled.cfg"
+        dumped.write_text(json.dumps(raw))
+        spelled.write_text(bundled_config_path("paper.cfg").read_text().replace(
+            "ratio_21: 1.41", "ratio_21: 5.0e-05"))
+        assert '"ratio_21": 5e-05' in dumped.read_text() and "5.0e-05" in spelled.read_text()
+        printed = []
+        for path in (dumped, spelled):
+            assert run_cli("validate", str(path)) == 0
+            printed.append(capsys.readouterr())
+        assert printed[0] == printed[1] and printed[0].out.endswith("\nconfig ok\n")
 
     def test_resolve_needs_a_mapping(self):
         with pytest.raises(ConfigError, match="^config must be a mapping$"):
@@ -1086,9 +1125,8 @@ class TestPaperSet:
         """File lists, headers, row counts and axis values exactly; sweep
         values and summary numbers to 1e-12 relative.  After an intended
         change, ``tools/paper_set.py --update`` rewrites the reference."""
-        largest, problems = paper_set.compare(default_run)
-        report = "\n".join(f"{name}: largest difference {d:.3g}" for name, d in largest.items())
-        assert problems == [], report
+        verdicts, problems = paper_set.compare(default_run)
+        assert problems == [], "\n".join(f"{name}: {v}" for name, v in verdicts.items())
 
     def test_files_hold_the_naive_text(self, runs, default_run):
         """Byte for byte, whatever the reference tolerance: each CSV is one
@@ -1174,9 +1212,9 @@ class TestPaperSet:
         *axes, value = lines[12345].rstrip("\n").split(",")
         lines[12345] = ",".join(axes + [repr(float(value) * (1 + 1e-9))]) + "\n"
         (moved / name).write_text("".join(lines))
-        largest, problems = paper_set.compare(moved)
+        verdicts, problems = paper_set.compare(moved)
         assert len(problems) == 1 and problems[0].startswith(f"{name} row 12345: ")
-        assert largest[name] == pytest.approx(1e-9, rel=1e-3)
+        assert verdicts[name] == "largest relative difference 1e-09"
 
     def test_summary_check_names_a_removed_key_and_compares_the_rest(self, paper_set):
         """A key in one tree only is named, and the keys both trees hold are
@@ -1208,3 +1246,33 @@ class TestPaperSet:
         out = capsys.readouterr().out
         assert "rabi/rabi.csv: largest relative difference 1e-09\n" in out
         assert out.count(": identical\n") == 34 and "\nrabi/rabi.csv row 401: " in out
+
+    def test_check_calls_a_structural_mismatch_no_difference(self, paper_set, tmp_path, capsys):
+        """A removed summary key, a removed CSV row, a moved CSV axis value
+        and a changed ``plots.json`` each read ``structural mismatch``, not a
+        largest relative difference of 0 or nan, and ``--check`` exits 1."""
+        tree = tmp_path / "tree"
+        for name in paper_set._file_names(paper_set.REFERENCE):
+            (tree / name).parent.mkdir(parents=True, exist_ok=True)
+            (tree / name).write_text(paper_set._read(paper_set.REFERENCE, name))
+        summary = yaml.safe_load((tree / "rabi" / "summary.yaml").read_text())
+        del summary["parameters"]["drive"]["omega_c_mhz"]
+        (tree / "rabi" / "summary.yaml").write_text(yaml.safe_dump(summary, sort_keys=True))
+        path = tree / "probe_spec" / "probe_spec.csv"
+        path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
+        path = tree / "coupler_spec" / "coupler_spec.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        lines[5] = "1" + lines[5]
+        path.write_text("".join(lines))
+        path = tree / "at_map" / "plots.json"
+        path.write_text(path.read_text() + " ")
+        assert paper_set.main(["--check", str(tree)]) == 1
+        verdicts = {}
+        for line in capsys.readouterr().out.splitlines()[:35]:
+            name, _, verdict = line.partition(": ")
+            verdicts[name] = verdict
+        changed = ["rabi/summary.yaml", "probe_spec/probe_spec.csv",
+                   "coupler_spec/coupler_spec.csv", "at_map/plots.json"]
+        assert {name: verdicts.pop(name) for name in changed} == dict.fromkeys(
+            changed, "structural mismatch")
+        assert len(verdicts) == 31 and set(verdicts.values()) == {"identical"}

@@ -11,7 +11,8 @@ import pytest
 
 from atsplit import cli, config
 
-#: Written as YAML reads them: a bare ``1e+300`` would be a string.
+#: Written as YAML 1.1 reads them; the config loader also reads the
+#: exponent forms that ``repr`` writes, such as ``1e+300``.
 VALUES = ["0.0", "5.0e-324", "1.0e-300", "1.0e-12", "1.0", "1.0e+12", "1.0e+300", "1.7e+308",
           "-1.0e+300"]
 
@@ -89,3 +90,18 @@ def test_extreme_values_exit_with_a_documented_code(key, config_files, tmp_path,
             if code not in (0, 2, 3, 4) or "Traceback" in err:
                 failures.append(f"{name} {key}={value}: {code}")
     assert failures == []
+
+
+@pytest.mark.parametrize("key", NUMERIC_KEYS)
+def test_json_spelling_validates_as_the_yaml_spelling(key, config_files, capsys):
+    """Each value spelled as ``repr`` and ``json.dumps`` write it, such as
+    ``5e-324`` or ``1e+300``, validates with the same exit code and output
+    as its spelling in ``VALUES``."""
+    block = key.partition(".")[0]
+    for name in READERS.get(key, READERS.get(block, config.EXPERIMENTS)):
+        for value in (v for v in VALUES if repr(float(v)) != v):
+            printed = []
+            for text in (value, repr(float(value))):
+                code = cli.main(["validate", str(config_files[name]), "--set", f"{key}={text}"])
+                printed.append((code, *capsys.readouterr()))
+            assert printed[0] == printed[1], f"{name} {key}={value}"

@@ -9,6 +9,7 @@ import pytest
 
 from atsplit import solver
 from atsplit.errors import NonPhysicalResult, SingularLiouvillian
+from atsplit.analysis import dark_state_fidelity
 from atsplit.experiments import Observable, readout_signal
 from atsplit.model import (
     TWO_PI,
@@ -925,6 +926,19 @@ class TestReadout:
     def test_fidelity_is_not_a_linear_readout(self):
         with pytest.raises(ValueError, match="readout mode"):
             readout_signal(ket_bra(0, 0), Observable.FIDELITY)
+
+    @pytest.mark.parametrize("rho", [np.eye(4) / 4, np.eye(2) / 2, np.array([1.0, 0.0, 0.0]),
+                                     np.zeros((2, 2, 3, 3)), np.zeros((3, 4))],
+                             ids=["4x4", "2x2", "vector", "nested-stack", "3x4"])
+    def test_rejects_a_shape_dark_state_fidelity_rejects(self, rho):
+        """Only one 3x3 state or an (n, 3, 3) stack reads: a 4x4 state no
+        longer reads 0.5, nor a 2x2 one raise a bare IndexError."""
+        match = re.escape(f"expected a 3x3 matrix or an (n, 3, 3) stack, got shape {rho.shape}")
+        for observable in (Observable.PA_SUM, Observable.PB_SECOND, Observable.POPULATION1):
+            with pytest.raises(ValueError, match=f"^{match}$"):
+                readout_signal(rho, observable)
+        with pytest.raises(ValueError, match=f"^{match}$"):
+            dark_state_fidelity(rho, np.zeros(rho.shape[:-2]))
 
     @pytest.mark.parametrize("observable", [Observable.PA_SUM, Observable.PB_SECOND,
                                             Observable.POPULATION1])

@@ -10,7 +10,8 @@ by file::
 
 ``--check`` compares a written tree with the committed reference under
 ``tests/reference``: it prints ``identical`` for each file whose bytes
-match, else the file's largest relative difference, then every mismatch
+match, else its largest relative difference, or ``structural mismatch``
+where something that must match exactly differs; then every mismatch
 beyond the tolerances, and exits 1 if there is one.  ``--update`` prints
 the same report for a fresh set against the old reference, then rewrites
 the reference (``at_map.csv`` gzipped); tier-1 compares each run against
@@ -107,17 +108,19 @@ def _read(root: Path, name: str) -> str:
 
 def _compare_csv(name: str, text: str, expected: str, problems: list[str]) -> float:
     """Headers, row counts and axis values exactly; values to ``RTOL``.
-    Rows are numbered from 1 after the header."""
+    Rows are numbered from 1 after the header.  Returns the largest
+    relative difference of the values, or inf if anything exact differs."""
     rows, want = ([line.split(",") for line in t.splitlines()] for t in (text, expected))
     if rows[0] != want[0] or len(rows) != len(want):
         problems.append(f"{name}: header {rows[0]} and {len(rows) - 1} rows, "
                         f"expected {want[0]} and {len(want) - 1}")
-        return 0.0
+        return math.inf
     largest = 0.0
     for k, (row, ref) in enumerate(zip(rows[1:], want[1:]), start=1):
         diff = relative_difference(float(row[-1]), float(ref[-1]))
-        largest = max(largest, diff)
-        if row[:-1] != ref[:-1] or not diff <= RTOL:
+        axes_differ = row[:-1] != ref[:-1]
+        largest = max(largest, math.inf if axes_differ else diff)
+        if axes_differ or not diff <= RTOL:
             problems.append(f"{name} row {k}: {','.join(row)}, expected {','.join(ref)}"
                             f" (value differs by {diff:.3g} relative)")
     return largest
@@ -126,11 +129,15 @@ def _compare_csv(name: str, text: str, expected: str, problems: list[str]) -> fl
 def _compare_tree(name: str, got, want, problems: list[str]) -> float:
     """A parsed summary: keys, strings, counts and flags exactly; floats
     to ``RTOL``.  ``name`` grows with the path to each value.  Keys found in
-    one mapping only are named, and the shared keys are still compared."""
+    one mapping only are named, and the shared keys are still compared.
+    Returns the largest relative difference of the floats, or inf if
+    anything exact differs."""
+    structure = 0.0  # inf once a key is in one mapping only
     if isinstance(want, dict) and isinstance(got, dict):
         keys = sorted(want.keys() & got.keys())
         if want.keys() != got.keys():
             problems.append(f"{name}: keys {sorted(want.keys() ^ got.keys())} are in one tree only")
+            structure = math.inf
     elif isinstance(want, list) and isinstance(got, list) and len(got) == len(want):
         keys = range(len(want))
     elif isinstance(want, float) and type(got) is float:
@@ -141,41 +148,45 @@ def _compare_tree(name: str, got, want, problems: list[str]) -> float:
     else:
         if type(got) is not type(want) or got != want:
             problems.append(f"{name}: {got!r}, expected {want!r}")
+            return math.inf
         return 0.0
-    return max((_compare_tree(f"{name}.{k}", got[k], want[k], problems) for k in keys),
-               default=0.0)
+    return max([structure] + [_compare_tree(f"{name}.{k}", got[k], want[k], problems)
+                              for k in keys])
 
 
-def compare(out_dir: Path, reference: Path = REFERENCE) -> tuple[dict[str, float], list[str]]:
-    """Compare a ``run_all`` tree with the reference.  Returns the largest
-    relative difference per file and one line per mismatch; ``plots.json``
-    must match exactly."""
+def compare(out_dir: Path, reference: Path = REFERENCE) -> tuple[dict[str, str], list[str]]:
+    """Compare a ``run_all`` tree with the reference.  Returns, for each file
+    in both trees, ``identical`` (the same text), its largest relative
+    difference, or ``structural mismatch`` (a header, row count, axis value,
+    key, list, string, count or flag differs, or any text of ``plots.json``),
+    and one line per mismatch."""
     names, expected_names = _file_names(out_dir), _file_names(reference)
     problems = [] if names == expected_names else [
         f"files {sorted(set(names) ^ set(expected_names))} are in one tree only"]
-    largest = {}
+    verdicts = {}
     for name in sorted(set(names) & set(expected_names)):
         text, expected = (out_dir / name).read_text(), _read(reference, name)
+        if text == expected:
+            verdicts[name] = "identical"
+            continue
+        largest = math.inf
         if name.endswith(".csv"):
-            largest[name] = _compare_csv(name, text, expected, problems)
+            largest = _compare_csv(name, text, expected, problems)
         elif name.endswith(".yaml"):
-            largest[name] = _compare_tree(
-                name, yaml.safe_load(text), yaml.safe_load(expected), problems)
-        elif text != expected:
+            largest = _compare_tree(name, yaml.safe_load(text), yaml.safe_load(expected), problems)
+        else:
             problems.append(f"{name}: text differs")
-    return largest, problems
+        verdicts[name] = ("structural mismatch" if largest == math.inf
+                          else f"largest relative difference {largest:.3g}")
+    return verdicts, problems
 
 
 def report(out_dir: Path, reference: Path = REFERENCE) -> list[str]:
-    """Print, for each file in both trees, ``identical`` or its largest
-    relative difference, then each mismatch that ``compare`` finds, which
-    it returns."""
-    largest, problems = compare(out_dir, reference)
-    for name in sorted(set(_file_names(out_dir)) & set(_file_names(reference))):
-        if (out_dir / name).read_text() == _read(reference, name):
-            print(f"{name}: identical")
-        else:  # nan for plots.json, which compare checks as text only
-            print(f"{name}: largest relative difference {largest.get(name, math.nan):.3g}")
+    """Print each file's verdict from ``compare``, then each mismatch that it
+    finds, which it returns."""
+    verdicts, problems = compare(out_dir, reference)
+    for name, verdict in verdicts.items():
+        print(f"{name}: {verdict}")
     print("\n".join(problems or ["every file within the tolerances"]))
     return problems
 
