@@ -188,13 +188,13 @@ def _run_probe_spec(cfg: ExperimentConfig):
 
 def _run_coupler_spec(cfg: ExperimentConfig):
     base = _base_model(cfg, cfg.omega_c_values[0])
-    sweep = coupler_spectroscopy(base, cfg.delta_c, cfg.pulse)
+    sweep = coupler_spectroscopy(base, cfg.delta_c, *cfg.beside)
     info = _line_summary(_converged_fit(cfg, sweep, "coupler line"), "f12_ghz", cfg.device.omega12)
     return [("coupler_spec", sweep)], {"coupler_line": info}
 
 
 def _run_rabi(cfg: ExperimentConfig):
-    sweep = rabi_trace(_base_model(cfg, 0.0), cfg.pulse)
+    sweep = rabi_trace(_base_model(cfg, 0.0), *cfg.beside)
     # The first interior local maximum; a trace with none reports its largest value.
     k = min(_local_maxima(sweep.values), default=int(np.argmax(sweep.values)))
     info = {
@@ -251,7 +251,7 @@ def _run_fidelity_scan(cfg: ExperimentConfig):
 
 
 def _run_eit_scan(cfg: ExperimentConfig):
-    sweeps = eit_regime_scan(_base_model(cfg, 0.0), cfg.eit_n_max, cfg.eit_ratio_grid)
+    sweeps = eit_regime_scan(_base_model(cfg, 0.0), *cfg.beside)
     outputs, curves = [], []
     for n, sweep in enumerate(sweeps):
         outputs.append((f"eit_scan_n{n}", sweep))

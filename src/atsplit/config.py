@@ -40,16 +40,16 @@ _DRIVE_KEYS = ("omega_p_mhz", "omega_c_mhz", "delta_p_mhz", "delta_c_mhz")
 #: What a run of each experiment reads past validation: a rule for each of
 #: ``_DRIVE_KEYS``, checked in that order (None: any value; ``unread``: any
 #: value, not recorded), the peaks fitted to its one detuning grid, and the
-#: key beside ``drive`` that it reads: a ``pulse`` key, the ``eit`` block or none.
-Reads = namedtuple("Reads", "drive fit_peaks beside", defaults=(0, ""))
+#: keys beside ``drive`` that it takes after its grid, in its signature's order.
+Reads = namedtuple("Reads", "drive fit_peaks beside", defaults=(0, ()))
 READS = {
     "probe_spec": Reads((None, "0", "a grid or auto", "0"), 1),
-    "coupler_spec": Reads(("0", "one value > 0", "0", "a grid or auto"), 1, "pulse.duration_us"),
-    "rabi": Reads(("> 0", "0", "0", "0"), 0, "pulse.durations_us"),
+    "coupler_spec": Reads(("0", "one value > 0", "0", "a grid or auto"), 1, ("pulse.duration_us",)),
+    "rabi": Reads(("> 0", "0", "0", "0"), 0, ("pulse.durations_us",)),
     "at_map": Reads(("> 0", "one value > 0", "a grid or auto", "a grid or auto")),
     "at_slice": Reads(("> 0", "> 0", "a grid or auto", "0"), 2),
     "fidelity_scan": Reads(("> 0", "> 0", "0", "0")),
-    "eit_scan": Reads(("> 0", "unread", "0", "0"), 0, "eit"),  # it drives ratio * omega_p
+    "eit_scan": Reads(("> 0", "unread", "0", "0"), 0, ("eit.n_max", "eit.ratio_grid")),
 }
 
 #: Each rule tests the tuple of a drive key's values (several only for
@@ -75,9 +75,7 @@ class ExperimentConfig:
     omega_c_values: tuple[float, ...]
     delta_p: float | Grid1D | None  # None: at_slice's per-slice auto grid
     delta_c: float | Grid1D
-    pulse: float | Grid1D | None  # the pulse key the run reads, if any
-    eit_n_max: int
-    eit_ratio_grid: Grid1D
+    beside: tuple  # the values of READS[experiment].beside, in its order
     out_dir: str
     warnings: tuple[str, ...]
 
@@ -366,13 +364,14 @@ def resolve(raw: dict) -> ExperimentConfig:
             warnings.extend(validate_three_level(DriveParams(*farthest, omega_p, omega), device))
     except ValueError as exc:
         raise ConfigError(f"key 'drive.omega_c_mhz' is too large for an auto grid: {exc}") from exc
-    pulse = get(reads.beside) if reads.beside.startswith("pulse.") else None
-    if pulse is None and reads.beside == "pulse.duration_us":
-        pulse = 1.0 / (2.0 * omega_c)  # ideal pi pulse
-        if not pulse <= sys.float_info.max:
+    beside = tuple(map(get, reads.beside))
+    if beside == (None,) and reads.beside == ("pulse.duration_us",):
+        beside = (1.0 / (2.0 * omega_c),)  # ideal pi pulse
+        if not beside[0] <= sys.float_info.max:
             raise ConfigError(f"key 'drive.omega_c_mhz': pi pulse 1/(2*{omega_c!r}) overflows")
-    elif pulse is None and reads.beside.startswith("pulse."):
-        raise ConfigError(f"missing required key '{reads.beside}' for {experiment}")
+    for key, value in zip(reads.beside, beside):
+        if value is None:
+            raise ConfigError(f"missing required key '{key}' for {experiment}")
 
     return ExperimentConfig(
         experiment=experiment,
@@ -382,9 +381,7 @@ def resolve(raw: dict) -> ExperimentConfig:
         omega_c_values=omega_c_values,
         delta_p=delta_p,
         delta_c=delta_c,
-        pulse=pulse,
-        eit_n_max=get("eit.n_max"),
-        eit_ratio_grid=get("eit.ratio_grid"),
+        beside=beside,
         out_dir=get("output.directory"),
         warnings=tuple(dict.fromkeys(warnings)),
     )
@@ -402,7 +399,7 @@ def describe(cfg: ExperimentConfig) -> dict:
     """The resolved parameters as plain data under config key names: what
     ``summary.yaml`` records under ``parameters`` and ``validate`` prints.
 
-    Of ``drive`` and the key beside it, exactly what ``READS`` says the run
+    Of ``drive`` and the keys beside it, exactly what ``READS`` says the run
     reads.  A grid is its start/stop/count mapping; ``auto`` is left only
     for at_slice's per-slice probe grid.
     """
@@ -421,8 +418,7 @@ def describe(cfg: ExperimentConfig) -> dict:
         "drive": {key: plain(value) for key, rule, value in zip(_DRIVE_KEYS, reads.drive, drive)
                   if rule != "unread"},
     }
-    if reads.beside.startswith("pulse."):
-        parameters["pulse"] = {reads.beside.removeprefix("pulse."): plain(cfg.pulse)}
-    elif reads.beside:  # the eit block
-        parameters["eit"] = {"n_max": cfg.eit_n_max, "ratio_grid": plain(cfg.eit_ratio_grid)}
+    for key, value in zip(reads.beside, cfg.beside):
+        block, _, leaf = key.partition(".")
+        parameters.setdefault(block, {})[leaf] = plain(value)
     return parameters

@@ -119,6 +119,23 @@ class TestValidateCommand:
             recorded = recorded.get(part) if recorded else None
         assert recorded == read.get(experiment)
 
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_beside_holds_what_reads_names_and_describe_records_it(self, experiment):
+        """``cfg.beside`` holds one value per key that ``READS`` puts beside
+        ``drive``, in that order, and ``describe`` records each value under
+        its dotted key, beside ``device``, ``rates_per_us`` and ``drive``."""
+        paper_set = load_module(ROOT / "tools" / "paper_set.py")
+        cfg = load(bundled_config_path("paper.cfg"), paper_set.RUNS[experiment])
+        keys = config_mod.READS[experiment].beside
+        assert len(cfg.beside) == len(keys)
+        expected = {"pulse.duration_us": 1.0 / (2.0 * 2.82),
+                    "pulse.durations_us": {"start": 0.0, "stop": 20.0, "count": 401},
+                    "eit.n_max": 9, "eit.ratio_grid": {"start": 0.25, "stop": 60.25, "count": 81}}
+        parameters = config_mod.describe(cfg)
+        recorded = {f"{block}.{leaf}": value for block in parameters.keys() - {
+            "device", "rates_per_us", "drive"} for leaf, value in parameters[block].items()}
+        assert recorded == {key: expected[key] for key in keys}
+
     def test_validate_writes_nothing(self, config_file, tmp_path, monkeypatch):
         workdir = tmp_path / "empty"
         workdir.mkdir()
@@ -965,9 +982,10 @@ class TestConfigLoading:
         path = tmp_path / "merge.cfg"
         text = BASE_CONFIG.replace("delta_p_mhz: {", "delta_p_mhz: &grid {")
         path.write_text(text + "eit: {ratio_grid: {<<: *grid, start: 0.5}}\n")
-        cfg = load(path, ["rates.t1_us=30.0", "rates.t1_us=39.0"])
+        cfg = load(path, ["rates.t1_us=30.0", "rates.t1_us=39.0", "experiment=eit_scan",
+                          "drive.delta_p_mhz=0.0"])
         assert cfg.rates.gamma_10 == 1.0 / 39.0
-        assert cfg.eit_ratio_grid == experiments.Grid1D(0.5, 6.0, 161)
+        assert cfg.beside == (9, experiments.Grid1D(0.5, 6.0, 161))  # eit.n_max, eit.ratio_grid
 
     @pytest.mark.parametrize("text", ["4e1", "-1E3", ".5e3", "4.0e1", "1e+22", "5e-05"])
     def test_exponent_form_loads_as_a_float(self, tmp_path, text):
@@ -1228,14 +1246,18 @@ class TestPaperSet:
         assert problems[0] == "rabi.parameters.drive: keys ['omega_c_mhz'] are in one tree only"
         assert len(problems) == 2 and problems[1].startswith("rabi.parameters.drive.omega_p_mhz: ")
 
-    def test_check_reports_each_file_and_exits_1_on_a_mismatch(self, paper_set, tmp_path,
-                                                                 capsys):
-        """``--check`` on a copy of the reference finds all 35 files identical;
-        one value moved by 1e-9 is reported with its difference, and exits 1."""
+    @pytest.fixture()
+    def tree(self, paper_set, tmp_path):
+        """A copy of the reference, as ``run_all`` writes it."""
         tree = tmp_path / "tree"
         for name in paper_set._file_names(paper_set.REFERENCE):
             (tree / name).parent.mkdir(parents=True, exist_ok=True)
             (tree / name).write_text(paper_set._read(paper_set.REFERENCE, name))
+        return tree
+
+    def test_check_reports_each_file_and_exits_1_on_a_mismatch(self, paper_set, tree, capsys):
+        """``--check`` on a copy of the reference finds all 35 files identical;
+        one value moved by 1e-9 is reported with its difference, and exits 1."""
         assert paper_set.main(["--check", str(tree)]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 36 and all(line.endswith(": identical") for line in lines[:-1])
@@ -1247,14 +1269,10 @@ class TestPaperSet:
         assert "rabi/rabi.csv: largest relative difference 1e-09\n" in out
         assert out.count(": identical\n") == 34 and "\nrabi/rabi.csv row 401: " in out
 
-    def test_check_calls_a_structural_mismatch_no_difference(self, paper_set, tmp_path, capsys):
+    def test_check_calls_a_structural_mismatch_no_difference(self, paper_set, tree, capsys):
         """A removed summary key, a removed CSV row, a moved CSV axis value
         and a changed ``plots.json`` each read ``structural mismatch``, not a
         largest relative difference of 0 or nan, and ``--check`` exits 1."""
-        tree = tmp_path / "tree"
-        for name in paper_set._file_names(paper_set.REFERENCE):
-            (tree / name).parent.mkdir(parents=True, exist_ok=True)
-            (tree / name).write_text(paper_set._read(paper_set.REFERENCE, name))
         summary = yaml.safe_load((tree / "rabi" / "summary.yaml").read_text())
         del summary["parameters"]["drive"]["omega_c_mhz"]
         (tree / "rabi" / "summary.yaml").write_text(yaml.safe_dump(summary, sort_keys=True))
@@ -1276,3 +1294,29 @@ class TestPaperSet:
         assert {name: verdicts.pop(name) for name in changed} == dict.fromkeys(
             changed, "structural mismatch")
         assert len(verdicts) == 31 and set(verdicts.values()) == {"identical"}
+
+    @pytest.mark.parametrize("name, edit, verdict", [
+        pytest.param("rabi/rabi.csv", lambda text: re.sub(r"(?m)^(0\.2,).*$", r"\1nan", text),
+                     "largest relative difference nan", id="csv-nan"),
+        pytest.param("at_slice/summary.yaml",
+                     lambda text: re.sub(r"residual_rms: .*", "residual_rms: .nan", text, count=1),
+                     "largest relative difference nan", id="summary-nan"),
+        pytest.param("at_slice/summary.yaml",
+                     lambda text: re.sub(r"residual_rms: .*", "residual_rms: .nan", text, count=1)
+                     .replace("schema: 1\n", ""), "structural mismatch", id="summary-nan-and-key"),
+        pytest.param("probe_spec/probe_spec.csv", lambda text: "", "structural mismatch",
+                     id="csv-empty"),
+        pytest.param("probe_spec/probe_spec.csv", lambda text: text.split("\n", 1)[1],
+                     "structural mismatch", id="csv-headerless")])
+    def test_check_reads_nan_as_nan_and_a_missing_header_as_structural(
+            self, paper_set, tree, capsys, name, edit, verdict):
+        """A value that is not a number outranks any difference, and a
+        structural mismatch outranks it; a CSV without its header is a
+        structural mismatch, not a crash.  Every problem line names the file."""
+        path = tree / name
+        path.write_text(edit(path.read_text()))
+        assert paper_set.main(["--check", str(tree)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert f"{name}: {verdict}" in lines[:35]
+        assert sum(line.endswith(": identical") for line in lines[:35]) == 34
+        assert lines[35:] and all(line.startswith(name) for line in lines[35:])

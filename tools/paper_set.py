@@ -10,8 +10,9 @@ by file::
 
 ``--check`` compares a written tree with the committed reference under
 ``tests/reference``: it prints ``identical`` for each file whose bytes
-match, else its largest relative difference, or ``structural mismatch``
-where something that must match exactly differs; then every mismatch
+match, else its largest relative difference (``nan`` if a value is not
+a number), or ``structural mismatch`` where something that must match
+exactly differs, such as a missing header; then every mismatch
 beyond the tolerances, and exits 1 if there is one.  ``--update`` prints
 the same report for a fresh set against the old reference, then rewrites
 the reference (``at_map.csv`` gzipped); tier-1 compares each run against
@@ -106,24 +107,31 @@ def _read(root: Path, name: str) -> str:
     return (root / name).read_text()
 
 
+def _largest(differences: list[float]) -> float:
+    """The largest of the differences, where inf (something exact differs)
+    outranks nan, and nan outranks any number."""
+    return max(differences, key=lambda d: (d == math.inf, math.isnan(d), d))
+
+
 def _compare_csv(name: str, text: str, expected: str, problems: list[str]) -> float:
     """Headers, row counts and axis values exactly; values to ``RTOL``.
-    Rows are numbered from 1 after the header.  Returns the largest
-    relative difference of the values, or inf if anything exact differs."""
+    Rows are numbered from 1 after the header; a file without one has the
+    header None.  Returns the largest relative difference of the values,
+    or inf if anything exact differs."""
     rows, want = ([line.split(",") for line in t.splitlines()] for t in (text, expected))
-    if rows[0] != want[0] or len(rows) != len(want):
-        problems.append(f"{name}: header {rows[0]} and {len(rows) - 1} rows, "
-                        f"expected {want[0]} and {len(want) - 1}")
+    if rows[:1] != want[:1] or len(rows) != len(want):
+        problems.append(f"{name}: header {(rows or [None])[0]} and {len(rows[1:])} rows, "
+                        f"expected {(want or [None])[0]} and {len(want[1:])}")
         return math.inf
-    largest = 0.0
+    differences = [0.0]
     for k, (row, ref) in enumerate(zip(rows[1:], want[1:]), start=1):
         diff = relative_difference(float(row[-1]), float(ref[-1]))
         axes_differ = row[:-1] != ref[:-1]
-        largest = max(largest, math.inf if axes_differ else diff)
+        differences.append(math.inf if axes_differ else diff)
         if axes_differ or not diff <= RTOL:
             problems.append(f"{name} row {k}: {','.join(row)}, expected {','.join(ref)}"
                             f" (value differs by {diff:.3g} relative)")
-    return largest
+    return _largest(differences)
 
 
 def _compare_tree(name: str, got, want, problems: list[str]) -> float:
@@ -150,15 +158,16 @@ def _compare_tree(name: str, got, want, problems: list[str]) -> float:
             problems.append(f"{name}: {got!r}, expected {want!r}")
             return math.inf
         return 0.0
-    return max([structure] + [_compare_tree(f"{name}.{k}", got[k], want[k], problems)
-                              for k in keys])
+    return _largest([structure] + [_compare_tree(f"{name}.{k}", got[k], want[k], problems)
+                                   for k in keys])
 
 
 def compare(out_dir: Path, reference: Path = REFERENCE) -> tuple[dict[str, str], list[str]]:
     """Compare a ``run_all`` tree with the reference.  Returns, for each file
     in both trees, ``identical`` (the same text), its largest relative
-    difference, or ``structural mismatch`` (a header, row count, axis value,
-    key, list, string, count or flag differs, or any text of ``plots.json``),
+    difference (``nan`` where a value is not a number), or ``structural
+    mismatch`` (a header, row count, axis value, key, list, string, count or
+    flag differs, or any text of ``plots.json``; a CSV may lack its header),
     and one line per mismatch."""
     names, expected_names = _file_names(out_dir), _file_names(reference)
     problems = [] if names == expected_names else [
